@@ -29,13 +29,17 @@ import numpy as np
 
 from ..compat import resolve_engine_aliases
 from ..core.csf_kernels import scatter_add_rows
-from ..core.proc_tasks import emit_contrib, merge_counter_state
+from ..core.proc_tasks import (
+    ProcessEngineContext,
+    emit_contrib,
+    local_counter,
+    resolve,
+)
 from ..engines.base import EngineBase, resolve_num_threads
 from ..kernels.dispatch import gather_multiply_rows, value_gather_rows
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
-from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.alto import AltoTensor
 from ..tensor.coo import CooTensor
 from ..trace import NULL_TRACER, Tracer
@@ -48,8 +52,7 @@ def _charge_alto_chunk(
     decode_bits: int,
 ) -> None:
     """Per-thread legs of one ALTO partition: index decode, values stream
-    and the recompute arithmetic.  Shared by the closure body and the
-    process task so every backend charges identically."""
+    and the recompute arithmetic."""
     counter.read(n * index_words, "structure")
     counter.read(n, "values")
     counter.flop(2.0 * (d - 1) * n * rank, "recompute")
@@ -57,18 +60,20 @@ def _charge_alto_chunk(
 
 
 def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
-    """Process-worker body of one ALTO partition's mode-``mode`` MTTKRP:
-    identical arithmetic to the closure body, operands read from shared
-    memory, contribution returned through the thread's scratch segment."""
-    ctx, th, mode = payload["ctx"], payload["th"], payload["mode"]
-    vals = attach(ctx["values"])
-    coords = [attach(t) for t in ctx["coords"]]
-    factors = [attach(t) for t in ctx["factors"]]
-    counter = TrafficCounter(
-        cache_elements=ctx["cache_elements"], enabled=ctx["enabled"]
-    )
+    """One ALTO partition's mode-``ctx["mode"]`` MTTKRP: gather the
+    non-target factor rows of the partition's non-zeros, scale by the
+    values and multiply through; the rows go back via :func:`emit_contrib`
+    for the coordinator's scatter."""
+    ctx, th = payload["ctx"], payload["th"]
+    mode = ctx["mode"]
+    vals = resolve(ctx["values"])
+    coords = [resolve(c) for c in ctx["coords"]]
+    factors = [resolve(f) for f in ctx["factors"]]
+    counter = local_counter(ctx)
     lo, hi = ctx["partitions"][th]
     d = len(coords)
+    # Per-thread legs: the linearized-index decode, the values stream and
+    # the recompute arithmetic of this partition.
     _charge_alto_chunk(
         counter, hi - lo, d, ctx["rank"], ctx["index_words"], ctx["decode_bits"]
     )
@@ -115,23 +120,16 @@ class AltoBackend(EngineBase):
         self._coords: List[np.ndarray] = [
             self.alto.mode_indices(m) for m in range(tensor.ndim)
         ]
-        # Shared-memory state for the processes backend: the linearized
-        # values/coordinates are shared once; factor slots are refreshed
-        # in place before every kernel dispatch.
-        self._arena: Optional[SharedArena] = None
-        self._factor_tokens: Optional[List[ShmToken]] = None
-        self._scratch_tokens: List[ShmToken] = []
-        self._ro_tokens: Dict[str, Any] = {}
-        if self.pool.backend == "processes":
-            self._arena = SharedArena()
-            self._ro_tokens = {
-                "values": self._arena.share(self.alto.values),
-                "coords": [self._arena.share(c) for c in self._coords],
-            }
-            width = max((hi - lo for lo, hi in self.partitions), default=0)
-            self._scratch_tokens = [
-                self._arena.zeros((max(1, width), rank)) for _ in range(threads)
-            ]
+        # Task operands (see repro.core.proc_tasks): under processes the
+        # linearized values/coordinates are shared once and factor slots
+        # are refreshed before every dispatch; otherwise the engine's arrays.
+        self._ctx = ProcessEngineContext(
+            counter, shared=self.pool.backend == "processes"
+        )
+        self._values = self._ctx.share(self.alto.values)
+        self._coord_handles = [self._ctx.share(c) for c in self._coords]
+        width = max((hi - lo for lo, hi in self.partitions), default=0)
+        self._scratch = self._ctx.scratch(threads, max(1, width), rank)
 
     @property
     def num_threads(self) -> int:
@@ -161,98 +159,38 @@ class AltoBackend(EngineBase):
     def _mttkrp_level_impl(
         self, factors: Sequence[np.ndarray], mode: int
     ) -> np.ndarray:
-        d = self.tensor.ndim
-        n_out = self.tensor.shape[mode]
-        out = np.zeros((n_out, self.rank))
-        vals = self.alto.values
-        other = [m for m in range(d) if m != mode]
+        out = np.zeros((self.tensor.shape[mode], self.rank))
         self.shards.reset()
-
-        if self._arena is not None:
-            ctx = self._proc_ctx(factors)
-            results = self.pool.run_tasks(
-                _alto_mode_task,
-                [
-                    {"ctx": ctx, "th": th, "mode": mode}
-                    for th in range(self.num_threads)
-                ],
+        payloads = self._ctx.payloads(
+            self.num_threads,
+            mode=mode,
+            values=self._values,
+            coords=self._coord_handles,
+            factors=self._ctx.refresh_factors(factors),
+            scratch=self._scratch,
+            partitions=self.partitions,
+            rank=self.rank,
+            index_words=self.alto.index_bits // 64,
+            decode_bits=self.alto.mask.total_bits,
+        )
+        results = self.pool.run_tasks(_alto_mode_task, payloads)
+        for th, result in enumerate(results):
+            lo, acc = self._ctx.contribution(
+                self._scratch[th], result, self.shards.shard(th)
             )
-            for th, (kind, lo, val, traffic) in enumerate(results):
-                merge_counter_state(self.shards.shard(th), traffic)
-                acc = (
-                    self._arena.array(self._scratch_tokens[th])[:val]
-                    if kind == "shm"
-                    else val
-                )
-                hi = lo + acc.shape[0]
-                scatter_add_rows(out, self._coords[mode][lo:hi], acc)
-        else:
-
-            def body(th: int) -> Tuple[int, np.ndarray]:
-                lo, hi = self.partitions[th]
-                # Per-thread legs, charged race-free to this thread's
-                # shard: the linearized-index decode, the values stream
-                # and the recompute arithmetic of this partition.
-                _charge_alto_chunk(
-                    self.shards.shard(th),
-                    hi - lo,
-                    d,
-                    self.rank,
-                    self.alto.index_bits // 64,
-                    self.alto.mask.total_bits,
-                )
-                acc = value_gather_rows(
-                    vals, np.asarray(factors[other[0]]),
-                    self._coords[other[0]], lo, hi,
-                )
-                for m in other[1:]:
-                    acc = gather_multiply_rows(
-                        acc, np.asarray(factors[m]), self._coords[m], lo, hi
-                    )
-                return lo, acc
-
-            for lo, acc in self.pool.map(body):
-                hi = lo + acc.shape[0]
-                scatter_add_rows(out, self._coords[mode][lo:hi], acc)
+            scatter_add_rows(out, self._coords[mode][lo : lo + acc.shape[0]], acc)
 
         self.shards.merge_into(self.counter)
         self._charge(mode, factors)
         return out
 
-    def _proc_ctx(self, factors: Sequence[np.ndarray]) -> Dict[str, Any]:
-        """Refresh the factor slots and build the shared task context."""
-        arena = self._arena
-        assert arena is not None
-        fs = [np.ascontiguousarray(np.asarray(f)) for f in factors]
-        if self._factor_tokens is None or any(
-            t.shape != f.shape or np.dtype(t.dtype) != f.dtype
-            for t, f in zip(self._factor_tokens, fs)
-        ):
-            self._factor_tokens = [arena.zeros(f.shape, f.dtype) for f in fs]
-        for t, f in zip(self._factor_tokens, fs):
-            arena.array(t)[...] = f
-        return {
-            "values": self._ro_tokens["values"],
-            "coords": self._ro_tokens["coords"],
-            "factors": self._factor_tokens,
-            "scratch": self._scratch_tokens,
-            "partitions": self.partitions,
-            "rank": self.rank,
-            "index_words": self.alto.index_bits // 64,
-            "decode_bits": self.alto.mask.total_bits,
-            "cache_elements": self.counter.cache_elements,
-            "enabled": self.counter.enabled,
-        }
-
     def close(self) -> None:
         """Release the processes backend's shared segments (no-op else)."""
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        self._ctx.close()
 
     def _charge(self, mode: int, factors: Sequence[np.ndarray]) -> None:
-        """Kernel-level legs (per-thread legs are charged in the thread
-        bodies): the cache-rule factor gathers and the output scatter."""
+        """Kernel-level legs (per-thread legs are charged by the tasks):
+        the cache-rule factor gathers and the output scatter."""
         nnz = self.tensor.nnz
         d = self.tensor.ndim
         for m in range(d):

@@ -27,14 +27,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compat import resolve_engine_aliases
-from ..core.csf_kernels import scatter_add_rows, thread_upward_sweep
-from ..core.proc_tasks import counter_state, merge_counter_state
+from ..core.csf_kernels import thread_upward_sweep
+from ..core.proc_tasks import (
+    ProcessEngineContext,
+    counter_state,
+    local_counter,
+    merge_counter_state,
+    resolve,
+    resolve_csf,
+)
 from ..engines.base import EngineBase, resolve_num_threads
-from ..kernels.dispatch import TIER_NUMPY, resolve_tier
+from ..kernels.dispatch import resolve_tier
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
-from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.coo import CooTensor
 from ..tensor.csf import CsfTensor
 from ..trace import NULL_TRACER, Tracer
@@ -51,8 +57,7 @@ def _charge_chunk(
     """Per-thread legs of one slice chunk: structure walk and contraction
     arithmetic of the chunk's subtree.  Chunk boundaries are
     slice-aligned, so the per-level node spans tile every level exactly
-    and the merged totals match the single-counter tallies.  Shared by
-    the closure body and the process task."""
+    and the merged totals match the single-counter tallies."""
     a, b = s_lo, s_hi
     nodes = b - a
     children = 0
@@ -67,23 +72,14 @@ def _charge_chunk(
 def _taco_sweep_task(
     payload: Dict[str, Any]
 ) -> Tuple[List[Tuple[int, np.ndarray]], tuple]:
-    """Process-worker body of one thread's round-robin chunk deal:
-    identical sweeps on the shared CSF, chunk partials returned in deal
-    order so the coordinator accumulates exactly like the serial path."""
+    """One thread's round-robin chunk deal: the chunk partials in deal
+    order (the coordinator accumulates them in thread-id order) and the
+    thread's traffic.  Dealing chunks round-robin is the dynamic-ish
+    schedule that buys TACO its balance edge over a static deal."""
     ctx, th = payload["ctx"], payload["th"]
-    spec = ctx["csf"]
-    csf = CsfTensor(
-        spec["mode_order"],
-        [attach(t) for t in spec["idx"]],
-        [attach(t) for t in spec["ptr"]],
-        attach(spec["values"]),
-        spec["shape"],
-        spec["fiber_counts"],
-    )
-    lf = [attach(ctx["factors"][m]) for m in csf.mode_order]
-    counter = TrafficCounter(
-        cache_elements=ctx["cache_elements"], enabled=ctx["enabled"]
-    )
+    csf = resolve_csf(ctx["csf"])
+    lf = [resolve(ctx["factors"][m]) for m in csf.mode_order]
+    counter = local_counter(ctx)
     tasks, pool_t = ctx["tasks"], ctx["pool_t"]
     results: List[Tuple[int, np.ndarray]] = []
     for ti in range(th, len(tasks), pool_t):
@@ -96,8 +92,7 @@ def _taco_sweep_task(
         if ctx["charge"]:
             _charge_chunk(counter, csf, s_lo, s_hi, ctx["rank"])
         res = thread_upward_sweep(
-            csf, lf, leaf_lo, leaf_hi, stop_level=0,
-            tier=ctx.get("tier", TIER_NUMPY),
+            csf, lf, leaf_lo, leaf_hi, stop_level=0, tier=ctx["tier"]
         )
         results.append(res[0])
     return results, counter_state(counter)
@@ -148,14 +143,13 @@ class TacoBackend(EngineBase):
             self.csfs.append(CsfTensor.from_coo(tensor, (mode, *rest)))
         self.chunk_slices = CHUNK_GRID[-1]
         self.tuning_seconds = 0.0
-        # Shared-memory state for the processes backend: per-mode CSFs are
-        # shared lazily (first sweep of that mode); factor slots refreshed
-        # in place before every dispatch.
-        self._arena: Optional[SharedArena] = None
-        self._csf_tokens: Dict[int, Dict[str, Any]] = {}
-        self._factor_tokens: Optional[List[ShmToken]] = None
-        if self.pool.backend == "processes":
-            self._arena = SharedArena()
+        # Task operands (see repro.core.proc_tasks): under processes the
+        # per-mode CSFs are shared once here and the factor slots are
+        # refreshed before every dispatch; otherwise the engine's arrays.
+        self._ctx = ProcessEngineContext(
+            counter, shared=self.pool.backend == "processes"
+        )
+        self._csf_specs = [self._ctx.share_csf(c) for c in self.csfs]
         if autotune:
             self.autotune()
 
@@ -197,117 +191,47 @@ class TacoBackend(EngineBase):
         self, mode: int, factors: Sequence[np.ndarray], *, charge: bool = True
     ) -> np.ndarray:
         csf = self.csfs[mode]
-        lf = [np.asarray(factors[m]) for m in csf.mode_order]
         rank = self.rank
         out = np.zeros((csf.level_shape(0), rank))
         tasks = self._task_bounds(csf)
-        n_tasks = len(tasks)
         pool_t = self.pool.num_threads
-
-        d = csf.ndim
         if charge:
             self.shards.reset()
 
-        if self._arena is not None:
-            ctx = self._proc_ctx(mode, factors, charge)
-            results = self.pool.run_tasks(
-                _taco_sweep_task, [{"ctx": ctx, "th": th} for th in range(pool_t)]
-            )
-            for th, (chunk_results, traffic) in enumerate(results):
-                if charge:
-                    merge_counter_state(self.shards.shard(th), traffic)
-                for nlo, tp in chunk_results:
-                    out[csf.idx[0][nlo : nlo + tp.shape[0]]] += tp
-        else:
-
-            def body(th: int) -> List[Tuple[int, np.ndarray]]:
-                results = []
-                shard = self.shards.shard(th)
-                # Tasks dealt round-robin: the dynamic-ish schedule
-                # chunking buys TACO its balance edge over a static deal.
-                for ti in range(th, n_tasks, pool_t):
-                    s_lo, s_hi = tasks[ti]
-                    leaf_lo, _ = csf.leaf_span(0, s_lo) if s_hi > s_lo else (0, 0)
-                    if s_hi > s_lo:
-                        _, leaf_hi = csf.leaf_span(0, s_hi - 1)
-                    else:
-                        leaf_hi = leaf_lo
-                    if charge:
-                        _charge_chunk(shard, csf, s_lo, s_hi, rank)
-                    res = thread_upward_sweep(
-                        csf, lf, leaf_lo, leaf_hi, stop_level=0,
-                        tier=self.kernel_tier,
-                    )
-                    results.append(res[0])
-                return results
-
-            for chunk_results in self.pool.map(body):
-                for nlo, tp in chunk_results:
-                    out[csf.idx[0][nlo : nlo + tp.shape[0]]] += tp
+        # Factor slots are keyed by *original* mode number; tasks reorder
+        # to CSF levels via the CSF's mode_order.
+        payloads = self._ctx.payloads(
+            pool_t,
+            csf=self._csf_specs[mode],
+            factors=self._ctx.refresh_factors(factors),
+            tasks=tasks,
+            pool_t=pool_t,
+            rank=rank,
+            charge=charge,
+            tier=self.kernel_tier,
+        )
+        results = self.pool.run_tasks(_taco_sweep_task, payloads)
+        for th, (chunk_results, traffic) in enumerate(results):
+            if charge:
+                merge_counter_state(self.shards.shard(th), traffic)
+            for nlo, tp in chunk_results:
+                out[csf.idx[0][nlo : nlo + tp.shape[0]]] += tp
 
         if charge:
             # Kernel-level legs on the coordinator: cache-rule factor
             # gathers and the dense output write.
             self.shards.merge_into(self.counter)
             m = csf.fiber_counts
-            for j in range(1, d):
+            for j in range(1, csf.ndim):
                 self.counter.read_factor_rows(
                     m[j], csf.level_shape(j), rank, "factor"
                 )
             self.counter.write(csf.level_shape(0) * rank, "output")
         return out
 
-    def _csf_spec(self, mode: int) -> Dict[str, Any]:
-        """Token spec of mode ``mode``'s CSF, shared on first use."""
-        spec = self._csf_tokens.get(mode)
-        if spec is None:
-            arena = self._arena
-            assert arena is not None
-            csf = self.csfs[mode]
-            spec = {
-                "mode_order": csf.mode_order,
-                "shape": csf.shape,
-                "fiber_counts": csf.fiber_counts,
-                "idx": [arena.share(a) for a in csf.idx],
-                "ptr": [arena.share(p) for p in csf.ptr],
-                "values": arena.share(csf.values),
-            }
-            self._csf_tokens[mode] = spec
-        return spec
-
-    def _proc_ctx(
-        self, mode: int, factors: Sequence[np.ndarray], charge: bool
-    ) -> Dict[str, Any]:
-        """Refresh the factor slots and build the shared task context.
-        Factor slots are keyed by *original* mode number; workers reorder
-        to CSF levels via the spec's ``mode_order``."""
-        arena = self._arena
-        assert arena is not None
-        fs = [np.ascontiguousarray(np.asarray(f)) for f in factors]
-        if self._factor_tokens is None or any(
-            t.shape != f.shape or np.dtype(t.dtype) != f.dtype
-            for t, f in zip(self._factor_tokens, fs)
-        ):
-            self._factor_tokens = [arena.zeros(f.shape, f.dtype) for f in fs]
-        for t, f in zip(self._factor_tokens, fs):
-            arena.array(t)[...] = f
-        return {
-            "csf": self._csf_spec(mode),
-            "factors": self._factor_tokens,
-            "tasks": self._task_bounds(self.csfs[mode]),
-            "pool_t": self.pool.num_threads,
-            "rank": self.rank,
-            "charge": charge,
-            "cache_elements": self.counter.cache_elements,
-            "enabled": self.counter.enabled,
-            "tier": self.kernel_tier,
-        }
-
     def close(self) -> None:
         """Release the processes backend's shared segments (no-op else)."""
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        self._ctx.close()
 
     # ------------------------------------------------------------------
     def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:

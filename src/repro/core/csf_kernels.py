@@ -332,7 +332,7 @@ def serial_upward_sweep(
     A thin wrapper over :func:`thread_upward_sweep` with one thread owning
     everything — used by tests and by the serial reference path.  Pass a
     ``counter`` to charge the same structure/sweep legs the threaded path
-    charges (:func:`repro.core.proc_tasks.charge_sweep` with one thread
+    charges (:func:`repro.core.mttkrp.charge_sweep` with one thread
     owning every node); the default ``NULL_COUNTER`` discards them.
     """
     d = csf.ndim

@@ -18,32 +18,42 @@ STeF over one CSF:
   kernel is STeF's weak spot on nell-2, which STeF2 fixes with a second
   CSF — :mod:`repro.core.stef2`).
 
-Thread bodies only *compute* (gathers, multiplies, segmented sums — all
-GIL-releasing NumPy); scatters into shared outputs happen on the
-coordinating thread, so the ``"threads"`` backend is race-free while the
-``"serial"`` backend is bit-identical to it.
+Every kernel is a module-level task function (:func:`mode0_task`,
+:func:`memo_direct_task`, :func:`recompute_task`, :func:`leaf_task`)
+run once per simulated thread through
+:meth:`~repro.parallel.executor.SimulatedPool.run_tasks` on all three
+execution backends.  The task body is the only implementation of the
+per-thread kernel: its context holds the engine's own arrays under
+``serial``/``threads`` and shared-memory tokens under ``processes``
+(:class:`~repro.core.proc_tasks.ProcessEngineContext`), so the backends
+run identical arithmetic by construction.  Tasks only *compute*
+(gathers, multiplies, segmented sums — all GIL-releasing NumPy) and
+write slot-disjoint :class:`~repro.parallel.executor.ReplicatedArray`
+stripes; scatters into shared outputs happen on the coordinating thread
+in thread-id order, so every backend is bit-identical to ``serial``.
 
 Every call charges its semantic read/write volumes at the same
 granularity as the Section IV model, giving the measured channel the
 Fig. 3/4 harness reports.  Accounting is split in two:
 
 * **per-thread legs** (structure walk, memo reads, contraction
-  arithmetic) are charged *inside the thread bodies* to a private
-  :class:`~repro.parallel.counters.ShardedTrafficCounter` shard — no
-  shared mutable state under the ``threads`` backend — using each
-  thread's *owned* node counts (a disjoint tiling of every level, so the
-  merged totals are independent of the thread count);
+  arithmetic) are charged by each task to a task-local counter
+  (:func:`charge_sweep`, :func:`charge_mode_u`) using the thread's
+  *owned* node counts (a disjoint tiling of every level, so the merged
+  totals are independent of the thread count); the coordinator folds
+  the returned state into that thread's
+  :class:`~repro.parallel.counters.ShardedTrafficCounter` shard;
 * **kernel-level legs** (the DM_factor cache-rule gathers, output/memo
   writes, the conflicted scatter) are whole-kernel model quantities and
   are charged once on the coordinator after the shards merge.
 
-The shard merge is vectorized and runs in fixed thread-id order, so the
-``serial`` and ``threads`` backends report bit-identical tallies.
+The shard merge is vectorized and runs in fixed thread-id order, so all
+backends report bit-identical tallies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,17 +68,158 @@ from ..trace import NULL_TRACER, Tracer
 from .csf_kernels import scatter_add_rows, thread_downward_k, thread_upward_sweep
 from .memoization import SAVE_NONE, MemoPlan
 from .proc_tasks import (
+    Handle,
     ProcessEngineContext,
-    charge_mode_u,
-    charge_sweep,
-    leaf_task,
-    memo_direct_task,
+    counter_state,
+    emit_contrib,
+    local_counter,
     merge_counter_state,
-    mode0_task,
-    recompute_task,
+    resolve,
+    resolve_csf,
 )
 
-__all__ = ["MemoizedMttkrp"]
+__all__ = [
+    "MemoizedMttkrp",
+    "charge_sweep",
+    "charge_mode_u",
+    "mode0_task",
+    "memo_direct_task",
+    "recompute_task",
+    "leaf_task",
+]
+
+
+# ----------------------------------------------------------------------
+# per-thread traffic legs
+# ----------------------------------------------------------------------
+def charge_sweep(counter: TrafficCounter, owned: np.ndarray, rank: int) -> None:
+    """Per-thread legs of the mode-0 sweep: structure reads over the
+    thread's owned nodes at every level and one fused multiply-add per
+    owned child fiber per rank column.  Owned counts tile each level
+    exactly, so merged totals match the serial tallies at any T."""
+    counter.read(2.0 * int(owned.sum()), "structure")
+    counter.flop(2.0 * rank * int(owned[1:].sum()), "sweep")
+
+
+def charge_mode_u(
+    counter: TrafficCounter,
+    owned: np.ndarray,
+    u: int,
+    source: int,
+    d: int,
+    rank: int,
+) -> None:
+    """Per-thread legs of a mode-``u`` kernel: the structure walk down to
+    the source data, the memo reads of the thread's node range, and the
+    downward-``k`` / recompute / Hadamard arithmetic."""
+    flops = rank * int(owned[1 : u + 1].sum())
+    if source == d - 1:
+        counter.read(2.0 * int(owned.sum()), "structure")
+        flops += 2 * rank * int(owned[u + 1 : d].sum())
+    else:
+        counter.read(2.0 * int(owned[:source].sum()), "structure")
+        counter.read(float(int(owned[source]) * rank), "memo")
+        flops += 2 * rank * int(owned[u + 1 : source + 1].sum())
+    flops += 2 * rank * int(owned[u])
+    counter.flop(flops, "mode-u")
+
+
+# ----------------------------------------------------------------------
+# the task bodies (one per kernel shape, every backend)
+# ----------------------------------------------------------------------
+def _task_operands(
+    ctx: Dict[str, Any]
+) -> Tuple[CsfTensor, List[np.ndarray], TrafficCounter]:
+    """The CSF, level-ordered factors and a fresh local counter."""
+    return (
+        resolve_csf(ctx["csf"]),
+        [resolve(f) for f in ctx["factors"]],
+        local_counter(ctx),
+    )
+
+
+def _owned(ctx: Dict[str, Any], th: int) -> np.ndarray:
+    starts = ctx["starts"]
+    return (starts[th + 1] - starts[th]).astype(np.int64)
+
+
+def _range(ctx: Dict[str, Any], th: int, level: int) -> Tuple[int, int]:
+    """Thread ``th``'s owned node range at ``level`` (leaves at d-1)."""
+    starts = ctx["starts"]
+    return int(starts[th, level]), int(starts[th + 1, level])
+
+
+def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Mode-0 upward sweep for one thread: accumulates the kept partials
+    into this thread's ReplicatedArray stripes (``ctx["rep"]``) and
+    returns their node ranges and its traffic."""
+    ctx, th = payload["ctx"], payload["th"]
+    csf, lf, counter = _task_operands(ctx)
+    charge_sweep(counter, _owned(ctx, th), ctx["rank"])
+    lo, hi = _range(ctx, th, csf.ndim - 1)
+    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0, tier=ctx["tier"])
+    ranges: Dict[int, Tuple[int, int]] = {}
+    for lvl, rep in ctx["rep"].items():
+        nlo, tp = res[lvl]
+        ranges[lvl] = (nlo, tp.shape[0])
+        if tp.shape[0]:
+            resolve(rep)[nlo + th : nlo + tp.shape[0] + th] += tp
+    return {"ranges": ranges, "traffic": counter_state(counter)}
+
+
+def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+    """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over this thread's node ownership."""
+    ctx, th = payload["ctx"], payload["th"]
+    u = ctx["u"]
+    csf, lf, counter = _task_operands(ctx)
+    charge_mode_u(counter, _owned(ctx, th), u, u, csf.ndim, ctx["rank"])
+    a, b = _range(ctx, th, u)
+    k = thread_downward_k(csf, lf, u, a, b, tier=ctx["tier"])
+    memo = resolve(ctx["memo"][u])
+    return emit_contrib(ctx["scratch"][th], a, k * memo[a:b], counter)
+
+
+def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+    """Fig. 1c/1d: rebuild ``t_u`` from ``P^(source)`` (or the tensor when
+    ``source == d-1``) and fuse with the downward ``k`` sweep.
+
+    Boundary nodes at level ``u`` are computed partially by adjacent
+    threads; the partials carry identical ``k`` rows, so scattering each
+    thread's ``k ⊙ t_partial`` sums to the exact result."""
+    ctx, th = payload["ctx"], payload["th"]
+    u, source = ctx["u"], ctx["source"]
+    csf, lf, counter = _task_operands(ctx)
+    d, tier = csf.ndim, ctx["tier"]
+    charge_mode_u(counter, _owned(ctx, th), u, source, d, ctx["rank"])
+    lo, hi = _range(ctx, th, source)
+    if source == d - 1:
+        res = thread_upward_sweep(csf, lf, lo, hi, stop_level=u, tier=tier)
+    else:
+        res = thread_upward_sweep(
+            csf,
+            lf,
+            lo,
+            hi,
+            start_level=source,
+            init=resolve(ctx["memo"][source]),
+            stop_level=u,
+            tier=tier,
+        )
+    nlo, tp = res[u]
+    k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0], tier=tier)
+    return emit_contrib(ctx["scratch"][th], nlo, k * tp, counter)
+
+
+def leaf_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+    """Leaf-mode kernel: ``val · k_{d-2}`` per owned leaf."""
+    ctx, th = payload["ctx"], payload["th"]
+    csf, lf, counter = _task_operands(ctx)
+    d, tier = csf.ndim, ctx["tier"]
+    charge_mode_u(counter, _owned(ctx, th), d - 1, d - 1, d, ctx["rank"])
+    lo, hi = _range(ctx, th, d - 1)
+    k = thread_downward_k(csf, lf, d - 1, lo, hi, tier=tier)
+    contrib = scale_rows_by_values(csf.values, k, lo, hi, tier=tier)
+    return emit_contrib(ctx["scratch"][th], lo, contrib, counter)
 
 
 class MemoizedMttkrp(EngineBase):
@@ -143,8 +294,9 @@ class MemoizedMttkrp(EngineBase):
             self.partition = slice_partition(csf, num_threads)
         else:
             raise ValueError(f"unknown partition strategy {partition!r}")
-        #: Per-thread counter shards; thread bodies charge their own shard
-        #: and the coordinator merges after every kernel (race-free).
+        #: Per-thread counter shards; the coordinator folds each task's
+        #: local tallies into its thread's shard and merges after every
+        #: kernel (race-free).
         self.shards = ShardedTrafficCounter.like(counter, self.pool.num_threads)
         #: Saved partial results, keyed by level; refreshed by mode0().
         self.memo: Dict[int, np.ndarray] = {}
@@ -152,20 +304,22 @@ class MemoizedMttkrp(EngineBase):
         # kept level and reset() between kernel invocations so repeated
         # ALS iterations reuse them without double-merge corruption.
         self._reps: Dict[int, ReplicatedArray] = {}
-        # Shared-memory state for the processes backend: the CSF is shared
-        # once here; factor/memo slots are refreshed in place before each
-        # dispatch (see repro.core.proc_tasks).
-        self._proc: Optional[ProcessEngineContext] = None
-        if backend == "processes":
-            self._proc = ProcessEngineContext(
-                csf,
-                rank,
-                self.partition.starts,
-                self.pool.num_threads,
-                counter.cache_elements,
-                counter.enabled,
-                tier=self.kernel_tier,
-            )
+        # Task operands (see repro.core.proc_tasks): the engine's own
+        # arrays under serial/threads; under processes the CSF is shared
+        # once here and factor/memo slots are refreshed before dispatch.
+        self._proc: Optional[ProcessEngineContext] = ProcessEngineContext(
+            counter, shared=backend == "processes"
+        )
+        self._csf_spec = self._proc.share_csf(csf)
+        self._rep_handles: Dict[int, Handle] = {}
+        self._memo_handles: Dict[int, Handle] = {}
+        # Scratch rows bound any mode-u contribution: the widest
+        # per-thread node range at any level, +1 for the shared boundary
+        # node recompute sweeps may touch.
+        diffs = np.diff(self.partition.starts, axis=0)
+        self._scratch = self._proc.scratch(
+            self.pool.num_threads, int(diffs.max()) + 1 if diffs.size else 1, rank
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -204,34 +358,26 @@ class MemoizedMttkrp(EngineBase):
         return self.partition.load_factor(source)
 
     # ------------------------------------------------------------------
-    # traffic accounting helpers (model-granularity semantic charges)
+    # dispatch plumbing
     # ------------------------------------------------------------------
-    def _charge_thread_sweep(self, th: int) -> None:
-        """Per-thread legs of the mode-0 sweep, charged to ``th``'s shard:
-        structure reads over the thread's owned nodes at every level and
-        one fused multiply-add per owned child fiber per rank column.
-        Owned counts tile each level exactly, so the merged totals match
-        the serial single-counter tallies for any thread count.
+    def _context(self) -> ProcessEngineContext:
+        if self._proc is None:
+            raise RuntimeError("engine is closed")
+        return self._proc
 
-        Delegates to :func:`~repro.core.proc_tasks.charge_sweep` — the
-        same definition process workers charge against, so the backends
-        cannot drift apart in what they tally."""
-        charge_sweep(
-            self.shards.shard(th), self.partition.owned_counts(th), self.rank
-        )
-
-    def _charge_thread_mode_u(self, th: int, u: int, source: int) -> None:
-        """Per-thread legs of a mode-``u`` kernel: the structure walk down
-        to the source data, the memo reads of the thread's node range, and
-        the downward-``k`` / recompute / Hadamard arithmetic.  Shared with
-        the process workers via :func:`~repro.core.proc_tasks.charge_mode_u`."""
-        charge_mode_u(
-            self.shards.shard(th),
-            self.partition.owned_counts(th),
-            u,
-            source,
-            self.csf.ndim,
-            self.rank,
+    def _payloads(self, lf: List[np.ndarray], **extra: Any) -> List[Dict[str, Any]]:
+        """Per-thread task payloads over the current level factors."""
+        proc = self._context()
+        return proc.payloads(
+            self.num_threads,
+            csf=self._csf_spec,
+            starts=self.partition.starts,
+            rank=self.rank,
+            tier=self.kernel_tier,
+            factors=proc.refresh_factors(lf),
+            memo=dict(self._memo_handles),
+            scratch=self._scratch,
+            **extra,
         )
 
     def _charge_factor_reads(self, levels: Sequence[int]) -> None:
@@ -265,36 +411,27 @@ class MemoizedMttkrp(EngineBase):
     def _mode0_impl(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         csf, d, rank = self.csf, self.csf.ndim, self.rank
         lf = self._level_factors(factors)
-        part = self.partition
         self.memo.clear()
+        self._memo_handles.clear()
         self.shards.reset()
 
         keep_levels = sorted(set(self.plan.save_levels) | {0})
         reps = self._replicated_buffers(keep_levels)
+        rep = {lvl: self._rep_handles[lvl] for lvl in keep_levels}
+        results = self.pool.run_tasks(mode0_task, self._payloads(lf, rep=rep))
+        # The tasks already accumulated into their slot-disjoint stripes;
+        # recording the ranges in thread-id order (lifecycle + sanitizer
+        # checks) fixes the order merge() folds them in.
+        for th, res in enumerate(results):
+            merge_counter_state(self.shards.shard(th), res["traffic"])
+            for lvl in keep_levels:
+                nlo, nrows = res["ranges"][lvl]
+                reps[lvl].view(th, nlo, nlo + nrows)
 
-        if self._proc is not None:
-            self._dispatch_mode0(lf, keep_levels, reps)
-        else:
-
-            def body(th: int) -> Dict[int, Tuple[int, np.ndarray]]:
-                self._charge_thread_sweep(th)
-                lo, hi = part.leaf_range(th)
-                return thread_upward_sweep(
-                    csf, lf, lo, hi, stop_level=0, tier=self.kernel_tier
-                )
-
-            results = self.pool.map(body)
-            for th, res in enumerate(results):
-                for lvl in keep_levels:
-                    nlo, tp = res[lvl]
-                    reps[lvl].view(th, nlo, nlo + tp.shape[0])[:] += tp
-
+        proc = self._context()
         for lvl in self.plan.save_levels:
             self.memo[lvl] = reps[lvl].merge()
-            if self._proc is not None:
-                # Keep the shared P^(lvl) slot current for later mode-u
-                # dispatches this iteration.
-                self._proc.refresh_memo(lvl, self.memo[lvl])
+            self._memo_handles[lvl] = proc.refresh_memo(lvl, self.memo[lvl])
         t0 = reps[0].merge()
         out = np.zeros((csf.level_shape(0), rank))
         out[csf.idx[0]] = t0
@@ -314,65 +451,27 @@ class MemoizedMttkrp(EngineBase):
             self.counter.read(size, "memo-allocate")
         return out
 
-    def _dispatch_mode0(
-        self,
-        lf: List[np.ndarray],
-        keep_levels: Sequence[int],
-        reps: Dict[int, ReplicatedArray],
-    ) -> None:
-        """Processes-backend mode-0: workers run the identical upward
-        sweep on the shared CSF and write their kept partials straight
-        into the shm-backed ReplicatedArray stripes; the coordinator
-        records the written ranges (same id order as serial, so
-        :meth:`ReplicatedArray.merge` folds them identically) and folds
-        each worker's traffic back into its shard."""
-        proc = self._proc
-        assert proc is not None
-        proc.refresh_factors(lf)
-        ctx = proc.base_ctx()
-        rep_tokens = {lvl: proc.rep_tokens[lvl] for lvl in keep_levels}
-        payloads = [
-            {
-                "ctx": ctx,
-                "th": th,
-                "keep_levels": tuple(keep_levels),
-                "rep": rep_tokens,
-            }
-            for th in range(self.num_threads)
-        ]
-        results = self.pool.run_tasks(mode0_task, payloads)
-        for th, res in enumerate(results):
-            merge_counter_state(self.shards.shard(th), res["traffic"])
-            for lvl in keep_levels:
-                nlo, nrows = res["ranges"][lvl]
-                # Record the range (lifecycle + sanitizer checks); the
-                # worker already accumulated into these buffer slots.
-                reps[lvl].view(th, nlo, nlo + nrows)
-
     def _replicated_buffers(
         self, keep_levels: Sequence[int]
     ) -> Dict[int, ReplicatedArray]:
         """Reusable boundary-replicated buffers for ``keep_levels`` —
         allocated on first use, ``reset()`` on every later invocation so
-        repeated mode-0 sweeps never merge stale stripes twice.  Under
-        the processes backend the storage is a shared-memory segment that
-        workers write directly."""
+        repeated mode-0 sweeps never merge stale stripes twice.  The
+        storage comes from the task context, so under the processes
+        backend it is a shared-memory segment that workers write
+        directly."""
         reps: Dict[int, ReplicatedArray] = {}
         for lvl in keep_levels:
             rep = self._reps.get(lvl)
             if rep is None:
-                buffer = (
-                    self._proc.rep_buffer(lvl, self.csf.fiber_counts[lvl])
-                    if self._proc is not None
-                    else None
-                )
+                proc = self._context()
+                n_rows = self.csf.fiber_counts[lvl]
+                handle = proc.zeros((n_rows + self.num_threads, self.rank))
                 rep = ReplicatedArray(
-                    self.csf.fiber_counts[lvl],
-                    self.rank,
-                    self.num_threads,
-                    buffer=buffer,
+                    n_rows, self.rank, self.num_threads, buffer=proc.array(handle)
                 )
                 self._reps[lvl] = rep
+                self._rep_handles[lvl] = handle
             else:
                 rep.reset()
             reps[lvl] = rep
@@ -413,15 +512,18 @@ class MemoizedMttkrp(EngineBase):
         out = np.zeros((csf.level_shape(u), rank))
         self.shards.reset()
 
-        if self._proc is not None:
-            contribs = self._proc_mode_u_contribs(lf, u, source)
-        elif u == d - 1:
-            contribs = self._leaf_mode_contribs(lf)
+        payloads = self._payloads(lf, u=u, source=source)
+        if u == d - 1:
+            results = self.pool.run_tasks(leaf_task, payloads)
         elif source == u:
-            contribs = self._memo_direct_contribs(lf, u)
+            results = self.pool.run_tasks(memo_direct_task, payloads)
         else:
-            contribs = self._recompute_contribs(lf, u, source)
-        for nlo, contrib in contribs:
+            results = self.pool.run_tasks(recompute_task, payloads)
+        proc = self._context()
+        for th, result in enumerate(results):
+            nlo, contrib = proc.contribution(
+                self._scratch[th], result, self.shards.shard(th)
+            )
             scatter_add_rows(
                 out,
                 csf.idx[u][nlo : nlo + contrib.shape[0]],
@@ -433,114 +535,10 @@ class MemoizedMttkrp(EngineBase):
         self._charge_mode_u(u, source)
         return out
 
-    def _memo_direct_contribs(
-        self, lf: List[np.ndarray], u: int
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over disjoint node ownership."""
-        csf, part, memo = self.csf, self.partition, self.memo[u]
-
-        def body(th: int) -> Tuple[int, np.ndarray]:
-            self._charge_thread_mode_u(th, u, u)
-            a, b = int(part.starts[th, u]), int(part.starts[th + 1, u])
-            k = thread_downward_k(csf, lf, u, a, b, tier=self.kernel_tier)
-            return a, k * memo[a:b]
-
-        return self.pool.map(body)
-
-    def _recompute_contribs(
-        self, lf: List[np.ndarray], u: int, source: int
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Fig. 1c/1d: rebuild ``t_u`` on the fly from ``P^(source)`` (or
-        the tensor when ``source == d-1``) and fuse with the ``k`` sweep.
-
-        Boundary nodes at level ``u`` are computed partially by adjacent
-        threads; the partials carry identical ``k`` rows, so scattering
-        each thread's ``k ⊙ t_partial`` sums to the exact result.
-        """
-        csf, part, d = self.csf, self.partition, self.csf.ndim
-        init = self.memo[source] if source < d - 1 else None
-
-        def body(th: int) -> Tuple[int, np.ndarray]:
-            self._charge_thread_mode_u(th, u, source)
-            if source == d - 1:
-                lo, hi = part.leaf_range(th)
-                res = thread_upward_sweep(
-                    csf, lf, lo, hi, stop_level=u, tier=self.kernel_tier
-                )
-            else:
-                a, b = int(part.starts[th, source]), int(part.starts[th + 1, source])
-                res = thread_upward_sweep(
-                    csf,
-                    lf,
-                    a,
-                    b,
-                    start_level=source,
-                    init=init,
-                    stop_level=u,
-                    tier=self.kernel_tier,
-                )
-            nlo, tp = res[u]
-            k = thread_downward_k(
-                csf, lf, u, nlo, nlo + tp.shape[0], tier=self.kernel_tier
-            )
-            return nlo, k * tp
-
-        return self.pool.map(body)
-
-    def _leaf_mode_contribs(
-        self, lf: List[np.ndarray]
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Leaf-mode kernel: ``Ā[idx] += val · k_{d-2}`` per leaf."""
-        csf, part, d = self.csf, self.partition, self.csf.ndim
-
-        def body(th: int) -> Tuple[int, np.ndarray]:
-            self._charge_thread_mode_u(th, d - 1, d - 1)
-            lo, hi = part.leaf_range(th)
-            k = thread_downward_k(csf, lf, d - 1, lo, hi, tier=self.kernel_tier)
-            return lo, scale_rows_by_values(
-                csf.values, k, lo, hi, tier=self.kernel_tier
-            )
-
-        return self.pool.map(body)
-
-    def _proc_mode_u_contribs(
-        self, lf: List[np.ndarray], u: int, source: int
-    ) -> List[Tuple[int, np.ndarray]]:
-        """Processes-backend modes ``u > 0``: dispatch the matching
-        module-level task, read each worker's contribution back through
-        its scratch segment (zero-copy) and fold its traffic into the
-        shard.  The coordinator then scatters in thread-id order exactly
-        as the serial path does."""
-        proc = self._proc
-        assert proc is not None
-        proc.refresh_factors(lf)
-        ctx = proc.base_ctx()
-        d = self.csf.ndim
-        ths = range(self.num_threads)
-        if u == d - 1:
-            results = self.pool.run_tasks(
-                leaf_task, [{"ctx": ctx, "th": th} for th in ths]
-            )
-        elif source == u:
-            results = self.pool.run_tasks(
-                memo_direct_task, [{"ctx": ctx, "th": th, "u": u} for th in ths]
-            )
-        else:
-            results = self.pool.run_tasks(
-                recompute_task,
-                [{"ctx": ctx, "th": th, "u": u, "source": source} for th in ths],
-            )
-        contribs: List[Tuple[int, np.ndarray]] = []
-        for th, (kind, nlo, val, traffic) in enumerate(results):
-            merge_counter_state(self.shards.shard(th), traffic)
-            contrib = proc.scratch_view(th, val) if kind == "shm" else val
-            contribs.append((nlo, contrib))
-        return contribs
-
     def _charge_mode_u(self, u: int, source: int) -> None:
         """Kernel-level legs of a mode-``u`` charge (the per-thread legs
-        live in :meth:`_charge_thread_mode_u`): the DM_factor cache-rule
-        gathers and the conflicted output scatter are whole-kernel model
+        live in :func:`charge_mode_u`): the DM_factor cache-rule gathers
+        and the conflicted output scatter are whole-kernel model
         quantities, charged once on the coordinator."""
         csf, d, rank = self.csf, self.csf.ndim, self.rank
         m = csf.fiber_counts
@@ -562,9 +560,11 @@ class MemoizedMttkrp(EngineBase):
         """Release the shared-memory segments of the processes backend
         (no-op for the others).  Also triggered by garbage collection;
         calling it explicitly just makes the release deterministic."""
-        if self._proc is not None:
+        proc = self._proc
+        if proc is not None and proc.arena is not None:
             self._reps.clear()
-            self._proc.close()
+            self._rep_handles.clear()
+            proc.close()
             self._proc = None
 
     # ------------------------------------------------------------------

@@ -1,126 +1,70 @@
-"""Module-level kernel task bodies for the ``processes`` backend.
+"""Operand plumbing shared by every engine's kernel tasks.
 
-A process worker is a separate interpreter: it cannot execute the closure
-thread bodies :class:`~repro.core.mttkrp.MemoizedMttkrp` uses under the
-``serial``/``threads`` backends (closures are unpicklable, and closing
-over coordinator state would re-serialize the tensor per call).  Instead,
-each kernel has a module-level *task function* here, dispatched with
-:meth:`SimulatedPool.run_tasks`, that
+Each parallel kernel is a module-level *task function* dispatched with
+:meth:`SimulatedPool.run_tasks` on all three execution backends — STeF's
+in :mod:`repro.core.mttkrp`, the baselines' beside their engines.  A task
+receives ``{"ctx": ctx, "th": th}`` and reads its operands from ``ctx``;
+this module supplies both ends of that contract:
 
-* rebuilds a read-only :class:`~repro.tensor.csf.CsfTensor` from
-  shared-memory tokens (zero-copy; the attach cache in
-  :mod:`repro.parallel.shm` makes repeat calls dict-lookups),
-* runs exactly the same sweep primitives
-  (:func:`~repro.core.csf_kernels.thread_upward_sweep` /
-  :func:`thread_downward_k`) on exactly the same operands as the closure
-  bodies — which is what makes the ``processes`` backend bit-identical to
-  ``serial`` rather than merely close,
-* writes results through slot-disjoint
-  :class:`~repro.parallel.executor.ReplicatedArray` stripes (mode 0) or a
-  per-thread scratch segment (modes ``u > 0``), and
-* charges its traffic legs to a *local* counter whose state is returned
-  to the coordinator, which folds it into the matching
-  :class:`~repro.parallel.counters.ShardedTrafficCounter` shard — so
-  per-thread traffic totals stay exact across the process boundary.
-
-The traffic-charge helpers (:func:`charge_sweep`, :func:`charge_mode_u`)
-are shared with the coordinator-side closure bodies: one definition, so
-the serial, threads and processes backends cannot drift apart in what
-they charge.
-
-:class:`ProcessEngineContext` is the coordinator-side companion: it owns
-the engine's :class:`~repro.parallel.shm.SharedArena`, shares the CSF
-once, refreshes factor/memo slots in place before each dispatch, and
-builds the small picklable payloads the tasks consume.
+* :class:`ProcessEngineContext` is the coordinator side.  Under the
+  ``processes`` backend it owns the engine's
+  :class:`~repro.parallel.shm.SharedArena`: immutable operands (the CSF)
+  are shared once, factor/memo slots are refreshed in place before each
+  dispatch, and task-written storage (ReplicatedArray buffers, per-thread
+  scratch) lives in segments, so payloads carry only small picklable
+  tokens.  Under ``serial``/``threads`` it hands out the engine's own
+  arrays: no shared memory, no copy.
+* :func:`resolve` / :func:`resolve_csf` are the task side: the identity
+  on an in-process array, :func:`~repro.parallel.shm.attach` on a token.
+* A task charges its per-thread traffic legs to a :func:`local_counter`
+  and returns its :func:`counter_state`; the coordinator folds it into
+  that thread's :class:`~repro.parallel.counters.ShardedTrafficCounter`
+  shard with :func:`merge_counter_state`, so per-thread totals are exact
+  on every backend.
+* :func:`emit_contrib` hands a per-thread contribution back: through the
+  thread's scratch segment across the process boundary, as the array
+  itself in-process.
 """
 
 from __future__ import annotations
 
-import secrets
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..kernels.dispatch import TIER_NUMPY, scale_rows_by_values
 from ..parallel.counters import TrafficCounter
 from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.csf import CsfTensor
-from .csf_kernels import thread_downward_k, thread_upward_sweep
 
 __all__ = [
+    "Handle",
     "ProcessEngineContext",
-    "charge_sweep",
-    "charge_mode_u",
+    "resolve",
+    "resolve_csf",
+    "local_counter",
     "counter_state",
     "merge_counter_state",
     "emit_contrib",
-    "mode0_task",
-    "memo_direct_task",
-    "recompute_task",
-    "leaf_task",
 ]
 
-
-# ----------------------------------------------------------------------
-# traffic charges — one definition for every execution backend
-# ----------------------------------------------------------------------
-def charge_sweep(counter: TrafficCounter, owned: np.ndarray, rank: int) -> None:
-    """Per-thread legs of the mode-0 sweep: structure reads over the
-    thread's owned nodes at every level and one fused multiply-add per
-    owned child fiber per rank column.  Owned counts tile each level
-    exactly, so merged totals match the serial tallies at any T."""
-    counter.read(2.0 * int(owned.sum()), "structure")
-    counter.flop(2.0 * rank * int(owned[1:].sum()), "sweep")
-
-
-def charge_mode_u(
-    counter: TrafficCounter,
-    owned: np.ndarray,
-    u: int,
-    source: int,
-    d: int,
-    rank: int,
-) -> None:
-    """Per-thread legs of a mode-``u`` kernel: the structure walk down to
-    the source data, the memo reads of the thread's node range, and the
-    downward-``k`` / recompute / Hadamard arithmetic."""
-    flops = rank * int(owned[1 : u + 1].sum())
-    if source == d - 1:
-        counter.read(2.0 * int(owned.sum()), "structure")
-        flops += 2 * rank * int(owned[u + 1 : d].sum())
-    else:
-        counter.read(2.0 * int(owned[:source].sum()), "structure")
-        counter.read(float(int(owned[source]) * rank), "memo")
-        flops += 2 * rank * int(owned[u + 1 : source + 1].sum())
-    flops += 2 * rank * int(owned[u])
-    counter.flop(flops, "mode-u")
-
-
-def counter_state(counter: TrafficCounter) -> Tuple[float, float, float, Dict[str, float]]:
-    """Picklable snapshot of a worker-local counter's tallies."""
-    return counter.reads, counter.writes, counter.flops, dict(counter.by_category)
-
-
-def merge_counter_state(
-    shard: TrafficCounter, state: Tuple[float, float, float, Dict[str, float]]
-) -> None:
-    """Fold a worker's returned tallies into the coordinator-side shard.
-
-    The shard was reset at kernel start, so adding the worker's exact
-    charges reproduces the serial shard contents bit-for-bit."""
-    reads, writes, flops, by_category = state
-    shard.reads += reads
-    shard.writes += writes
-    shard.flops += flops
-    for key, val in by_category.items():
-        shard.by_category[key] = shard.by_category.get(key, 0.0) + val
+#: A task operand: the array itself in-process, a token across processes.
+Handle = Union[np.ndarray, ShmToken]
+CounterState = Tuple[float, float, float, Dict[str, float]]
 
 
 # ----------------------------------------------------------------------
-# worker-side resolution
+# task side
 # ----------------------------------------------------------------------
-def _resolve_csf(ctx: Dict[str, Any]) -> CsfTensor:
-    spec = ctx["csf"]
+def resolve(handle: Handle) -> np.ndarray:
+    """The array behind an operand handle (attached when it is a token)."""
+    return attach(handle) if isinstance(handle, ShmToken) else handle
+
+
+def resolve_csf(spec: Union[CsfTensor, Dict[str, Any]]) -> CsfTensor:
+    """The engine's CSF in-process, or a read-only tensor rebuilt
+    zero-copy from shared-memory tokens in a process worker."""
+    if isinstance(spec, CsfTensor):
+        return spec
     return CsfTensor(
         spec["mode_order"],
         [attach(t) for t in spec["idx"]],
@@ -131,256 +75,163 @@ def _resolve_csf(ctx: Dict[str, Any]) -> CsfTensor:
     )
 
 
-def _resolve_factors(ctx: Dict[str, Any]) -> List[np.ndarray]:
-    return [attach(t) for t in ctx["factors"]]
-
-
-def _local_counter(ctx: Dict[str, Any]) -> TrafficCounter:
+def local_counter(ctx: Dict[str, Any]) -> TrafficCounter:
+    """A task-private counter configured like the engine's."""
     return TrafficCounter(
         cache_elements=ctx["cache_elements"], enabled=ctx["enabled"]
     )
 
 
-def _owned(ctx: Dict[str, Any], th: int) -> np.ndarray:
-    starts = ctx["starts"]
-    return (starts[th + 1] - starts[th]).astype(np.int64)
+def counter_state(counter: TrafficCounter) -> CounterState:
+    """Picklable snapshot of a task-local counter's tallies."""
+    return counter.reads, counter.writes, counter.flops, dict(counter.by_category)
 
 
-def _tier(ctx: Dict[str, Any]) -> str:
-    """Kernel-ABI tier for this dispatch (the coordinator resolved the
-    engine's ``jit=`` knob; workers never re-probe Numba themselves)."""
-    return ctx.get("tier", TIER_NUMPY)
+def merge_counter_state(shard: TrafficCounter, state: CounterState) -> None:
+    """Fold a task's returned tallies into the coordinator-side shard.
+
+    The shard was reset at kernel start, so adding the task's exact
+    charges reproduces a direct charge of the shard bit-for-bit."""
+    reads, writes, flops, by_category = state
+    shard.reads += reads
+    shard.writes += writes
+    shard.flops += flops
+    for key, val in by_category.items():
+        shard.by_category[key] = shard.by_category.get(key, 0.0) + val
 
 
 def emit_contrib(
-    scratch_token: ShmToken,
+    scratch: Optional[Handle],
     nlo: int,
     contrib: np.ndarray,
     counter: TrafficCounter,
-) -> Tuple[str, int, Any, Tuple[float, float, float, Dict[str, float]]]:
+) -> Tuple[str, int, Any, CounterState]:
     """Hand a per-thread contribution back to the coordinator.
 
-    The fast path writes into the thread's scratch segment (zero-copy);
-    contributions whose dtype or size does not fit the scratch fall back
-    to pickling the array so exactness is never sacrificed for speed.
-    Shared with the baseline backends' process tasks.
+    In-process (no scratch) the array itself travels back.  Across the
+    process boundary the fast path writes into the thread's scratch
+    segment (zero-copy); a contribution whose dtype or size does not fit
+    falls back to pickling, so exactness is never traded for speed.
     """
-    scratch = attach(scratch_token)
-    n = contrib.shape[0]
-    if contrib.dtype == scratch.dtype and n <= scratch.shape[0]:
-        scratch[:n] = contrib
-        return ("shm", nlo, n, counter_state(counter))
+    if scratch is not None:
+        buf = resolve(scratch)
+        n = contrib.shape[0]
+        if contrib.dtype == buf.dtype and n <= buf.shape[0]:
+            buf[:n] = contrib
+            return ("shm", nlo, n, counter_state(counter))
     return ("obj", nlo, contrib, counter_state(counter))
 
 
-def _emit_contrib(
-    ctx: Dict[str, Any], th: int, nlo: int, contrib: np.ndarray, counter: TrafficCounter
-) -> Tuple[str, int, Any, Tuple[float, float, float, Dict[str, float]]]:
-    return emit_contrib(ctx["scratch"][th], nlo, contrib, counter)
-
-
 # ----------------------------------------------------------------------
-# the task bodies (one per kernel shape)
-# ----------------------------------------------------------------------
-def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Mode-0 upward sweep for one thread: writes the kept partials into
-    the shared ReplicatedArray stripes, returns range metadata and
-    traffic.  Mirrors ``MemoizedMttkrp.mode0``'s closure body exactly."""
-    ctx, th = payload["ctx"], payload["th"]
-    csf = _resolve_csf(ctx)
-    lf = _resolve_factors(ctx)
-    counter = _local_counter(ctx)
-    charge_sweep(counter, _owned(ctx, th), ctx["rank"])
-    starts = ctx["starts"]
-    d = csf.ndim
-    lo, hi = int(starts[th, d - 1]), int(starts[th + 1, d - 1])
-    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0, tier=_tier(ctx))
-    ranges: Dict[int, Tuple[int, int]] = {}
-    for lvl in payload["keep_levels"]:
-        nlo, tp = res[lvl]
-        ranges[lvl] = (nlo, tp.shape[0])
-        if tp.shape[0]:
-            buf = attach(payload["rep"][lvl])
-            buf[nlo + th : nlo + tp.shape[0] + th] += tp
-    return {"ranges": ranges, "traffic": counter_state(counter)}
-
-
-def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
-    """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over this thread's node ownership."""
-    ctx, th, u = payload["ctx"], payload["th"], payload["u"]
-    csf = _resolve_csf(ctx)
-    lf = _resolve_factors(ctx)
-    counter = _local_counter(ctx)
-    charge_mode_u(counter, _owned(ctx, th), u, u, csf.ndim, ctx["rank"])
-    starts = ctx["starts"]
-    a, b = int(starts[th, u]), int(starts[th + 1, u])
-    k = thread_downward_k(csf, lf, u, a, b, tier=_tier(ctx))
-    memo = attach(ctx["memo"][u])
-    return _emit_contrib(ctx, th, a, k * memo[a:b], counter)
-
-
-def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
-    """Fig. 1c/1d: rebuild ``t_u`` from ``P^(source)`` (or the tensor when
-    ``source == d-1``) and fuse with the downward ``k`` sweep."""
-    ctx, th = payload["ctx"], payload["th"]
-    u, source = payload["u"], payload["source"]
-    csf = _resolve_csf(ctx)
-    lf = _resolve_factors(ctx)
-    counter = _local_counter(ctx)
-    charge_mode_u(counter, _owned(ctx, th), u, source, csf.ndim, ctx["rank"])
-    starts = ctx["starts"]
-    d = csf.ndim
-    if source == d - 1:
-        lo, hi = int(starts[th, d - 1]), int(starts[th + 1, d - 1])
-        res = thread_upward_sweep(
-            csf, lf, lo, hi, stop_level=u, tier=_tier(ctx)
-        )
-    else:
-        a, b = int(starts[th, source]), int(starts[th + 1, source])
-        init = attach(ctx["memo"][source])
-        res = thread_upward_sweep(
-            csf,
-            lf,
-            a,
-            b,
-            start_level=source,
-            init=init,
-            stop_level=u,
-            tier=_tier(ctx),
-        )
-    nlo, tp = res[u]
-    k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0], tier=_tier(ctx))
-    return _emit_contrib(ctx, th, nlo, k * tp, counter)
-
-
-def leaf_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
-    """Leaf-mode kernel: ``val · k_{d-2}`` per owned leaf."""
-    ctx, th = payload["ctx"], payload["th"]
-    csf = _resolve_csf(ctx)
-    lf = _resolve_factors(ctx)
-    counter = _local_counter(ctx)
-    d = csf.ndim
-    charge_mode_u(counter, _owned(ctx, th), d - 1, d - 1, d, ctx["rank"])
-    starts = ctx["starts"]
-    lo, hi = int(starts[th, d - 1]), int(starts[th + 1, d - 1])
-    tier = _tier(ctx)
-    k = thread_downward_k(csf, lf, d - 1, lo, hi, tier=tier)
-    return _emit_contrib(
-        ctx, th, lo, scale_rows_by_values(csf.values, k, lo, hi, tier=tier), counter
-    )
-
-
-# ----------------------------------------------------------------------
-# coordinator-side context
+# coordinator side
 # ----------------------------------------------------------------------
 class ProcessEngineContext:
-    """Shared-memory state of one engine under the processes backend.
+    """Operand storage behind one engine's kernel tasks.
 
-    Owns the arena, shares the (immutable) CSF arrays once, and keeps
-    mutable *slots* — factor matrices, memoized partials, per-thread
-    scratch, ReplicatedArray buffers — that the coordinator refreshes in
-    place so workers always read current data with zero serialization.
+    With ``shared=True`` (the processes backend) the context owns a
+    :class:`SharedArena` and every handle it returns is a token;
+    otherwise handles are the engine's arrays themselves.  Engines use
+    the same calls either way, so one task body serves every backend.
     """
 
-    def __init__(
-        self,
-        csf: CsfTensor,
-        rank: int,
-        starts: np.ndarray,
-        num_threads: int,
-        cache_elements: Optional[int],
-        enabled: bool,
-        tier: str = TIER_NUMPY,
-    ) -> None:
-        self.arena = SharedArena()
-        self.rank = rank
-        self.num_threads = num_threads
-        self.tier = tier
-        self._csf_spec = {
+    def __init__(self, counter: TrafficCounter, *, shared: bool) -> None:
+        self.arena: Optional[SharedArena] = SharedArena() if shared else None
+        self._counter_config = {
+            "cache_elements": counter.cache_elements,
+            "enabled": counter.enabled,
+        }
+        self._factor_tokens: Optional[List[ShmToken]] = None
+        self._memo_tokens: Dict[int, ShmToken] = {}
+
+    # ------------------------------------------------------------------
+    def share_csf(self, csf: CsfTensor) -> Union[CsfTensor, Dict[str, Any]]:
+        """Task-side spec of an immutable CSF (shared once when shared)."""
+        arena = self.arena
+        if arena is None:
+            return csf
+        return {
             "mode_order": csf.mode_order,
             "shape": csf.shape,
             "fiber_counts": csf.fiber_counts,
-            "idx": [self.arena.share(a) for a in csf.idx],
-            "ptr": [self.arena.share(p) for p in csf.ptr],
-            "values": self.arena.share(csf.values),
+            "idx": [arena.share(a) for a in csf.idx],
+            "ptr": [arena.share(p) for p in csf.ptr],
+            "values": arena.share(csf.values),
         }
-        self._starts = np.ascontiguousarray(starts)
-        self._cache_elements = cache_elements
-        self._enabled = enabled
-        self._factor_tokens: Optional[List[ShmToken]] = None
-        self._memo_tokens: Dict[int, ShmToken] = {}
-        self._scratch_tokens: Optional[List[ShmToken]] = None
-        # Upper bound on any mode-u contribution's row count: the widest
-        # per-thread node range at any level, +1 for the shared boundary
-        # node recompute sweeps may touch.
-        diffs = np.diff(self._starts, axis=0)
-        self._max_rows = int(diffs.max()) + 1 if diffs.size else 1
-        self.rep_tokens: Dict[int, ShmToken] = {}
+
+    def share(self, array: np.ndarray) -> Handle:
+        """Handle to an immutable operand (copied into a segment once)."""
+        return array if self.arena is None else self.arena.share(array)
+
+    def zeros(self, shape: Tuple[int, ...]) -> Handle:
+        """Task-writable float64 storage, zero-filled."""
+        return np.zeros(shape) if self.arena is None else self.arena.zeros(shape)
+
+    def array(self, handle: Handle) -> np.ndarray:
+        """Coordinator view of a handle this context returned."""
+        return handle if self.arena is None else self.arena.array(handle)
+
+    def scratch(
+        self, num_threads: int, n_rows: int, rank: int
+    ) -> List[Optional[Handle]]:
+        """Per-thread contribution scratch for :func:`emit_contrib`:
+        segments across processes, none in-process."""
+        if self.arena is None:
+            return [None] * num_threads
+        return [self.zeros((n_rows, rank)) for _ in range(num_threads)]
+
+    def contribution(
+        self,
+        scratch: Optional[Handle],
+        result: Tuple[str, int, Any, CounterState],
+        shard: TrafficCounter,
+    ) -> Tuple[int, np.ndarray]:
+        """Fold one :func:`emit_contrib` result: its traffic into the
+        thread's ``shard``, its rows returned as ``(nlo, rows)``."""
+        kind, nlo, val, traffic = result
+        merge_counter_state(shard, traffic)
+        if kind == "shm":
+            return nlo, self.array(scratch)[:val]
+        return nlo, val
 
     # ------------------------------------------------------------------
-    def refresh_factors(self, lf: Sequence[np.ndarray]) -> None:
-        """Copy the current level-ordered factors into their slots."""
-        if self._factor_tokens is None:
-            self._factor_tokens = [
-                self.arena.zeros(np.asarray(f).shape, np.asarray(f).dtype)
-                for f in lf
-            ]
-        for token, f in zip(self._factor_tokens, lf):
-            f = np.asarray(f)
-            if token.shape != f.shape or np.dtype(token.dtype) != f.dtype:
-                raise ValueError(
-                    f"factor slot {token.shape}/{token.dtype} cannot hold "
-                    f"{f.shape}/{f.dtype}"
-                )
-            self.arena.array(token)[...] = f
+    def refresh_factors(self, factors: Sequence[np.ndarray]) -> List[Handle]:
+        """Handles to the current factors.  Shared slots are allocated on
+        first use (and on a shape/dtype change) and refreshed in place."""
+        fs = [np.asarray(f) for f in factors]
+        arena = self.arena
+        if arena is None:
+            return fs
+        tokens = self._factor_tokens
+        if tokens is None or any(
+            t.shape != f.shape or np.dtype(t.dtype) != f.dtype
+            for t, f in zip(tokens, fs)
+        ):
+            tokens = [arena.zeros(f.shape, f.dtype) for f in fs]
+            self._factor_tokens = tokens
+        for t, f in zip(tokens, fs):
+            arena.array(t)[...] = f
+        return list(tokens)
 
-    def refresh_memo(self, level: int, arr: np.ndarray) -> None:
-        """Copy a freshly merged ``P^(level)`` into its shared slot."""
+    def refresh_memo(self, level: int, arr: np.ndarray) -> Handle:
+        """Handle to a freshly merged ``P^(level)`` (copied into its
+        shared slot when shared)."""
+        arena = self.arena
+        if arena is None:
+            return arr
         token = self._memo_tokens.get(level)
         if token is None or token.shape != arr.shape:
-            token = self.arena.zeros(arr.shape, arr.dtype)
+            token = arena.zeros(arr.shape, arr.dtype)
             self._memo_tokens[level] = token
-        self.arena.array(token)[...] = arr
+        arena.array(token)[...] = arr
+        return token
 
-    def rep_buffer(self, level: int, n_rows: int) -> np.ndarray:
-        """Shared storage for the level's ReplicatedArray buffer."""
-        token = self.rep_tokens.get(level)
-        if token is None:
-            token = self.arena.zeros(
-                (n_rows + self.num_threads, self.rank), np.float64
-            )
-            self.rep_tokens[level] = token
-        return self.arena.array(token)
-
-    def _scratch(self) -> List[ShmToken]:
-        if self._scratch_tokens is None:
-            self._scratch_tokens = [
-                self.arena.zeros((self._max_rows, self.rank), np.float64)
-                for _ in range(self.num_threads)
-            ]
-        return self._scratch_tokens
-
-    def scratch_view(self, th: int, n_rows: int) -> np.ndarray:
-        """Coordinator view of thread ``th``'s scratch contribution."""
-        return self.arena.array(self._scratch()[th])[:n_rows]
-
-    # ------------------------------------------------------------------
-    def base_ctx(self) -> Dict[str, Any]:
-        """The shared portion of every task payload (tokens + layout)."""
-        if self._factor_tokens is None:
-            raise RuntimeError("refresh_factors() must run before dispatch")
-        return {
-            "csf": self._csf_spec,
-            "starts": self._starts,
-            "rank": self.rank,
-            "factors": self._factor_tokens,
-            "memo": dict(self._memo_tokens),
-            "scratch": self._scratch(),
-            "cache_elements": self._cache_elements,
-            "enabled": self._enabled,
-            "tier": self.tier,
-        }
+    def payloads(self, num_threads: int, **ctx: Any) -> List[Dict[str, Any]]:
+        """One ``{"ctx", "th"}`` payload per thread; ``ctx`` also carries
+        the engine counter's configuration for :func:`local_counter`."""
+        ctx.update(self._counter_config)
+        return [{"ctx": ctx, "th": th} for th in range(num_threads)]
 
     def close(self) -> None:
-        """Release every shared segment (idempotent)."""
-        self.arena.close()
+        """Release every shared segment (idempotent; no-op in-process)."""
+        if self.arena is not None:
+            self.arena.close()

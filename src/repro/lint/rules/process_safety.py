@@ -7,19 +7,21 @@ re-imported inside each worker, and a worker's interpreter shares no
 objects with the coordinator.  The contract is therefore stricter than
 the thread-body one:
 
-1. the task must be a **module-level function** — a lambda or a ``def``
-   nested inside another function cannot be pickled at all, and a bound
-   method (``self._task``) drags its whole instance — the mutable
-   coordinator state the backend exists to *not* share — through the
-   pickle layer;
+1. the task must be a **module-level function of the dispatching file**
+   — a lambda or a ``def`` nested inside another function cannot be
+   pickled at all, a bound method (``self._task``) drags its whole
+   instance — the mutable coordinator state the backend exists to *not*
+   share — through the pickle layer, and an imported (or computed) task
+   has its body in another file, where no dispatch point vouches for it,
+   so rules 2 and 3 would never see it;
 2. a task body must not declare ``global`` — module globals are
    per-process copies under ``fork``, so a "shared" global silently
    diverges between coordinator and workers;
 3. a task body must not write attributes of names it does not own —
    mutating module state from a worker never reaches the coordinator.
 
-Closure bodies remain the job of ``thread-body-safety`` (``pool.map``);
-this rule covers the dispatch point that replaces them.
+Every backend dispatches the same task functions, so this rule covers
+every kernel body the engines run.
 """
 
 from __future__ import annotations
@@ -99,6 +101,8 @@ class ProcessTaskSafetyRule(Rule):
         top_defs: Dict[str, ast.AST],
         nested: Set[str],
     ) -> Optional[str]:
+        if isinstance(task, ast.Name) and task.id in top_defs:
+            return None
         if isinstance(task, ast.Lambda):
             return (
                 "run_tasks() task is a lambda: lambdas cannot be pickled "
@@ -113,13 +117,18 @@ class ProcessTaskSafetyRule(Rule):
                 "into every worker; define a module-level task function "
                 "and pass the needed state through the payload"
             )
-        if isinstance(task, ast.Name) and task.id in nested and task.id not in top_defs:
+        if isinstance(task, ast.Name) and task.id in nested:
             return (
                 f"run_tasks() task `{task.id}` is defined inside another "
                 "function: nested defs close over coordinator state and "
                 "cannot be pickled — move it to module level"
             )
-        return None
+        return (
+            f"run_tasks() task `{expr_text(task)}` is not a module-level "
+            "function of this file: its body is checked only beside its "
+            "dispatcher, so an imported or computed task goes unchecked — "
+            "define the task at module level here"
+        )
 
     def _check_task_body(
         self, ctx: FileContext, fn: ast.FunctionDef

@@ -7,7 +7,6 @@ from .executor import (
     EXEC_BACKENDS,
     ReplicatedArray,
     SimulatedPool,
-    run_partitioned,
     sanitizer_enabled,
     shutdown_worker_pools,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "slice_partition",
     "ReplicatedArray",
     "SimulatedPool",
-    "run_partitioned",
     "sanitizer_enabled",
     "EXEC_BACKENDS",
     "shutdown_worker_pools",

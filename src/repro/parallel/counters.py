@@ -192,12 +192,13 @@ class ShardedTrafficCounter:
     A single shared counter cannot be charged from concurrently running
     kernels: its ``+=`` updates are read-modify-write sequences that lose
     increments once NumPy releases the GIL.  The sharded counter gives
-    every simulated thread its *own* shard — thread bodies charge
-    ``shard(th)`` and never touch shared mutable state — and folds the
-    shards back with :meth:`merge_into`, which sums in fixed thread-id
-    order over a sorted category key set.  The merged result is therefore
-    independent of thread completion order: the ``serial`` and
-    ``threads`` backends produce bit-identical tallies.
+    every simulated thread its *own* shard — the coordinator folds each
+    kernel task's local tallies into ``shard(th)``, so no task touches
+    shared mutable state — and folds the shards back with
+    :meth:`merge_into`, which sums in fixed thread-id order over a sorted
+    category key set.  The merged result is therefore independent of
+    thread completion order: every backend produces bit-identical
+    tallies.
 
     Parameters
     ----------

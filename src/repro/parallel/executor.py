@@ -1,23 +1,24 @@
 """Simulated shared-memory execution and boundary-replicated buffers.
 
-The paper's kernels run as OpenMP parallel loops.  Here each "thread" is a
-Python callable invoked with its thread id; the :class:`SimulatedPool`
-runs them serially (deterministic, default — per-thread *work* is what
-the study measures, not Python's GIL behaviour), on a real
-``ThreadPoolExecutor`` (NumPy releases the GIL inside kernels, so this
-exercises genuine concurrency on multicore hosts), or on a persistent
-``multiprocessing`` worker pool (``backend="processes"``) — the first
-backend where wall-clock genuinely scales with cores, because workers
-never contend for one GIL.
+The paper's kernels run as OpenMP parallel loops.  Here every kernel is a
+*module-level task function* that :meth:`SimulatedPool.run_tasks` calls
+once per simulated thread with that thread's payload, on one of three
+backends: ``serial`` runs the tasks in order (deterministic, default —
+per-thread *work* is what the study measures, not Python's GIL
+behaviour), ``threads`` on a real ``ThreadPoolExecutor`` (NumPy releases
+the GIL inside kernels, so this exercises genuine concurrency on
+multicore hosts), and ``processes`` on a persistent ``multiprocessing``
+worker pool — the backend where wall-clock genuinely scales with cores,
+because workers never contend for one GIL.
 
-Process workers cannot run closures: thread bodies for the ``processes``
-backend are *module-level task functions* dispatched with
-:meth:`SimulatedPool.run_tasks`, reading their inputs from
-``multiprocessing.shared_memory`` segments (:mod:`repro.parallel.shm`)
-and writing through slot-disjoint :class:`ReplicatedArray` stripes or
-per-thread scratch segments.  Worker pools are shared per thread-count
-across the whole process and shut down atexit, so constructing many
-engines does not fork new interpreters each time.
+The same task body serves all three.  In-process its payload holds the
+engine's own arrays; across the process boundary it holds
+``multiprocessing.shared_memory`` tokens (:mod:`repro.parallel.shm`,
+:mod:`repro.core.proc_tasks`), and the task is pickled by reference.
+Tasks write through slot-disjoint :class:`ReplicatedArray` stripes or
+return their rows.  Worker pools are shared per thread-count across the
+whole process and shut down atexit, so constructing many engines does
+not fork new interpreters each time.
 
 :class:`ReplicatedArray` implements the paper's conflict-avoidance scheme
 (Sections II-D and III-A): output rows live in a buffer of ``N + T`` rows
@@ -37,7 +38,7 @@ import atexit
 import multiprocessing
 import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
@@ -123,19 +124,17 @@ def _timed_task(task_payload: Tuple[Callable[[Any], T], Any]) -> Tuple[float, fl
 
 
 class SimulatedPool:
-    """Runs ``fn(th)`` for every thread id and collects the results.
+    """Runs a task once per simulated thread and collects the results.
 
     Parameters
     ----------
     num_threads:
         Number of simulated threads.
     backend:
-        ``"serial"`` (default) executes thread bodies in order — fully
+        ``"serial"`` (default) runs the tasks in order — fully
         deterministic, the mode used by tests and the traffic harness.
-        ``"threads"`` uses a real thread pool.  ``"processes"`` uses a
-        persistent multiprocessing worker pool; bodies must then be
-        module-level task functions dispatched via :meth:`run_tasks`
-        (closures are not picklable — see :mod:`repro.core.proc_tasks`).
+        ``"threads"`` uses a real thread pool, ``"processes"`` a
+        persistent multiprocessing worker pool.
     """
 
     def __init__(
@@ -150,103 +149,51 @@ class SimulatedPool:
             raise ValueError(f"unknown backend {backend!r}")
         self.num_threads = num_threads
         self.backend = backend
-        #: Observability hook: when enabled, map()/run_tasks() record one
-        #: span per invocation plus a per-thread ``executor.task`` span
-        #: on each simulated thread's lane (all three backends).
+        #: Observability hook: when enabled, run_tasks() records one span
+        #: per invocation plus a per-thread ``executor.task`` span on each
+        #: simulated thread's lane (all three backends).
         self.tracer = tracer
-
-    def map(self, fn: Callable[[int], T]) -> List[T]:
-        """Invoke ``fn`` once per thread id, returning results in id order.
-
-        Under ``backend="processes"`` arbitrary callables (closures,
-        bound methods) cannot cross the process boundary; kernels must
-        use :meth:`run_tasks` with a module-level task function instead.
-        """
-        if self.backend == "processes":
-            raise TypeError(
-                "SimulatedPool(backend='processes') cannot run closure "
-                "bodies; dispatch a module-level task with run_tasks() "
-                "(see repro.core.proc_tasks)"
-            )
-        tracer = self.tracer
-        if not tracer.enabled:
-            if self.backend == "serial" or self.num_threads == 1:
-                return [fn(th) for th in range(self.num_threads)]
-            with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-                return list(pool.map(fn, range(self.num_threads)))
-
-        # Traced path: each body reports its own perf_counter pair (taken
-        # on the worker thread, so real concurrency shows as overlapping
-        # lanes), recorded inside the parent span so nesting is kept.
-        def timed(th: int) -> Tuple[float, float, T]:
-            t0 = time.perf_counter()
-            out = fn(th)
-            return t0, time.perf_counter(), out
-
-        with tracer.span(
-            "executor.map", backend=self.backend, threads=self.num_threads
-        ):
-            if self.backend == "serial" or self.num_threads == 1:
-                results = [timed(th) for th in range(self.num_threads)]
-            else:
-                with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-                    results = list(pool.map(timed, range(self.num_threads)))
-            for th, (t0, t1, _) in enumerate(results):
-                tracer.record_span("executor.task", t0, t1, lane=th, thread=th)
-        return [res for _, _, res in results]
 
     def run_tasks(
         self, task: Callable[[Any], T], payloads: Sequence[Any]
     ) -> List[T]:
         """Run ``task(payload)`` for every payload, results in order.
 
-        The processes backend requires ``task`` to be a module-level
-        function and every payload picklable (the :mod:`repro.lint`
+        ``task`` must be a module-level function and, under the processes
+        backend, every payload picklable (the :mod:`repro.lint`
         ``process-task-safety`` rule enforces the former statically).
-        The serial and threads backends execute the same task function
-        directly, so all three backends share one code path and stay
-        bit-identical by construction.
+        Every backend executes the same task function, so all three share
+        one code path and stay bit-identical by construction.
+
+        Traced dispatch runs tasks through :func:`_timed_task`, which
+        measures inside the worker (thread **or** forked process — the
+        monotonic clock is system-wide, so worker timestamps share the
+        tracer's epoch) and ships the pair back on the result channel.
         """
         tracer = self.tracer
         if not tracer.enabled:
-            if self.backend == "processes" and self.num_threads > 1:
-                pool = _worker_pool(self.num_threads)
-                futures = [pool.submit(task, p) for p in payloads]
-                return [f.result() for f in futures]
-            if self.backend == "threads" and self.num_threads > 1:
-                with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-                    return list(pool.map(task, payloads))
-            return [task(p) for p in payloads]
-        return self._run_tasks_traced(task, payloads, tracer)
-
-    def _run_tasks_traced(
-        self, task: Callable[[Any], T], payloads: Sequence[Any], tracer: Tracer
-    ) -> List[T]:
-        """Traced dispatch: tasks run through :func:`_timed_task`, which
-        measures inside the worker (thread **or** forked process — the
-        monotonic clock is system-wide, so worker timestamps share the
-        tracer's epoch) and ships the pair back on the result channel."""
-        wrapped: List[Tuple[Callable[[Any], T], Any]] = [
-            (task, p) for p in payloads
-        ]
+            return self._dispatch(task, payloads)
         with tracer.span(
             "executor.run_tasks",
             backend=self.backend,
             threads=self.num_threads,
             task=getattr(task, "__name__", str(task)),
         ):
-            if self.backend == "processes" and self.num_threads > 1:
-                pool = _worker_pool(self.num_threads)
-                futures = [pool.submit(_timed_task, wp) for wp in wrapped]
-                timed = [f.result() for f in futures]
-            elif self.backend == "threads" and self.num_threads > 1:
-                with ThreadPoolExecutor(max_workers=self.num_threads) as tpool:
-                    timed = list(tpool.map(_timed_task, wrapped))
-            else:
-                timed = [_timed_task(wp) for wp in wrapped]
+            timed = self._dispatch(_timed_task, [(task, p) for p in payloads])
             for th, (t0, t1, _) in enumerate(timed):
                 tracer.record_span("executor.task", t0, t1, lane=th, thread=th)
         return [res for _, _, res in timed]
+
+    def _dispatch(self, fn: Callable[[Any], Any], args: Sequence[Any]) -> List[Any]:
+        """Call ``fn(arg)`` for every arg on this pool's backend."""
+        if self.num_threads > 1 and self.backend == "processes":
+            pool = _worker_pool(self.num_threads)
+            futures = [pool.submit(fn, a) for a in args]
+            return [f.result() for f in futures]
+        if self.num_threads > 1 and self.backend == "threads":
+            with ThreadPoolExecutor(max_workers=self.num_threads) as tpool:
+                return list(tpool.map(fn, args))
+        return [fn(a) for a in args]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulatedPool(num_threads={self.num_threads}, backend={self.backend!r})"
@@ -382,23 +329,3 @@ class ReplicatedArray:
             if hi > lo:
                 out[lo:hi] += self.buffer[lo + th : hi + th]
         return out
-
-    def merge_into(self, out: np.ndarray) -> np.ndarray:
-        """Like :meth:`merge` but accumulates into a caller-provided array."""
-        if out.shape != (self.n_rows, self.rank):
-            raise ValueError(
-                f"target shape {out.shape} != {(self.n_rows, self.rank)}"
-            )
-        for th, lo, hi in self._ranges:
-            if hi > lo:
-                out[lo:hi] += self.buffer[lo + th : hi + th]
-        return out
-
-
-def run_partitioned(
-    pool: SimulatedPool,
-    body: Callable[[int], T],
-) -> List[T]:
-    """Convenience wrapper mirroring ``#pragma omp parallel``: run ``body``
-    on every simulated thread of ``pool``."""
-    return pool.map(body)

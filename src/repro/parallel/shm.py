@@ -34,7 +34,7 @@ import secrets
 import weakref
 from collections import OrderedDict
 from multiprocessing import shared_memory
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class SharedArena:
 
     def zeros(self, shape: Tuple[int, ...], dtype=np.float64) -> ShmToken:
         """Allocate a zero-filled shared array; returns its token."""
+        if not self._finalizer.alive:
+            raise RuntimeError("SharedArena is closed")
         token = ShmToken(
             f"repro-{secrets.token_hex(8)}",
             tuple(int(s) for s in shape),
@@ -162,7 +164,3 @@ def attached_segment_count() -> int:
     """Number of segments currently cached in this process (tests)."""
     return len(_attached)
 
-
-def share_arrays(arena: SharedArena, arrays: List[np.ndarray]) -> List[ShmToken]:
-    """Convenience: share a list of arrays, returning their tokens."""
-    return [arena.share(a) for a in arrays]

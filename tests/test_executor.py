@@ -7,14 +7,6 @@ from repro.parallel import ReplicatedArray, SimulatedPool
 
 
 class TestSimulatedPool:
-    def test_serial_order(self):
-        pool = SimulatedPool(4, "serial")
-        assert pool.map(lambda th: th * 2) == [0, 2, 4, 6]
-
-    def test_threads_backend(self):
-        pool = SimulatedPool(4, "threads")
-        assert pool.map(lambda th: th * th) == [0, 1, 4, 9]
-
     def test_invalid_backend_raises(self):
         with pytest.raises(ValueError):
             SimulatedPool(2, "mpi")
@@ -67,18 +59,6 @@ class TestReplicatedArray:
         for b in bounds[1:-1]:
             expected[b] = 2.0
         assert np.allclose(merged[:, 0], expected)
-
-    def test_merge_into_accumulates(self):
-        rep = ReplicatedArray(4, 2, 1)
-        rep.view(0, 0, 4)[:] = 1.0
-        target = np.full((4, 2), 10.0)
-        rep.merge_into(target)
-        assert np.allclose(target, 11.0)
-
-    def test_merge_into_shape_check(self):
-        rep = ReplicatedArray(4, 2, 1)
-        with pytest.raises(ValueError):
-            rep.merge_into(np.zeros((3, 2)))
 
     def test_view_bounds_checked(self):
         rep = ReplicatedArray(4, 2, 2)

@@ -85,6 +85,7 @@ class TestRuleFixtures:
     CASES = [
         ("thread_body_bad.py", "thread-body-safety", 3),
         ("process_task_bad.py", "process-task-safety", 5),
+        ("process_task_imported.py", "process-task-safety", 1),
         ("counter_bad.py", "counter-category", 2),
         ("ops/hot_path_bad.py", "hot-path", 4),
         ("ops/dtype_bad.py", "dtype-discipline", 2),
@@ -191,36 +192,39 @@ class TestCleanTree:
 
 
 class TestAcceptanceScenario:
-    """Issue acceptance: inject a violation into a scratch copy of the
-    real engine module and the analyzer must catch it."""
+    """Inject a violation into a scratch copy of the real engine
+    module's mode-0 task body: the analyzer must catch it."""
 
     def _scratch_copy(self, tmp_path, mutate):
         src = (REPO / "src" / "repro" / "core" / "mttkrp.py").read_text()
-        m = re.search(r"^(\s*)def body\(th.*:\n", src, flags=re.M)
-        assert m, "mttkrp.py no longer defines a thread body?"
-        indent = m.group(1) + "    "
-        injected = src[: m.end()] + indent + mutate + "\n" + src[m.end() :]
+        m = re.search(
+            r"^def mode0_task\(.*?\n    ctx, th = [^\n]*\n", src, flags=re.M | re.S
+        )
+        assert m, "mttkrp.py no longer defines mode0_task?"
+        injected = src[: m.end()] + "    " + mutate + "\n" + src[m.end() :]
         scratch = tmp_path / "mttkrp_scratch.py"
         scratch.write_text(injected)
         return scratch
+
+    def _task_findings(self, scratch):
+        report = run_lint([str(scratch)], select=["process-task-safety"])
+        assert report.exit_code == EXIT_FINDINGS
+        assert len(report.findings) == 1, report.findings
+        return report.findings[0].message
 
     def test_baseline_engine_module_is_clean(self):
         report = run_lint([str(REPO / "src" / "repro" / "core" / "mttkrp.py")])
         assert report.exit_code == EXIT_CLEAN
 
-    def test_counter_charge_in_thread_body_is_caught(self, tmp_path):
-        scratch = self._scratch_copy(
-            tmp_path, 'self.counter.read(1.0, "structure")'
-        )
-        report = run_lint([str(scratch)], select=["thread-body-safety"])
-        assert report.exit_code == EXIT_FINDINGS
-        assert any("shard" in f.message for f in report.findings)
+    def test_global_in_task_body_is_caught(self, tmp_path):
+        scratch = self._scratch_copy(tmp_path, "global _TASK_CALLS")
+        message = self._task_findings(scratch)
+        assert "mode0_task" in message and "global _TASK_CALLS" in message
 
-    def test_merge_in_thread_body_is_caught(self, tmp_path):
-        scratch = self._scratch_copy(tmp_path, "self.replicated.merge()")
-        report = run_lint([str(scratch)], select=["thread-body-safety"])
-        assert report.exit_code == EXIT_FINDINGS
-        assert any("coordinator-only" in f.message for f in report.findings)
+    def test_module_attribute_store_in_task_body_is_caught(self, tmp_path):
+        scratch = self._scratch_copy(tmp_path, "np.last_task_thread = th")
+        message = self._task_findings(scratch)
+        assert "mode0_task" in message and "np.last_task_thread" in message
 
 
 class TestCli:

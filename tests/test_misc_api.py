@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import SimulatedPool, TrafficCounter
-from repro.parallel.executor import run_partitioned
 from repro.tensor import CooTensor, CsfTensor, random_tensor
-
-
-class TestRunPartitioned:
-    def test_runs_body_per_thread(self):
-        pool = SimulatedPool(5)
-        results = run_partitioned(pool, lambda th: th**2)
-        assert results == [0, 1, 4, 9, 16]
 
 
 class TestCounterMergeFlops:

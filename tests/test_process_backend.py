@@ -42,11 +42,6 @@ class TestSimulatedPool:
         with pytest.raises(ValueError, match="unknown backend"):
             SimulatedPool(2, "mpi")
 
-    def test_map_raises_under_processes(self):
-        pool = SimulatedPool(2, "processes")
-        with pytest.raises(TypeError, match="run_tasks"):
-            pool.map(lambda th: th)
-
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_run_tasks_results_in_payload_order(self, backend):
         pool = SimulatedPool(3, backend)

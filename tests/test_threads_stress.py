@@ -34,6 +34,16 @@ SEEDS = range(5)
 THREAD_COUNTS = (2, 3, 5, 8)
 
 
+def _charge_shard_task(payload):
+    """Module-level task: many tiny charges to this thread's own shard."""
+    th, shard, per_thread = payload
+    for _ in range(per_thread):
+        shard.read(1.0, "structure")
+        shard.write(1.0, "output")
+        shard.flop(2.0, "sweep")
+    return th
+
+
 def _run(csf, factors, rank, threads, backend, plan, iters=1):
     """One engine run: per-level outputs + the counter snapshot."""
     counter = TrafficCounter(cache_elements=4096)
@@ -310,16 +320,8 @@ class TestShardedCounterUnderRealThreads:
         threads, per_thread = 8, 500
         sharded = ShardedTrafficCounter(threads)
         pool = SimulatedPool(threads, "threads")
-
-        def body(th):
-            shard = sharded.shard(th)
-            for i in range(per_thread):
-                shard.read(1.0, "structure")
-                shard.write(1.0, "output")
-                shard.flop(2.0, "sweep")
-            return th
-
-        assert pool.map(body) == list(range(threads))
+        payloads = [(th, sharded.shard(th), per_thread) for th in range(threads)]
+        assert pool.run_tasks(_charge_shard_task, payloads) == list(range(threads))
         merged = sharded.merge()
         assert merged.reads == threads * per_thread
         assert merged.writes == threads * per_thread

@@ -75,12 +75,26 @@ class TestTrafficDeltaTiling:
                 assert rec.traffic is None, rec.name
 
     def test_backends_agree_on_counted_work(self):
-        """Traffic is counted, not measured: identical across backends."""
-        totals = {}
-        for exec_backend in BACKENDS:
-            tracer, _ = traced_run(exec_backend)
-            totals[exec_backend] = tracer.traffic_totals()
-        assert totals["serial"] == totals["threads"] == totals["processes"]
+        """Traffic is counted, not measured: identical across backends.
+        Every backend also dispatches the same task sequence — one task
+        body per kernel, whatever runs it."""
+        for method in ("stef", "taco", "alto"):
+            totals, dispatches = {}, {}
+            for exec_backend in BACKENDS:
+                tracer, _ = traced_run(exec_backend, method=method)
+                totals[exec_backend] = tracer.traffic_totals()
+                dispatches[exec_backend] = [
+                    (rec.name, rec.attrs.get("task"))
+                    for rec in tracer.spans()
+                    if rec.name.startswith("executor.")
+                    and rec.name != "executor.task"
+                ]
+            assert totals["serial"] == totals["threads"] == totals["processes"], method
+            assert dispatches["serial"], method
+            assert (
+                dispatches["serial"] == dispatches["threads"]
+                == dispatches["processes"]
+            ), method
 
     def test_iteration_spans_parent_kernels(self):
         tracer, _ = traced_run("serial")
