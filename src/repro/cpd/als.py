@@ -15,14 +15,17 @@ trajectories (a property test asserts this), differing only in cost.
 One iteration updates each factor in backend order: compute the MTTKRP,
 solve against the Hadamard-of-Grams matrix ``V``, normalize columns into
 ``λ`` (Algorithm 2 lines 2-13).  Convergence is declared when the change
-in fit drops below ``tol`` (line 14).
+in fit drops below ``tol`` (line 14).  The fit needs no pass over the
+non-zeros: the iteration's last MTTKRP ``M`` already contracts the tensor
+with every other (final) factor, so ``⟨T, X⟩ = Σ_r λ_r Σ_i M(i,r)·A(i,r)``
+for that level's factor ``A``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from ..ops.hadamard import gram, normalize_columns, solve_factor
 from ..tensor.coo import CooTensor
 from ..trace import NULL_TRACER, Tracer
 from .init import hosvd_init, random_init
-from .kruskal import KruskalTensor
+from .kruskal import KruskalTensor, fit_from_terms
 
 __all__ = ["AlsResult", "cp_als", "als_iteration"]
 
@@ -66,12 +69,14 @@ def als_iteration(
     *,
     ridge: float = 0.0,
     nonneg: bool = False,
-) -> np.ndarray:
-    """Run one full CPD-ALS iteration in place, returning ``λ``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run one full CPD-ALS iteration in place, returning ``(λ, M)``.
 
     ``factors`` is indexed by original mode and mutated as each mode is
     updated — later MTTKRPs see the freshly updated matrices, exactly as
-    Algorithm 2 prescribes.
+    Algorithm 2 prescribes.  ``M`` is the MTTKRP result of the last level
+    (mode ``backend.mode_order[-1]``), computed against the final values
+    of every other factor; :func:`cp_als` takes the fit from it.
 
     ``ridge`` adds Tikhonov damping (``V + ridge·I``), stabilizing
     ill-conditioned updates; ``nonneg`` projects each updated factor onto
@@ -93,7 +98,7 @@ def als_iteration(
         if nonneg:
             updated = np.maximum(updated, 0.0)
         factors[mode], lambdas = normalize_columns(updated)
-    return lambdas
+    return lambdas, m
 
 
 def cp_als(
@@ -138,7 +143,10 @@ def cp_als(
         trajectory is fully determined by ``(init, seed)``).
     compute_fit:
         Disable to skip per-iteration fit evaluation (kernel benchmarking;
-        convergence then runs to ``max_iters``).
+        convergence then runs to ``max_iters``).  The fit costs no pass
+        over the non-zeros: it reuses the iteration's last MTTKRP and the
+        factors' Gram matrices, and matches :meth:`KruskalTensor.fit` on
+        the iteration's model to rounding.
     ridge:
         Tikhonov damping added to the ``V`` matrix of every solve.
     nonneg:
@@ -159,7 +167,8 @@ def cp_als(
     tracer:
         Structured-tracing target (:mod:`repro.trace`): each iteration
         records an ``als.iteration`` span enclosing the engine's kernel
-        spans.  The no-op tracer by default.
+        spans, then (with ``compute_fit``) a ``cpd.fit`` span beside it.
+        The no-op tracer by default.
     """
     canonicalize_kwargs("cp_als", deprecated, {"backend": "engine"})
     if engine is None:
@@ -231,6 +240,8 @@ def cp_als(
 
     fits: List[float] = []
     iter_seconds: List[float] = []
+    last_mode = backend.mode_order[-1]
+    t_norm_sq = float(tensor.values @ tensor.values)
     lambdas = resumed_lambdas if resumed_lambdas is not None else np.ones(rank)
     converged = False
     start = time.perf_counter()
@@ -238,13 +249,19 @@ def cp_als(
     for it in range(start_iter, max_iters):
         t0 = time.perf_counter()
         with tracer.span("als.iteration", iteration=it):
-            lambdas = als_iteration(backend, factors, ridge=ridge, nonneg=nonneg)
+            lambdas, last_mttkrp = als_iteration(
+                backend, factors, ridge=ridge, nonneg=nonneg
+            )
         iter_seconds.append(time.perf_counter() - t0)
         if checkpoint_path is not None and (it + 1) % checkpoint_every == 0:
             _write_checkpoint(it + 1, lambdas)
         if compute_fit:
-            model = KruskalTensor(lambdas, factors)
-            fit = model.fit(tensor)
+            with tracer.span("cpd.fit", iteration=it):
+                inner = float(
+                    lambdas @ (last_mttkrp * factors[last_mode]).sum(axis=0)
+                )
+                model_norm = KruskalTensor(lambdas, factors).norm()
+                fit = fit_from_terms(t_norm_sq, inner, model_norm)
             fits.append(fit)
             if callback is not None:
                 callback(it, fit)

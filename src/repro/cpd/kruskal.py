@@ -9,19 +9,34 @@ sparsely: the model values at the non-zero coordinates, the inner product
 ``⟨T, X⟩``, and the fit ``1 - ‖T - X‖/‖T‖`` via the identity
 ``‖T - X‖² = ‖T‖² - 2⟨T, X⟩ + ‖X‖²`` with ``‖X‖²`` from the Gram-matrix
 Hadamard chain — no dense reconstruction at any size.
+:func:`fit_from_terms` holds that formula for :meth:`KruskalTensor.fit`
+and :func:`~repro.cpd.als.cp_als` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..ops.hadamard import cp_gram_norm_sq
 from ..tensor.coo import CooTensor
 
-__all__ = ["KruskalTensor"]
+__all__ = ["KruskalTensor", "fit_from_terms"]
+
+
+def fit_from_terms(t_norm_sq: float, inner: float, model_norm: float) -> float:
+    """CP fit ``1 - ‖T - X‖ / ‖T‖`` from ``‖T‖²``, ``⟨T, X⟩`` and ``‖X‖``.
+
+    A fit of 1 is exact; 0 means no better than the zero model.  An
+    all-zero tensor has fit 1, and a residual that rounding drives below
+    zero counts as zero.
+    """
+    if t_norm_sq == 0.0:
+        return 1.0
+    resid_sq = t_norm_sq - 2.0 * inner + model_norm**2
+    return 1.0 - float(np.sqrt(max(0.0, resid_sq)) / np.sqrt(t_norm_sq))
 
 
 @dataclass
@@ -72,15 +87,14 @@ class KruskalTensor:
         return float(tensor.values @ self.values_at(tensor.indices))
 
     def fit(self, tensor: CooTensor) -> float:
-        """CP fit ``1 - ‖T - X‖ / ‖T‖`` against a sparse tensor.
+        """CP fit ``1 - ‖T - X‖ / ‖T‖`` against a sparse tensor
+        (:func:`fit_from_terms`), with ``⟨T, X⟩`` from one pass over the
+        non-zeros.
 
-        A fit of 1 is exact; 0 means no better than the zero model.
+        The reference for the fits :func:`~repro.cpd.als.cp_als` reports.
         """
         t_norm_sq = float(tensor.values @ tensor.values)
-        if t_norm_sq == 0.0:
-            return 1.0
-        resid_sq = t_norm_sq - 2.0 * self.inner(tensor) + self.norm() ** 2
-        return 1.0 - float(np.sqrt(max(0.0, resid_sq)) / np.sqrt(t_norm_sq))
+        return fit_from_terms(t_norm_sq, self.inner(tensor), self.norm())
 
     def relative_error(self, tensor: CooTensor) -> float:
         """``‖T - X‖ / ‖T‖`` (1 - fit)."""

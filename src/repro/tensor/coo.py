@@ -17,11 +17,23 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CooTensor"]
+__all__ = ["CooTensor", "nonfinite_values"]
+
+
+def nonfinite_values(values: np.ndarray) -> Optional[str]:
+    """Describe the NaN and infinite entries of ``values``: how many, and
+    the first one's position; ``None`` when every value is finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size == 0:
+        return None
+    return (
+        f"{bad.size} of {values.size} values are not finite "
+        f"(first: {values[bad[0]]} at position {bad[0]})"
+    )
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,8 @@ class CooTensor:
         Raises
         ------
         ValueError
-            If shapes disagree, indices are negative, or indices exceed
-            ``shape``.
+            If shapes disagree, indices are negative, indices exceed
+            ``shape``, or a value is NaN or infinite.
         """
         indices = np.ascontiguousarray(indices, dtype=np.int64)
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -79,6 +91,9 @@ class CooTensor:
             raise ValueError(
                 f"values shape {values.shape} does not match nnz={nnz}"
             )
+        nonfinite = nonfinite_values(values)
+        if nonfinite is not None:
+            raise ValueError(nonfinite)
         if nnz and indices.min() < 0:
             raise ValueError("negative indices are not allowed")
         if shape is None:

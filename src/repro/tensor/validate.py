@@ -17,7 +17,7 @@ from typing import List
 import numpy as np
 
 from .alto import AltoTensor
-from .coo import CooTensor
+from .coo import CooTensor, nonfinite_values
 from .csf import CsfTensor
 from .hicoo import HicooTensor
 
@@ -39,7 +39,8 @@ class ValidationError(ValueError):
 
 
 def validate_coo(t: CooTensor) -> List[str]:
-    """COO invariants: shapes agree, indices in range, canonical order."""
+    """COO invariants: shapes agree, values finite, indices in range,
+    canonical order."""
     problems: List[str] = []
     if t.indices.ndim != 2 or t.indices.shape[0] != len(t.shape):
         problems.append(
@@ -51,6 +52,9 @@ def validate_coo(t: CooTensor) -> List[str]:
             f"values shape {t.values.shape} does not match nnz "
             f"{t.indices.shape[1]}"
         )
+    nonfinite = nonfinite_values(t.values)
+    if nonfinite is not None:
+        problems.append(nonfinite)
     for m, n in enumerate(t.shape):
         if t.nnz and (t.indices[m].min() < 0 or t.indices[m].max() >= n):
             problems.append(f"mode {m} indices out of [0, {n})")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import ALL_BACKENDS, SplattAll
-from repro.core import Stef
 from repro.cpd import cp_als
+from repro.engines import create_engine, engine_names
 from repro.tensor import low_rank_tensor, random_tensor
 
 
@@ -53,6 +53,28 @@ class TestConvergence:
             callback=lambda it, fit: seen.append((it, fit)),
         )
         assert [s[0] for s in seen] == [0, 1, 2]
+
+
+class TestFitFromLastMttkrp:
+    """``cp_als`` takes each fit from the iteration's last MTTKRP; the
+    full pass of :meth:`KruskalTensor.fit` on the same model is the
+    reference."""
+
+    # Ranks above the shortest mode make the Gram chain rank deficient.
+    CASES = (((12, 9, 5), 240, 6), ((8, 6, 5, 3), 200, 4))
+
+    @pytest.mark.parametrize("variant", [{}, {"nonneg": True, "ridge": 1e-3}])
+    @pytest.mark.parametrize("name", engine_names())
+    def test_fit_matches_full_pass(self, name, variant):
+        for shape, nnz, rank in self.CASES:
+            tensor = random_tensor(shape, nnz=nnz, seed=len(shape))
+            with create_engine(name, tensor, rank, num_threads=2) as engine:
+                for k in (1, 2, 3):
+                    res = cp_als(tensor, rank, engine=engine, max_iters=k,
+                                 tol=0, seed=2, **variant)
+                    assert len(res.fits) == k
+                    assert abs(res.fits[-1] - res.model.fit(tensor)) <= 1e-12, (
+                        shape, k)
 
 
 class TestBackendEquivalence:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import CooTensor, random_tensor
+from repro.tensor import CooTensor
 
 
 class TestConstruction:
@@ -42,6 +42,15 @@ class TestConstruction:
         idx = np.array([[0], [0]])
         with pytest.raises(ValueError, match="modes"):
             CooTensor.from_arrays(idx, np.ones(1), shape=(2, 2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_value_raises(self, bad):
+        idx = np.array([[0, 1, 2, 3], [0, 1, 2, 3]])
+        values = np.array([1.0, bad, 2.0, bad])
+        with pytest.raises(
+            ValueError, match=r"2 of 4 values are not finite .*at position 1\)"
+        ):
+            CooTensor.from_arrays(idx, values)
 
     def test_duplicates_are_summed(self):
         idx = np.array([[0, 0, 1], [1, 1, 0]])

@@ -137,7 +137,7 @@ class TestUpwardSweep:
 
     def test_serial_sweep_charges_like_threaded_path(self, coo4, factors4):
         """Regression: ``serial_upward_sweep(counter=...)`` charges the
-        same structure/sweep legs ``proc_tasks.charge_sweep`` does with a
+        same structure/sweep legs ``mttkrp.charge_sweep`` does with a
         single thread owning every node (the serial path used to be
         unaccountable)."""
         from repro.parallel import TrafficCounter

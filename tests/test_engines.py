@@ -129,11 +129,15 @@ class TestContextManager:
         assert not leaked, f"{name} leaked shm segments: {sorted(leaked)}"
 
     def test_stef_close_clears_process_context(self, tensor3, factors3):
+        before = set(glob.glob("/dev/shm/repro-*"))
         with create_engine(
             "stef", tensor3, 4, num_threads=2, exec_backend="processes"
         ) as eng:
             eng.mttkrp_level(factors3, 0)
-        assert eng.engine._proc is None
+            assert set(glob.glob("/dev/shm/repro-*")) - before
+        assert not set(glob.glob("/dev/shm/repro-*")) - before
+        with pytest.raises(RuntimeError, match="engine is closed"):
+            eng.mttkrp_level(factors3, 0)
 
 
 class TestRetiredKwargs:

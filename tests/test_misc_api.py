@@ -1,10 +1,8 @@
 """Coverage for small public APIs not exercised elsewhere."""
 
 import numpy as np
-import pytest
 
 from repro.parallel import SimulatedPool, TrafficCounter
-from repro.tensor import CooTensor, CsfTensor, random_tensor
 
 
 class TestCounterMergeFlops:

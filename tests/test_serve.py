@@ -9,6 +9,8 @@ server:
 * **cache semantics** — a resubmitted identical job hits the engine
   cache, and its JSONL request log carries **no** ``serve.plan`` span
   (the miss's log does);
+* **bad input** — a job whose tensor holds a NaN fails with the reason,
+  and the daemon goes on serving;
 * **admission control** — per-client limits and queue backpressure
   refuse with retryable errors instead of buffering without bound;
 * **crash recovery** — a server process SIGKILLed mid-job resumes the
@@ -200,6 +202,22 @@ class TestCacheTrace:
         assert meta["num_threads"] == 2
         assert meta["job_id"] == job["job_id"]
         assert meta["cache"] == "miss"
+
+
+class TestBadInput:
+    def test_nonfinite_job_fails_and_daemon_keeps_serving(self, server):
+        """A NaN in an inline COO fails that job with the reason; the
+        next job on the same daemon still runs."""
+        sock, _, _ = server
+        tensor = random_tensor((10, 8, 6), nnz=150, seed=7)
+        coo = inline_coo(tensor)
+        coo["values"][3] = float("nan")
+        with ServeClient(sock) as client:
+            bad = client.submit(make_spec(tensor, coo=coo), wait=True)
+            good = client.submit(make_spec(tensor), wait=True)
+        assert bad["state"] == "failed"
+        assert f"1 of {tensor.nnz} values are not finite" in bad["error"]
+        assert good["state"] == "done", good["error"]
 
 
 class TestAdmissionControl:

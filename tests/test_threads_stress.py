@@ -25,7 +25,6 @@ from repro.parallel import (
     SimulatedPool,
     TrafficCounter,
     nnz_partition,
-    slice_partition,
 )
 from repro.tensor import CooTensor, CsfTensor, random_tensor
 from tests.conftest import make_factors

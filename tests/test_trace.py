@@ -105,6 +105,44 @@ class TestTrafficDeltaTiling:
             assert rec.parent_id in iter_ids
 
 
+class TestFitSpans:
+    """With the fit on, ``cp_als`` records one ``cpd.fit`` span per
+    iteration after ``als.iteration`` closes, under the caller's span."""
+
+    @staticmethod
+    def fitted_run(compute_fit):
+        tensor = random_tensor((10, 8, 6), nnz=120, seed=3)
+        tracer = Tracer()
+        counter = TrafficCounter(cache_elements=MACHINE.cache_elements)
+        with create_engine(
+            "stef", tensor, 4, machine=MACHINE, num_threads=2,
+            counter=counter, tracer=tracer,
+        ) as engine:
+            with tracer.span("caller"):
+                cp_als(
+                    tensor, 4, engine=engine, max_iters=3, tol=0.0,
+                    compute_fit=compute_fit, seed=0, tracer=tracer,
+                )
+        return tracer
+
+    def test_one_fit_span_per_iteration_beside_it(self):
+        tracer = self.fitted_run(True)
+        (caller,) = tracer.spans("caller")
+        iters = tracer.spans("als.iteration")
+        fits = tracer.spans("cpd.fit")
+        assert [r.attrs["iteration"] for r in fits] == [0, 1, 2]
+        assert [r.attrs["iteration"] for r in iters] == [0, 1, 2]
+        for it, fit in zip(iters, fits):
+            assert fit.parent_id == it.parent_id == caller.span_id
+            assert fit.t0 >= it.t1
+            assert fit.traffic is None
+
+    def test_no_fit_span_without_fit(self):
+        tracer = self.fitted_run(False)
+        assert len(tracer.spans("als.iteration")) == 3
+        assert tracer.spans("cpd.fit") == []
+
+
 class TestExports:
     def test_jsonl_round_trip(self, tmp_path):
         tracer, _ = traced_run("threads")

@@ -8,14 +8,12 @@ import pytest
 from repro.tensor import (
     AltoTensor,
     CooTensor,
-    CsfTensor,
     HicooTensor,
     ValidationError,
     check_alto,
     check_coo,
     check_csf,
     check_hicoo,
-    random_tensor,
     validate_coo,
     validate_csf,
     validate_hicoo,
@@ -49,6 +47,15 @@ class TestCooValidation:
         idx = np.array([[0, 0], [1, 1]])
         bad = CooTensor(idx, np.ones(2), (2, 2))
         assert any("duplicate" in p for p in validate_coo(bad))
+
+    def test_nonfinite_value_detected(self, coo3):
+        values = coo3.values.copy()
+        values[[2, 5]] = [np.inf, np.nan]
+        bad = CooTensor(coo3.indices, values, coo3.shape)
+        problem = f"2 of {coo3.nnz} values are not finite (first: inf at position 2)"
+        assert problem in validate_coo(bad)
+        with pytest.raises(ValidationError, match="not finite"):
+            check_coo(bad)
 
     def test_value_length_mismatch(self, coo3):
         bad = CooTensor(coo3.indices, coo3.values[:-1], coo3.shape)
