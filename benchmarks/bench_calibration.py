@@ -8,8 +8,6 @@ relative error quantifies how faithfully the simulated channel's *shape*
 carries over to local wall-clock.
 """
 
-import pytest
-
 from common import bench_tensor, emit
 from repro.analysis import collect_samples, fit_roofline
 from repro.parallel import INTEL_CLX_18

@@ -21,8 +21,6 @@ The outcome — replication smaller by orders of magnitude — is the
 quantitative form of the paper's argument.
 """
 
-import pytest
-
 from common import bench_suite, emit
 from repro.core import build_schedule
 from repro.tensor import CsfTensor

@@ -9,8 +9,6 @@ SPLATT family, and STeF, across the 4-D/5-D tensors where the tree
 actually has internal nodes to reuse.
 """
 
-import pytest
-
 from common import bench_suite, emit
 from repro.analysis import format_table, relative_performance, run_comparison
 from repro.parallel import INTEL_CLX_18

@@ -8,8 +8,6 @@ records the chosen configuration and its predicted traffic per non-zero —
 the decision-boundary picture Table II only samples twice.
 """
 
-import pytest
-
 from common import bench_tensor, emit
 from repro.analysis.experiments import scale_for_tensor
 from repro.core import plan_decomposition

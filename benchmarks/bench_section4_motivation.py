@@ -15,10 +15,7 @@ tensor, model-predicted and counted reads/writes under "save-all" vs
 reproduced result.
 """
 
-import pytest
-
 from common import bench_tensor, emit
-from repro.analysis.traffic import model_vs_measured
 from repro.core import (
     DataMovementModel,
     SAVE_ALL,

@@ -7,8 +7,6 @@ matrices, and their ratio.  The paper's averages are 0.35 (R=32) and 0.45
 declines to memoize (freebase, vast-5d).
 """
 
-import pytest
-
 from common import bench_suite, emit
 from repro.analysis import format_table
 from repro.core import Stef

@@ -24,15 +24,12 @@ itself can never be broken by a stale checked-in baseline::
 A long-lived baseline can be recorded into ``benchmarks/results/`` and
 compared against across commits the same way.
 
-The third subcommand, ``jit``, is the numpy-vs-compiled speedup arm: for
-every jit-capable engine it runs the same MTTKRP workload on both kernel
-tiers, **gates** the tier contract (bit-identical outputs, exactly equal
-traffic totals) and reports the wall-clock speedup (advisory, like all
-wall metrics here).  Without Numba it prints a skip notice and exits 0,
-so the arm is safe on any runner; CI's with-numba arm passes
-``--require`` to turn that skip into a failure::
+The third subcommand, ``serve``, is the daemon throughput arm: it
+boots an in-thread ``repro serve``, submits a mixed batch of Table-I
+jobs, **gates** every result against a direct run (bit-identical
+factors, exactly equal traffic) and reports requests per second::
 
-    python scripts/bench_regress.py jit --require
+    python scripts/bench_regress.py serve --log-dir /tmp/serve-spool
 """
 
 import argparse
@@ -53,13 +50,6 @@ from repro.trace import Tracer, flat_metrics
 
 DEFAULT_TENSORS = ("uber", "enron")
 DEFAULT_METHODS = ("stef", "splatt-all")
-#: (compiled-tier engine, reference engine) per jit-capable method.
-JIT_PAIRS = (
-    ("stef-jit", "stef"),
-    ("stef2-jit", "stef2"),
-    ("taco-jit", "taco"),
-    ("dimtree-jit", "dimtree"),
-)
 
 
 def cell_key(tensor: str, method: str, exec_backend: str) -> str:
@@ -166,76 +156,6 @@ def compare(baseline: dict, current: dict, threshold: float) -> int:
         for line in advisory:
             print(f"     (wall, advisory) {line}")
     return failures
-
-
-def _timed_iteration(name, tensor, rank, factors, *, threads, jit):
-    """One engine's full MTTKRP set: (results, counter snapshot, seconds).
-    The engine is constructed outside the timer (jit="on" pays its
-    compilation inside construction-adjacent first calls, so a warmup
-    iteration runs untimed first)."""
-    from repro.parallel.counters import TrafficCounter
-
-    counter = TrafficCounter()
-    with create_engine(
-        name, tensor, rank, num_threads=threads, counter=counter, jit=jit
-    ) as eng:
-        eng.iteration_results(factors)  # warmup: triggers JIT compilation
-        counter.reset()
-        t0 = time.perf_counter()
-        results = eng.iteration_results(factors)
-        seconds = time.perf_counter() - t0
-    return results, counter.snapshot(), seconds
-
-
-def jit_speedup(args) -> int:
-    """The numpy-vs-compiled arm: gate the tier contract, report speedup."""
-    import numpy as np
-
-    from repro.kernels.dispatch import jit_available
-
-    if not jit_available():
-        msg = ("compiled kernel tier unavailable "
-               "(numba not importable, or REPRO_NO_JIT is set)")
-        if args.require:
-            print(f"FAIL: {msg}")
-            return 1
-        print(f"skip: {msg}")
-        return 0
-    rng = np.random.default_rng(0)
-    failures = 0
-    for tensor_name in args.tensors:
-        tensor = generate(TABLE1_SPECS[tensor_name], nnz=args.nnz, seed=0)
-        factors = [rng.standard_normal((n, args.rank)) for n in tensor.shape]
-        for jit_name, base_name in JIT_PAIRS:
-            res_j, snap_j, sec_j = _timed_iteration(
-                jit_name, tensor, args.rank, factors,
-                threads=args.threads, jit="on",
-            )
-            res_n, snap_n, sec_n = _timed_iteration(
-                base_name, tensor, args.rank, factors,
-                threads=args.threads, jit="off",
-            )
-            bad = []
-            for (mode_j, out_j), (mode_n, out_n) in zip(res_j, res_n):
-                if mode_j != mode_n or not np.array_equal(out_j, out_n):
-                    bad.append(f"mode {mode_n}: outputs not bit-identical")
-            if snap_j != snap_n:
-                bad.append(f"traffic diverged: {snap_j} != {snap_n}")
-            key = f"{tensor_name}/{base_name}"
-            if bad:
-                failures += 1
-                print(f"FAIL {key}")
-                for line in bad:
-                    print(f"     {line}")
-                continue
-            speedup = sec_n / sec_j if sec_j > 0 else float("inf")
-            print(f"ok   {key}: numpy {sec_n:.4f}s, jit {sec_j:.4f}s "
-                  f"-> {speedup:.2f}x (advisory)")
-    if failures:
-        print(f"\n{failures} pair(s) violated the tier contract")
-        return 1
-    print("\ntier contract held on every pair; speedups are advisory")
-    return 0
 
 
 def serve_bench(args) -> int:
@@ -373,18 +293,6 @@ def main() -> int:
     p_cmp.add_argument("--threshold", type=float, default=0.15,
                        help="gated relative-change bound (default 0.15)")
 
-    p_jit = sub.add_parser(
-        "jit", help="numpy-vs-compiled tier: gate equality, report speedup"
-    )
-    p_jit.add_argument("--tensors", nargs="+", default=list(DEFAULT_TENSORS),
-                       choices=sorted(TABLE1_SPECS))
-    p_jit.add_argument("--nnz", type=int, default=3000)
-    p_jit.add_argument("--rank", type=int, default=8)
-    p_jit.add_argument("--threads", type=int, default=2)
-    p_jit.add_argument("--require", action="store_true",
-                       help="fail (instead of skip) when the compiled "
-                       "tier is unavailable")
-
     p_srv = sub.add_parser(
         "serve", help="daemon throughput: gate bit-identity, report req/s"
     )
@@ -396,8 +304,6 @@ def main() -> int:
                        "logs under <log-dir>/logs) for artifact upload")
 
     args = parser.parse_args()
-    if args.command == "jit":
-        return jit_speedup(args)
     if args.command == "serve":
         return serve_bench(args)
     if args.command == "record":

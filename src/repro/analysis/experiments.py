@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..baselines import ALL_BACKENDS
 from ..cpd.init import random_init
 from ..engines import create_engine

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..core.memoization import enumerate_plans
 from ..core.model import DataMovementModel, TensorStats
 from ..core.mttkrp import MemoizedMttkrp

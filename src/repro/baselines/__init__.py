@@ -16,9 +16,6 @@ from .dimtree import DimTreeBackend, build_mode_tree
 from .splatt import Splatt1, Splatt2, SplattAll
 from .taco import TacoBackend
 
-# Imported after the base engines above: the jit module subclasses them.
-from ..engines.jit import DimTreeJit, Stef2Jit, StefJit, TacoJit
-
 #: Every method of Figures 3-4, keyed by its harness/plot name.
 ALL_BACKENDS = {
     "stef": Stef,
@@ -32,19 +29,9 @@ ALL_BACKENDS = {
     # Extension: the dimension-tree (BDT/HyperTensor) policy the paper
     # could not compare against (closed source, Section V).
     "dimtree": DimTreeBackend,
-    # The compiled kernel tier (jit_default="auto"): same engines, same
-    # traffic, Numba-compiled inner loops when the [jit] extra is there.
-    "stef-jit": StefJit,
-    "stef2-jit": Stef2Jit,
-    "taco-jit": TacoJit,
-    "dimtree-jit": DimTreeJit,
 }
 
 __all__ = [
-    "StefJit",
-    "Stef2Jit",
-    "TacoJit",
-    "DimTreeJit",
     "AdaTm",
     "flop_count",
     "flop_minimal_plan",

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import resolve_engine_aliases
 from ..core.memoization import MemoPlan, enumerate_plans
 from ..core.mttkrp import MemoizedMttkrp
 from ..engines.base import EngineBase, resolve_num_threads
@@ -102,11 +101,7 @@ class AdaTm(EngineBase):
         exec_backend: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer

@@ -27,7 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import resolve_engine_aliases
 from ..core.csf_kernels import scatter_add_rows
 from ..core.proc_tasks import (
     ProcessEngineContext,
@@ -35,8 +34,8 @@ from ..core.proc_tasks import (
     local_counter,
     resolve,
 )
-from ..engines.base import EngineBase, resolve_num_threads
-from ..kernels.dispatch import gather_multiply_rows, value_gather_rows
+from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
+from ..kernels import gather_multiply_rows, value_gather_rows
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
@@ -99,18 +98,14 @@ class AltoBackend(EngineBase):
         exec_backend: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         self.tensor = tensor
         self.rank = rank
         self.counter = counter
         self.tracer = tracer
         threads = resolve_num_threads(machine, num_threads)
         self.alto = AltoTensor.from_coo(tensor)
-        self.pool = SimulatedPool(threads, exec_backend, tracer=tracer)
+        self.pool = SimulatedPool(threads, resolve_exec_backend(exec_backend), tracer=tracer)
         self.shards = ShardedTrafficCounter.like(counter, threads)
         self.partitions = self.alto.partitions(threads)
         self.mode_order: Tuple[int, ...] = tuple(range(tensor.ndim))

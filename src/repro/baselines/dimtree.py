@@ -36,9 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import resolve_engine_aliases
-from ..engines.base import EngineBase, resolve_num_threads
-from ..kernels.dispatch import resolve_tier
+from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..ops.partial import PartialTensor, contract_modes, from_coo, reduce_to_matrix
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.machine import MachineSpec
@@ -80,7 +78,6 @@ class DimTreeBackend(EngineBase):
     """Dimension-tree memoized MTTKRP backend."""
 
     name = "dimtree"
-    jit_capable = True
 
     def __init__(
         self,
@@ -90,24 +87,14 @@ class DimTreeBackend(EngineBase):
         machine: Optional[MachineSpec] = None,
         num_threads: Optional[int] = None,
         exec_backend: Optional[str] = None,
-        jit: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         # The BDT walk is coordinator-side dense algebra; ``exec_backend``
         # is accepted for signature uniformity but has no pool to drive.
-        self.exec_backend = exec_backend
+        self.exec_backend = resolve_exec_backend(exec_backend)
         self.tensor = tensor
         self.rank = rank
-        #: Resolved kernel-ABI tier for the edge contractions and the
-        #: final scatter (both run through repro.ops.partial).
-        self.kernel_tier = resolve_tier(
-            jit if jit is not None else type(self).jit_default
-        )
         self.counter = counter
         self.tracer = tracer
         self.num_threads = resolve_num_threads(machine, num_threads)
@@ -143,10 +130,7 @@ class DimTreeBackend(EngineBase):
         parent_partial = self._materialize(parent, factors)
         to_contract = [m for m in parent if m not in node]
         child = contract_modes(
-            parent_partial,
-            to_contract,
-            [factors[m] for m in to_contract],
-            tier=self.kernel_tier,
+            parent_partial, to_contract, [factors[m] for m in to_contract]
         )
         # The factors this node depends on: everything its parent consumed
         # plus the edge contraction's own factors.
@@ -206,11 +190,7 @@ class DimTreeBackend(EngineBase):
         parent_partial = self._materialize(parent, factors)
         siblings = [m for m in parent if m != mode]
         out = reduce_to_matrix(
-            parent_partial,
-            mode,
-            [factors[m] for m in siblings],
-            siblings,
-            tier=self.kernel_tier,
+            parent_partial, mode, [factors[m] for m in siblings], siblings
         )
         # Final scatter charge (conflicted accumulation like other
         # backends' mode-u outputs).

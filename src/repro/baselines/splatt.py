@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import resolve_engine_aliases
 from ..core.memoization import SAVE_NONE
 from ..core.mttkrp import MemoizedMttkrp
 from ..engines.base import EngineBase, resolve_num_threads
@@ -53,11 +52,7 @@ class Splatt1(EngineBase):
         exec_backend: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer
@@ -118,11 +113,7 @@ class SplattAll(EngineBase):
         exec_backend: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer
@@ -204,11 +195,7 @@ class Splatt2(EngineBase):
         exec_backend: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer

@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import resolve_engine_aliases
 from ..core.csf_kernels import thread_upward_sweep
 from ..core.proc_tasks import (
     ProcessEngineContext,
@@ -36,8 +35,7 @@ from ..core.proc_tasks import (
     resolve,
     resolve_csf,
 )
-from ..engines.base import EngineBase, resolve_num_threads
-from ..kernels.dispatch import resolve_tier
+from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
@@ -91,9 +89,7 @@ def _taco_sweep_task(
             leaf_hi = leaf_lo
         if ctx["charge"]:
             _charge_chunk(counter, csf, s_lo, s_hi, ctx["rank"])
-        res = thread_upward_sweep(
-            csf, lf, leaf_lo, leaf_hi, stop_level=0, tier=ctx["tier"]
-        )
+        res = thread_upward_sweep(csf, lf, leaf_lo, leaf_hi, stop_level=0)
         results.append(res[0])
     return results, counter_state(counter)
 
@@ -102,7 +98,6 @@ class TacoBackend(EngineBase):
     """Per-mode generated-kernel backend with chunk auto-tuning."""
 
     name = "taco"
-    jit_capable = True
 
     def __init__(
         self,
@@ -112,27 +107,18 @@ class TacoBackend(EngineBase):
         machine: Optional[MachineSpec] = None,
         num_threads: Optional[int] = None,
         exec_backend: Optional[str] = None,
-        jit: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
         autotune: bool = True,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
         self.tensor = tensor
         self.rank = rank
-        #: Resolved kernel-ABI tier for every chunk sweep.
-        self.kernel_tier = resolve_tier(
-            jit if jit is not None else type(self).jit_default
-        )
         self.counter = counter
         self.tracer = tracer
         threads = resolve_num_threads(machine, num_threads)
         d = tensor.ndim
         self.mode_order: Tuple[int, ...] = tuple(range(d))
-        self.pool = SimulatedPool(threads, exec_backend, tracer=tracer)
+        self.pool = SimulatedPool(threads, resolve_exec_backend(exec_backend), tracer=tracer)
         self.shards = ShardedTrafficCounter.like(counter, threads)
         self.csfs: List[CsfTensor] = []
         for mode in range(d):
@@ -208,7 +194,6 @@ class TacoBackend(EngineBase):
             pool_t=pool_t,
             rank=rank,
             charge=charge,
-            tier=self.kernel_tier,
         )
         results = self.pool.run_tasks(_taco_sweep_task, payloads)
         for th, (chunk_results, traffic) in enumerate(results):

@@ -101,12 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
             + "; ".join(i.summary() for i in infos),
         )
         p.add_argument(
-            "--jit", choices=["auto", "on", "off"], default=None,
-            help="kernel tier: 'on' requires Numba, 'off' forces the NumPy "
-            "reference tier, 'auto' compiles when available (jit-capable "
-            "engines only; the *-jit engine names default to auto)",
-        )
-        p.add_argument(
             "--exec-backend", choices=list(EXEC_BACKENDS), default="serial",
             dest="exec_backend",
             help="pool execution: deterministic serial order, a real "
@@ -290,12 +284,11 @@ def _cmd_decompose(args, out) -> int:
         counter = TrafficCounter(cache_elements=machine.cache_elements)
     with create_engine(
         args.engine, tensor, args.rank, machine=machine,
-        num_threads=args.threads, exec_backend=args.exec_backend,
-        jit=args.jit, tracer=tracer,
+        num_threads=args.threads, exec_backend=args.exec_backend, tracer=tracer,
         **({"counter": counter} if counter is not None else {}),
     ) as engine:
         print(engine.describe(), file=out)
-        # Resolved configuration (actual jit tier, backend, threads) must
+        # Resolved configuration (kernel tier, backend, threads) must
         # be read while the engine is alive; it stamps the trace header.
         run_meta = engine_run_meta(engine)
         result = cp_als(
@@ -437,7 +430,7 @@ def _cmd_submit(args, out) -> int:
     options = dict(
         engine=args.engine, rank=args.rank, machine=args.machine,
         num_threads=args.threads, exec_backend=args.exec_backend,
-        jit=args.jit, max_iters=args.iters, tol=args.tol, init=args.init,
+        max_iters=args.iters, tol=args.tol, init=args.init,
         seed=args.seed, priority=args.priority, client=args.client,
     )
     if args.by_name:

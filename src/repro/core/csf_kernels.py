@@ -15,8 +15,8 @@ NumPy call per tree level instead of one Python iteration per node:
   level, one ``np.repeat`` expansion by child counts and one gather-
   multiply.
 * **scatter** (:func:`scatter_add_rows`) — the ``Ā^(u)[idx] += ...``
-  accumulation, implemented as one ``bincount`` per rank column (gathered
-  writes with duplicate indices).
+  accumulation (gathered writes with duplicate indices): a stable sort
+  by target row and one segmented reduce.
 
 Thread decomposition follows Algorithm 3: every primitive takes a
 *half-open child range* owned by the calling thread and clips segment
@@ -25,13 +25,10 @@ by each adjacent thread; because every contraction is linear in ``t``,
 partial contributions merge correctly at any level (this is exactly the
 property STeF's boundary-replication scheme exploits).
 
-The inner loops themselves live behind the flat-array kernel ABI
-(:mod:`repro.kernels`): every primitive here takes a ``tier=`` name and
-routes its gathers, multiplies, expansions and segmented reduces through
-the dispatch layer, so the same wrapper drives either the NumPy
-reference tier or the Numba-compiled tier with bit-identical results.
-Traffic stays charged in these wrappers (never inside the tiers), which
-is what keeps TrafficCounter totals exactly equal across tiers.
+The inner loops themselves — gathers, multiplies, expansions and
+segmented reduces — are the flat-array kernel ABI (:mod:`repro.kernels`),
+called here by name.  Traffic stays charged in these wrappers, never
+inside the ABI functions.
 """
 
 from __future__ import annotations
@@ -41,8 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels.dispatch import (
-    TIER_NUMPY,
+from ..kernels import (
     gather_multiply_rows,
     parent_of,
     repeat_rows,
@@ -64,9 +60,7 @@ __all__ = [
 ]
 
 
-def scatter_add_rows(
-    out: np.ndarray, idx: np.ndarray, rows: np.ndarray, tier: str = TIER_NUMPY
-) -> None:
+def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     """``out[idx[p], :] += rows[p, :]`` with duplicate indices.
 
     Sorts by target row and segment-reduces — one vectorized pass over
@@ -74,9 +68,9 @@ def scatter_add_rows(
     (nnz) rather than the output matrix.  Orders of magnitude faster
     than ``np.add.at`` and beats per-column ``bincount`` whenever the
     output has many rows.  The loop lives in the kernel ABI
-    (:func:`repro.kernels.dispatch.scatter_rows_add`).
+    (:func:`repro.kernels.scatter_rows_add`).
     """
-    scatter_rows_add(out, idx, rows, tier=tier)
+    scatter_rows_add(out, idx, rows)
 
 
 @dataclass(frozen=True)
@@ -147,7 +141,6 @@ def thread_upward_sweep(
     start_level: Optional[int] = None,
     init: Optional[np.ndarray] = None,
     stop_level: int = 0,
-    tier: str = TIER_NUMPY,
 ) -> Dict[int, Tuple[int, np.ndarray]]:
     """One thread's share of the TTM/mTTV contraction chain.
 
@@ -171,9 +164,6 @@ def thread_upward_sweep(
     stop_level:
         Deepest level whose partial ``t`` should be *returned* — the sweep
         contracts down to (and including) ``stop_level``.
-    tier:
-        Kernel-ABI execution tier (``"numpy"`` or ``"numba"``); resolved
-        by the owning engine's ``jit=`` knob.
 
     Returns
     -------
@@ -205,7 +195,6 @@ def thread_upward_sweep(
             csf.idx[d - 1],
             child_lo,
             child_hi,
-            tier=tier,
         )
     else:
         if init is None:
@@ -216,7 +205,6 @@ def thread_upward_sweep(
             csf.idx[start_level],
             child_lo,
             child_hi,
-            tier=tier,
         )
 
     lo, hi = child_lo, child_hi
@@ -226,7 +214,7 @@ def thread_upward_sweep(
             parent_of(csf.ptr[level], hi - 1) + 1,
         )
         rel = _segment_starts(csf, level, window, lo, hi)
-        t_partial = segment_reduce_rows(contrib, rel, tier=tier)
+        t_partial = segment_reduce_rows(contrib, rel)
         out[level] = (window.lo, t_partial)
         if level > stop_level:
             contrib = gather_multiply_rows(
@@ -235,7 +223,6 @@ def thread_upward_sweep(
                 csf.idx[level],
                 window.lo,
                 window.hi,
-                tier=tier,
             )
             lo, hi = window.lo, window.hi
     return out
@@ -247,7 +234,6 @@ def expand_rows(
     level: int,
     window: LevelSlice,
     child_window: LevelSlice,
-    tier: str = TIER_NUMPY,
 ) -> np.ndarray:
     """Repeat per-node ``rows`` at ``level`` once per owned child.
 
@@ -262,7 +248,7 @@ def expand_rows(
         child_window.lo,
         child_window.hi,
     )
-    return repeat_rows(rows, child_ends - child_starts, tier=tier)
+    return repeat_rows(rows, child_ends - child_starts)
 
 
 def thread_downward_k(
@@ -274,7 +260,6 @@ def thread_downward_k(
     *,
     multiply_last: bool = False,
     windows: Optional[List[LevelSlice]] = None,
-    tier: str = TIER_NUMPY,
 ) -> np.ndarray:
     """One thread's ``k`` rows aligned with the half-open node range
     ``[lo, hi)`` at ``level``.
@@ -297,14 +282,12 @@ def thread_downward_k(
     if windows is None:
         windows = ancestor_windows(csf, level, lo, hi)
     w0 = windows[0]
-    k = take_factor_rows(
-        np.asarray(level_factors[0]), csf.idx[0], w0.lo, w0.hi, tier=tier
-    )
+    k = take_factor_rows(np.asarray(level_factors[0]), csf.idx[0], w0.lo, w0.hi)
     if level == 0:
         return k if multiply_last else np.ones((hi - lo, rank))
     for i in range(level):
         w, w_child = windows[i], windows[i + 1]
-        k = expand_rows(csf, k, i, w, w_child, tier=tier)
+        k = expand_rows(csf, k, i, w, w_child)
         if i + 1 < level or multiply_last:
             k = gather_multiply_rows(
                 k,
@@ -312,7 +295,6 @@ def thread_downward_k(
                 csf.idx[i + 1],
                 w_child.lo,
                 w_child.hi,
-                tier=tier,
             )
     return k
 
@@ -325,7 +307,6 @@ def serial_upward_sweep(
     start_level: Optional[int] = None,
     init: Optional[np.ndarray] = None,
     counter: TrafficCounter = NULL_COUNTER,
-    tier: str = TIER_NUMPY,
 ) -> Dict[int, np.ndarray]:
     """Single-threaded full sweep: complete ``t`` arrays per level.
 
@@ -353,6 +334,5 @@ def serial_upward_sweep(
         start_level=start_level,
         init=init,
         stop_level=stop_level,
-        tier=tier,
     )
     return {level: t for level, (lo, t) in parts.items()}

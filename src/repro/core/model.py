@@ -36,7 +36,7 @@ inline):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..parallel.machine import MachineSpec
 from .memoization import MemoPlan

@@ -57,9 +57,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import canonicalize_kwargs
-from ..engines.base import EngineBase
-from ..kernels.dispatch import resolve_tier, scale_rows_by_values
+from ..engines.base import EngineBase, resolve_exec_backend
+from ..kernels import scale_rows_by_values
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import ReplicatedArray, SimulatedPool
 from ..parallel.partition import ThreadPartition, nnz_partition, slice_partition
@@ -157,7 +156,7 @@ def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     csf, lf, counter = _task_operands(ctx)
     charge_sweep(counter, _owned(ctx, th), ctx["rank"])
     lo, hi = _range(ctx, th, csf.ndim - 1)
-    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0, tier=ctx["tier"])
+    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0)
     ranges: Dict[int, Tuple[int, int]] = {}
     for lvl, rep in ctx["rep"].items():
         nlo, tp = res[lvl]
@@ -174,7 +173,7 @@ def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     csf, lf, counter = _task_operands(ctx)
     charge_mode_u(counter, _owned(ctx, th), u, u, csf.ndim, ctx["rank"])
     a, b = _range(ctx, th, u)
-    k = thread_downward_k(csf, lf, u, a, b, tier=ctx["tier"])
+    k = thread_downward_k(csf, lf, u, a, b)
     memo = resolve(ctx["memo"][u])
     return emit_contrib(ctx["scratch"][th], a, k * memo[a:b], counter)
 
@@ -189,11 +188,11 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     ctx, th = payload["ctx"], payload["th"]
     u, source = ctx["u"], ctx["source"]
     csf, lf, counter = _task_operands(ctx)
-    d, tier = csf.ndim, ctx["tier"]
+    d = csf.ndim
     charge_mode_u(counter, _owned(ctx, th), u, source, d, ctx["rank"])
     lo, hi = _range(ctx, th, source)
     if source == d - 1:
-        res = thread_upward_sweep(csf, lf, lo, hi, stop_level=u, tier=tier)
+        res = thread_upward_sweep(csf, lf, lo, hi, stop_level=u)
     else:
         res = thread_upward_sweep(
             csf,
@@ -203,10 +202,9 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
             start_level=source,
             init=resolve(ctx["memo"][source]),
             stop_level=u,
-            tier=tier,
         )
     nlo, tp = res[u]
-    k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0], tier=tier)
+    k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0])
     return emit_contrib(ctx["scratch"][th], nlo, k * tp, counter)
 
 
@@ -214,11 +212,11 @@ def leaf_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     """Leaf-mode kernel: ``val · k_{d-2}`` per owned leaf."""
     ctx, th = payload["ctx"], payload["th"]
     csf, lf, counter = _task_operands(ctx)
-    d, tier = csf.ndim, ctx["tier"]
+    d = csf.ndim
     charge_mode_u(counter, _owned(ctx, th), d - 1, d - 1, d, ctx["rank"])
     lo, hi = _range(ctx, th, d - 1)
-    k = thread_downward_k(csf, lf, d - 1, lo, hi, tier=tier)
-    contrib = scale_rows_by_values(csf.values, k, lo, hi, tier=tier)
+    k = thread_downward_k(csf, lf, d - 1, lo, hi)
+    contrib = scale_rows_by_values(csf.values, k, lo, hi)
     return emit_contrib(ctx["scratch"][th], lo, contrib, counter)
 
 
@@ -242,15 +240,7 @@ class MemoizedMttkrp(EngineBase):
         ``"serial"`` (deterministic), ``"threads"`` (real thread pool),
         or ``"processes"`` (persistent multiprocessing workers over
         shared-memory segments — bit-identical to ``serial``, scales
-        wall-clock with cores).  The pre-1.0 spelling ``backend=`` now
-        raises ``TypeError``.
-    jit:
-        Kernel-tier selection — ``"off"`` (default, NumPy tier),
-        ``"auto"`` (compiled tier when Numba is available, silent
-        fallback otherwise) or ``"on"`` (compiled tier or
-        ``RuntimeError``).  Resolved once here via
-        :func:`repro.kernels.resolve_tier`; the chosen tier name is
-        exposed as :attr:`kernel_tier`.
+        wall-clock with cores).  ``None`` means ``"serial"``.
     counter:
         Traffic accounting target; defaults to the no-op counter.
     tracer:
@@ -270,21 +260,14 @@ class MemoizedMttkrp(EngineBase):
         num_threads: int = 1,
         partition: str = "nnz",
         exec_backend: Optional[str] = None,
-        jit: str = "off",
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        # Raises TypeError for the retired backend= spelling (and any
-        # other unknown keyword) with a migration hint.
-        canonicalize_kwargs("MemoizedMttkrp", removed, {"backend": "exec_backend"})
-        backend = exec_backend if exec_backend is not None else "serial"
+        backend = resolve_exec_backend(exec_backend)
         plan.validate(csf.ndim)
         self.csf = csf
         self.rank = rank
         self.plan = plan
-        #: Resolved kernel-ABI tier ("numpy" or "numba") for every sweep.
-        self.kernel_tier = resolve_tier(jit)
         self.counter = counter
         self.tracer = tracer
         self.pool = SimulatedPool(num_threads, backend, tracer=tracer)
@@ -373,7 +356,6 @@ class MemoizedMttkrp(EngineBase):
             csf=self._csf_spec,
             starts=self.partition.starts,
             rank=self.rank,
-            tier=self.kernel_tier,
             factors=proc.refresh_factors(lf),
             memo=dict(self._memo_handles),
             scratch=self._scratch,
@@ -524,12 +506,7 @@ class MemoizedMttkrp(EngineBase):
             nlo, contrib = proc.contribution(
                 self._scratch[th], result, self.shards.shard(th)
             )
-            scatter_add_rows(
-                out,
-                csf.idx[u][nlo : nlo + contrib.shape[0]],
-                contrib,
-                tier=self.kernel_tier,
-            )
+            scatter_add_rows(out, csf.idx[u][nlo : nlo + contrib.shape[0]], contrib)
 
         self.shards.merge_into(self.counter)
         self._charge_mode_u(u, source)

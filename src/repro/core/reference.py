@@ -30,7 +30,7 @@ Thread semantics (matching the engine and Section III-A):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 

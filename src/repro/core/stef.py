@@ -20,8 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compat import resolve_engine_aliases
-from ..engines.base import EngineBase, resolve_num_threads
+from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.machine import MachineSpec
 from ..tensor.coo import CooTensor
@@ -56,13 +55,8 @@ class Stef(EngineBase):
         ``"nnz"`` (Algorithm 3) or ``"slice"`` (prior work, ablation).
     exec_backend:
         ``"serial"``, ``"threads"``, or ``"processes"`` pool execution
-        (see :class:`~repro.parallel.executor.SimulatedPool`).  The
-        pre-1.0 spelling ``backend=`` now raises ``TypeError``.
-    jit:
-        Kernel-tier selection (``"off"``/``"auto"``/``"on"``, see
-        :func:`repro.kernels.resolve_tier`).  ``None`` takes the class
-        default — ``"off"`` for plain ``stef``, ``"auto"`` for the
-        registered ``stef-jit`` engine.
+        (see :class:`~repro.parallel.executor.SimulatedPool`); ``None``
+        means ``"serial"``.
     counter:
         Traffic accounting target.
     tracer:
@@ -84,7 +78,6 @@ class Stef(EngineBase):
     """
 
     name = "stef"
-    jit_capable = True
     memoize_capable = True
 
     def __init__(
@@ -98,16 +91,9 @@ class Stef(EngineBase):
         swap_last_two: Optional[bool] = None,
         partition: str = "nnz",
         exec_backend: Optional[str] = None,
-        jit: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
-        num_threads, exec_backend = resolve_engine_aliases(
-            type(self).__name__, num_threads, exec_backend, removed
-        )
-        if jit is None:
-            jit = type(self).jit_default
         self.tensor = tensor
         self.rank = rank
         self.machine = machine
@@ -144,7 +130,7 @@ class Stef(EngineBase):
         self.swap_last_two = swap
         self.plan = chosen_plan
         #: Normalized pool-execution mode (``"serial"`` when defaulted).
-        self.exec_backend = exec_backend
+        self.exec_backend = resolve_exec_backend(exec_backend)
         self.partition = partition
         self.engine = MemoizedMttkrp(
             self.csf,
@@ -152,13 +138,10 @@ class Stef(EngineBase):
             plan=chosen_plan,
             num_threads=threads,
             partition=partition,
-            exec_backend=exec_backend,
-            jit=jit,
+            exec_backend=self.exec_backend,
             counter=counter,
             tracer=tracer,
         )
-        #: Resolved kernel-ABI tier actually executing the sweeps.
-        self.kernel_tier = self.engine.kernel_tier
 
     # ------------------------------------------------------------------
     @property

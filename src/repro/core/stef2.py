@@ -40,7 +40,6 @@ class Stef2(Stef):
     """
 
     name = "stef2"
-    jit_capable = True
     memoize_capable = True
 
     def __init__(
@@ -54,10 +53,8 @@ class Stef2(Stef):
         swap_last_two: Optional[bool] = None,
         partition: str = "nnz",
         exec_backend: Optional[str] = None,
-        jit: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
-        **removed,
     ) -> None:
         super().__init__(
             tensor,
@@ -68,10 +65,8 @@ class Stef2(Stef):
             swap_last_two=swap_last_two,
             partition=partition,
             exec_backend=exec_backend,
-            jit=jit,
             counter=counter,
             tracer=tracer,
-            **removed,
         )
         d = tensor.ndim
         leaf_mode = self.csf.mode_order[d - 1]
@@ -87,7 +82,6 @@ class Stef2(Stef):
             num_threads=self.num_threads,
             partition=self.partition,
             exec_backend=self.exec_backend,
-            jit=jit if jit is not None else type(self).jit_default,
             counter=counter,
             tracer=tracer,
         )

@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..compat import canonicalize_kwargs
 from ..ops.hadamard import gram, normalize_columns, solve_factor
 from ..tensor.coo import CooTensor
 from ..trace import NULL_TRACER, Tracer
@@ -118,7 +117,6 @@ def cp_als(
     checkpoint_every: int = 5,
     resume: bool = False,
     tracer: Tracer = NULL_TRACER,
-    **deprecated,
 ) -> AlsResult:
     """Compute the CP decomposition of a sparse tensor.
 
@@ -132,8 +130,7 @@ def cp_als(
         An MTTKRP engine instance (see
         :func:`repro.engines.create_engine`); default constructs
         :class:`~repro.core.stef.Stef` with the model-chosen
-        configuration.  The old spelling ``backend=`` is accepted with
-        a deprecation warning.
+        configuration.
     max_iters, tol:
         Convergence controls (fit-change threshold).
     init:
@@ -170,7 +167,6 @@ def cp_als(
         spans, then (with ``compute_fit``) a ``cpd.fit`` span beside it.
         The no-op tracer by default.
     """
-    canonicalize_kwargs("cp_als", deprecated, {"backend": "engine"})
     if engine is None:
         from ..core.stef import Stef
 

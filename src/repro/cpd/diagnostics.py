@@ -19,8 +19,6 @@ Two standard instruments for judging a CP model beyond raw fit:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 

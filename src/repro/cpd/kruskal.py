@@ -10,7 +10,10 @@ sparsely: the model values at the non-zero coordinates, the inner product
 ``‖T - X‖² = ‖T‖² - 2⟨T, X⟩ + ‖X‖²`` with ``‖X‖²`` from the Gram-matrix
 Hadamard chain — no dense reconstruction at any size.
 :func:`fit_from_terms` holds that formula for :meth:`KruskalTensor.fit`
-and :func:`~repro.cpd.als.cp_als` alike.
+and :func:`~repro.cpd.als.cp_als` alike; it and the two residual-based
+fits (:meth:`KruskalTensor.fit_estimate`,
+:meth:`KruskalTensor.fit_observed`) share one clamp,
+:func:`_fit_from_residual`.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from ..tensor.coo import CooTensor
 __all__ = ["KruskalTensor", "fit_from_terms"]
 
 
-def fit_from_terms(t_norm_sq: float, inner: float, model_norm: float) -> float:
-    """CP fit ``1 - ‖T - X‖ / ‖T‖`` from ``‖T‖²``, ``⟨T, X⟩`` and ``‖X‖``.
+def _fit_from_residual(t_norm_sq: float, resid_sq: float) -> float:
+    """CP fit ``1 - ‖T - X‖ / ‖T‖`` from ``‖T‖²`` and ``‖T - X‖²``.
 
     A fit of 1 is exact; 0 means no better than the zero model.  An
     all-zero tensor has fit 1, and a residual that rounding drives below
@@ -35,8 +38,13 @@ def fit_from_terms(t_norm_sq: float, inner: float, model_norm: float) -> float:
     """
     if t_norm_sq == 0.0:
         return 1.0
-    resid_sq = t_norm_sq - 2.0 * inner + model_norm**2
     return 1.0 - float(np.sqrt(max(0.0, resid_sq)) / np.sqrt(t_norm_sq))
+
+
+def fit_from_terms(t_norm_sq: float, inner: float, model_norm: float) -> float:
+    """CP fit from ``‖T‖²``, ``⟨T, X⟩`` and ``‖X‖``, through
+    ``‖T - X‖² = ‖T‖² - 2⟨T, X⟩ + ‖X‖²`` (:func:`_fit_from_residual`)."""
+    return _fit_from_residual(t_norm_sq, t_norm_sq - 2.0 * inner + model_norm**2)
 
 
 @dataclass
@@ -120,14 +128,13 @@ class KruskalTensor:
         """
         rng = np.random.default_rng(seed)
         t_norm_sq = float(tensor.values @ tensor.values)
-        if t_norm_sq == 0.0:
-            return 1.0, 0.0
         resid_obs = tensor.values - self.values_at(tensor.indices)
         obs_sq = float(resid_obs @ resid_obs)
 
         dense_size = float(np.prod([float(s) for s in tensor.shape]))
         n_zero = dense_size - tensor.nnz
-        if n_zero <= 0 or n_samples <= 0:
+        if n_zero <= 0 or n_samples <= 0 or t_norm_sq == 0.0:
+            # Nothing to sample, or an all-zero tensor (fit 1 exactly).
             resid_sq = obs_sq
             stderr = 0.0
         else:
@@ -148,8 +155,7 @@ class KruskalTensor:
             stderr = float(
                 stderr_zero / (2 * np.sqrt(max(resid_sq, 1e-300)) * np.sqrt(t_norm_sq))
             )
-        fit = 1.0 - float(np.sqrt(max(0.0, resid_sq)) / np.sqrt(t_norm_sq))
-        return fit, stderr
+        return _fit_from_residual(t_norm_sq, resid_sq), stderr
 
     def fit_observed(self, tensor: CooTensor) -> float:
         """Fit restricted to the *observed* (stored) coordinates:
@@ -159,11 +165,10 @@ class KruskalTensor:
         the completion-style quality measure appropriate when the stored
         entries are samples rather than the full tensor.
         """
-        t_norm = float(np.linalg.norm(tensor.values))
-        if t_norm == 0.0:
-            return 1.0
         resid = tensor.values - self.values_at(tensor.indices)
-        return 1.0 - float(np.linalg.norm(resid) / t_norm)
+        return _fit_from_residual(
+            float(tensor.values @ tensor.values), float(resid @ resid)
+        )
 
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:

@@ -20,14 +20,13 @@ protocol at runtime).
 
 The factory has a **typed signature**: ``create_engine(name, tensor,
 rank, *, machine=None, num_threads=None, exec_backend=None,
-memoize=None, jit=None, counter=None, tracer=None, **engine_opts)``.
+memoize=None, counter=None, tracer=None, **engine_opts)``.
 The named keywords are validated against the engine's capability
-metadata (:class:`EngineInfo` — ``jit_capable``, ``exec_backends``,
-``memoize_capable``) *before* construction, so a typo'd backend or a
-``jit=`` request to an engine without the kernel-ABI port fails with a
-targeted message instead of a generic unknown-kwarg error.  The retired
-spellings (``threads=``, ``backend=``) raise ``TypeError`` with a
-migration hint via :mod:`repro.compat`.
+metadata (:class:`EngineInfo` — ``exec_backends``, ``memoize_capable``)
+*before* construction, so a typo'd backend or a ``memoize=`` request to
+an engine that keeps no partial results fails with a targeted message.
+Any other keyword goes to the engine's constructor, which raises
+Python's own ``TypeError`` for one it does not take.
 """
 
 from __future__ import annotations
@@ -131,8 +130,6 @@ class EngineInfo:
     attributes :class:`~repro.engines.base.EngineBase` declares)."""
 
     name: str
-    jit_capable: bool
-    jit_default: str
     exec_backends: Tuple[str, ...]
     memoize_capable: bool
 
@@ -140,8 +137,6 @@ class EngineInfo:
     def of(cls, name: str, engine_cls: Type[EngineBase]) -> "EngineInfo":
         return cls(
             name=name,
-            jit_capable=bool(engine_cls.jit_capable),
-            jit_default=str(engine_cls.jit_default),
             exec_backends=tuple(engine_cls.exec_backends),
             memoize_capable=bool(engine_cls.memoize_capable),
         )
@@ -149,8 +144,6 @@ class EngineInfo:
     def summary(self) -> str:
         """One-line capability summary (the CLI's ``--engine`` help)."""
         caps = []
-        if self.jit_capable:
-            caps.append(f"jit={self.jit_default}")
         if self.memoize_capable:
             caps.append("memoize")
         caps.append("/".join(self.exec_backends))
@@ -179,7 +172,6 @@ def create_engine(
     num_threads: Optional[int] = None,
     exec_backend: Optional[str] = None,
     memoize: Optional[bool] = None,
-    jit: Optional[str] = None,
     counter=None,
     tracer=None,
     **engine_opts: Any,
@@ -191,8 +183,6 @@ def create_engine(
     construction:
 
     * ``exec_backend`` must be one of the engine's ``exec_backends``;
-    * ``jit`` requires a jit-capable engine (one whose kernels route
-      through the flat-array ABI) and one of ``"auto"|"on"|"off"``;
     * ``memoize`` requires a memoize-capable engine; ``memoize=False``
       forces the empty memoization plan (and conflicts with an explicit
       ``plan=``), ``memoize=True`` just asserts the capability and lets
@@ -215,12 +205,6 @@ def create_engine(
         raise ValueError(
             f"engine {name!r} supports exec_backend in "
             f"{list(info.exec_backends)}, got {exec_backend!r}"
-        )
-    if jit is not None and not info.jit_capable:
-        raise TypeError(
-            f"engine {name!r} does not support jit= (its kernels are not "
-            "routed through the flat-array kernel ABI); jit-capable "
-            f"engines: {[i.name for i in engine_names(detail=True) if i.jit_capable]}"
         )
     if memoize is not None:
         if not info.memoize_capable:
@@ -245,8 +229,6 @@ def create_engine(
         opts["num_threads"] = num_threads
     if exec_backend is not None:
         opts["exec_backend"] = exec_backend
-    if jit is not None:
-        opts["jit"] = jit
     if counter is not None:
         opts["counter"] = counter
     if tracer is not None:

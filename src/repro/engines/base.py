@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["EngineBase", "resolve_num_threads"]
+__all__ = ["EngineBase", "resolve_exec_backend", "resolve_num_threads"]
 
 
 def resolve_num_threads(machine, num_threads: Optional[int]) -> int:
@@ -38,6 +38,11 @@ def resolve_num_threads(machine, num_threads: Optional[int]) -> int:
     return int(machine.num_threads) if machine is not None else 1
 
 
+def resolve_exec_backend(exec_backend: Optional[str]) -> str:
+    """The pool-execution mode: ``"serial"`` unless one is given."""
+    return "serial" if exec_backend is None else exec_backend
+
+
 class EngineBase:
     """Protocol-default mixin for MTTKRP engines (see module docstring)."""
 
@@ -46,14 +51,11 @@ class EngineBase:
     #: Update-position → original-mode mapping; subclasses set this.
     mode_order: Tuple[int, ...] = ()
 
+    #: The implementation of the flat-array kernel ABI (:mod:`repro.kernels`)
+    #: every engine runs; stamped into run metadata.
+    kernel_tier: str = "numpy"
+
     # -- capability metadata (read by create_engine / engine_names) ----
-    #: Whether the engine's kernels route through the flat-array kernel
-    #: ABI and accept the ``jit=`` keyword.
-    jit_capable: bool = False
-    #: Default ``jit=`` mode when the caller passes ``None`` — ``"off"``
-    #: for the plain engines, ``"auto"`` for the registered ``*-jit``
-    #: variants.
-    jit_default: str = "off"
     #: Pool-execution modes the engine accepts.
     exec_backends: Tuple[str, ...] = ("serial", "threads", "processes")
     #: Whether the engine memoizes partial results (accepts ``plan=`` /

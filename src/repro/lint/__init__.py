@@ -13,8 +13,8 @@ silently as the codebase grows.  This package checks them mechanically:
   ``dtype-discipline``);
 * :mod:`repro.lint.flow` — interprocedural dataflow analyses over the
   project call graph (``flow.traffic-conformance``,
-  ``flow.buffer-typestate``, ``flow.arena-typestate``,
-  ``flow.jit-readiness``), run under ``repro lint --flow``;
+  ``flow.buffer-typestate``, ``flow.arena-typestate``), run under
+  ``repro lint --flow``;
 * :mod:`repro.lint.sarif` / :mod:`repro.lint.baseline` — SARIF 2.1.0
   output and the known-debt baseline workflow;
 * :mod:`repro.lint.cli` — ``python -m repro.lint`` / ``repro lint``.

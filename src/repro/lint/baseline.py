@@ -2,10 +2,9 @@
 
 A suppression pragma says "this is fine"; a baseline entry says "this is
 known debt we have not paid down yet".  The flow analyses originally
-landed on a tree with real, documented debt (the JIT worklist was the
-compiled-kernel PR's input), tracked in a checked-in baseline file; that
-debt has since been paid down to zero, the file is gone, and CI now
-demands a clean ``--flow`` run outright.  The mechanism remains for
+landed on a tree with real, documented debt, tracked in a checked-in
+baseline file; that debt has since been paid down to zero, the file is
+gone, and CI now demands a clean ``--flow`` run outright.  The mechanism remains for
 downstream forks carrying their own debt.
 
 Format: a JSON object mapping ``"<rule>::<path>::<message>"`` to an

@@ -7,7 +7,6 @@ Usage::
     python -m repro.lint --format json src/   # machine-readable
     python -m repro.lint --format sarif --flow src/ > lint.sarif
     python -m repro.lint --select hot-path,dtype-discipline src/repro/ops
-    python -m repro.lint --flow --ignore flow.jit-readiness src/
     python -m repro.lint --flow --baseline my-debt.json src/
     python -m repro.lint --list-rules
 
@@ -134,7 +133,7 @@ def main(argv: Optional[List[str]] = None, out: Optional[IO[str]] = None) -> int
             "AST + interprocedural-dataflow analyzer for the repo's kernel "
             "invariants: thread-body safety, traffic conformance, "
             "buffer/arena typestate, hot-path performance, dtype "
-            "discipline, JIT readiness"
+            "discipline"
         ),
     )
     add_arguments(parser)

@@ -4,7 +4,6 @@ Importing this package registers the project-scope rules:
 
 * :mod:`.traffic` — ``flow.traffic-conformance``
 * :mod:`.typestate` — ``flow.buffer-typestate``, ``flow.arena-typestate``
-* :mod:`.jit` — ``flow.jit-readiness``
 
 on top of the shared machinery:
 
@@ -18,7 +17,7 @@ once (they need the call graph) and only run under ``--flow`` or when
 selected explicitly.  DESIGN.md §9 documents the architecture.
 """
 
-from . import jit, traffic, typestate
+from . import traffic, typestate
 from .analysis import FlowAnalysis
 
-__all__ = ["FlowAnalysis", "jit", "traffic", "typestate"]
+__all__ = ["FlowAnalysis", "traffic", "typestate"]

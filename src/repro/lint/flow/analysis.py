@@ -25,7 +25,6 @@ project-scope rule:
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, List, Optional, Set, TYPE_CHECKING
 
 from ..rules.hot_path import is_kernel_path
@@ -47,7 +46,6 @@ class FlowAnalysis:
         self._facts: Dict[str, FunctionFacts] = {}
         self._transitive: Optional[Dict[str, Set[str]]] = None
         self._ext_covered: Optional[Set[str]] = None
-        self._ported: Optional[Set[str]] = None
 
     # ------------------------------------------------------------------
     def facts(self, qname: str) -> FunctionFacts:
@@ -56,8 +54,8 @@ class FlowAnalysis:
         return self._facts[qname]
 
     def kernel_functions(self) -> List[FunctionInfo]:
-        """Functions living in kernel modules, the traffic-conformance and
-        JIT-readiness domain."""
+        """Functions living in kernel modules, the traffic-conformance
+        domain."""
         return [
             info
             for info in self.graph.functions.values()
@@ -157,60 +155,3 @@ class FlowAnalysis:
                     changed = True
         self._ext_covered = ext
         return ext
-
-    # ------------------------------------------------------------------
-    # JIT worklist
-    # ------------------------------------------------------------------
-    def ported_kernels(self) -> Set[str]:
-        """Functions already routed through the flat-array kernel ABI:
-        they call — directly or transitively — a function defined under
-        ``repro/kernels/``.  Their inner loops live behind the dispatch
-        layer (NumPy reference tier or Numba tier), so the Python that
-        remains in their bodies is deliberately interpreted wrapper code
-        (traffic charges, window bookkeeping, shm plumbing) and leaves
-        the JIT worklist.  Least fixpoint over the call graph, like
-        :meth:`transitive_categories`."""
-        if self._ported is not None:
-            return self._ported
-        ported = {
-            q
-            for q, info in self.graph.functions.items()
-            if info.module.startswith("repro.kernels")
-        }
-        changed = True
-        while changed:
-            changed = False
-            for q in self.graph.functions:
-                if q in ported:
-                    continue
-                if any(c in ported for c in self.graph.callees.get(q, ())):
-                    ported.add(q)
-                    changed = True
-        self._ported = ported
-        return ported
-
-    def jit_candidates(self) -> List[FunctionInfo]:
-        """Kernel-module functions still needing a nopython port:
-        module-level (Numba does not JIT bound methods or closures),
-        loop- or access-bearing (the inner loops worth compiling), not
-        yet routed through the kernel ABI (:meth:`ported_kernels`), and
-        not charge-only accounting helpers (they touch the
-        TrafficCounter, never tensor data — there is nothing to
-        compile)."""
-        ported = self.ported_kernels()
-        out: List[FunctionInfo] = []
-        for info in self.kernel_functions():
-            if info.cls is not None or info.parent is not None:
-                continue
-            if info.qname in ported:
-                continue
-            facts = self.facts(info.qname)
-            if facts.charge_nodes and not facts.accesses:
-                continue
-            has_loop = any(
-                isinstance(n, (ast.For, ast.While))
-                for n in ast.walk(info.node)
-            )
-            if has_loop or facts.accesses:
-                out.append(info)
-        return out

@@ -26,7 +26,7 @@ every analysis on top treats a missing edge conservatively.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..astutils import dotted_name

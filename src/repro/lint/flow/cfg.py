@@ -26,7 +26,7 @@ the only way there — exactly the conservative answer we want.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 __all__ = ["CFG", "build_cfg", "FunctionDefNode"]
 

@@ -27,8 +27,8 @@ assigned that way in ``__init__`` are tracked class-wide.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from ..astutils import dotted_name, expr_text, receiver_of
 from ..rules.counter_discipline import CATEGORY_ARG_INDEX, _counter_ish

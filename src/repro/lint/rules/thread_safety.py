@@ -32,7 +32,6 @@ import ast
 from typing import Iterator, Set
 
 from ..astutils import (
-    dotted_name,
     expr_text,
     find_thread_bodies,
     local_names,

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 # This module is the deliberately-naive reference path: obvious-by-
 #-inspection kernels the fast implementations are validated against.
-# Hot-path idioms (np.add.at, per-nnz loops) are the point here, not a bug.
-# It is never traffic-counted and never a compilation candidate either.
-# lint: disable-file=hot-path,flow.traffic-conformance,flow.jit-readiness
+# Hot-path idioms (np.add.at, per-nnz loops) are the point here, not a bug,
+# and it is never traffic-counted.
+# lint: disable-file=hot-path,flow.traffic-conformance
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

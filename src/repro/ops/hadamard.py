@@ -15,7 +15,7 @@ so they get their own well-tested module.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..kernels.dispatch import TIER_NUMPY, gather_multiply_rows, take_factor_rows
+from ..kernels import gather_multiply_rows, take_factor_rows
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 
 __all__ = ["khatri_rao", "khatri_rao_chain", "khatri_rao_excluding", "krp_rows"]
@@ -74,7 +74,6 @@ def khatri_rao_excluding(
 def krp_rows(
     matrices: Sequence[np.ndarray],
     rows: Sequence[np.ndarray],
-    tier: str = TIER_NUMPY,
     counter: TrafficCounter = NULL_COUNTER,
 ) -> np.ndarray:
     """Row-wise KRP: Hadamard product of selected rows of each matrix.
@@ -83,8 +82,7 @@ def krp_rows(
     vectors of Algorithm 5, vectorized over ``p``.  This is the form every
     sparse kernel in this library consumes; the full KRP matrix is never
     built.  The gathers run through the flat-array kernel ABI
-    (:mod:`repro.kernels.dispatch`), so ``tier=`` selects the NumPy or
-    compiled implementation like every other ported kernel.
+    (:mod:`repro.kernels`).
 
     ``counter`` charges the factor-row gathers (one ``R``-row per selected
     index per matrix, streamed) and the Hadamard arithmetic.  Callers that
@@ -103,8 +101,8 @@ def krp_rows(
     gathered = sum(int(np.asarray(r).shape[0]) for r in rows)
     counter.read(float(gathered * rank), "factor")
     counter.flop(float((len(matrices) - 1) * idx0.shape[0] * rank), "sweep")
-    out = take_factor_rows(first, idx0, 0, idx0.shape[0], tier=tier)
+    out = take_factor_rows(first, idx0, 0, idx0.shape[0])
     for m, r in zip(matrices[1:], rows[1:]):
         r = np.asarray(r)
-        out = gather_multiply_rows(out, np.asarray(m), r, 0, r.shape[0], tier=tier)
+        out = gather_multiply_rows(out, np.asarray(m), r, 0, r.shape[0])
     return out

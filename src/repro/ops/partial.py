@@ -25,8 +25,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..kernels.dispatch import (
-    TIER_NUMPY,
+from ..kernels import (
     gather_multiply_rows,
     scatter_rows_add,
     segment_sum_rows,
@@ -35,14 +34,6 @@ from ..kernels.dispatch import (
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..tensor.coo import CooTensor
 from .krp import krp_rows
-
-
-def _scatter_rows(
-    out: np.ndarray, idx: np.ndarray, rows: np.ndarray, tier: str = TIER_NUMPY
-) -> None:
-    """Duplicate-safe ``out[idx] += rows`` — delegated to the kernel ABI
-    (same routine :func:`repro.core.csf_kernels.scatter_add_rows` uses)."""
-    scatter_rows_add(out, idx, rows, tier=tier)
 
 __all__ = [
     "PartialTensor",
@@ -67,14 +58,6 @@ def _group_rows(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     seg = np.concatenate(([0], np.cumsum(change))).astype(np.int64)
     first = np.concatenate(([True], change))
     return indices[:, first], seg
-
-
-def _segment_sum(
-    data: np.ndarray, seg: np.ndarray, n_seg: int, tier: str = TIER_NUMPY
-) -> np.ndarray:
-    """Sum rows of ``data`` into ``n_seg`` buckets given sorted segment ids
-    — delegated to the kernel ABI."""
-    return segment_sum_rows(data, seg, n_seg, tier=tier)
 
 
 @dataclass(frozen=True)
@@ -118,7 +101,7 @@ class PartialTensor:
         out = np.zeros((int(np.prod(self.shape, dtype=np.int64)), self.rank))
         if self.num_fibers:
             flat = np.ravel_multi_index(tuple(self.indices), self.shape)
-            _scatter_rows(out, flat, self.data)
+            scatter_rows_add(out, flat, self.data)
         return out.reshape(tuple(self.shape) + (self.rank,))
 
 
@@ -126,7 +109,6 @@ def ttm_last_mode(
     tensor: CooTensor,
     factor: np.ndarray,
     mode_order: Sequence[int],
-    tier: str = TIER_NUMPY,
     counter: TrafficCounter = NULL_COUNTER,
 ) -> PartialTensor:
     """TTM contracting the *last* mode of ``mode_order`` with ``factor``.
@@ -158,9 +140,8 @@ def ttm_last_mode(
         sorted_t.indices[mode_order[-1]],
         0,
         sorted_t.values.shape[0],
-        tier=tier,
     )
-    data = _segment_sum(contrib, seg, uniq.shape[1], tier=tier)
+    data = segment_sum_rows(contrib, seg, uniq.shape[1])
     return PartialTensor(
         modes=tuple(prefix_modes),
         indices=uniq,
@@ -169,21 +150,17 @@ def ttm_last_mode(
     )
 
 
-def mttv(
-    partial: PartialTensor, factor: np.ndarray, tier: str = TIER_NUMPY
-) -> PartialTensor:
+def mttv(partial: PartialTensor, factor: np.ndarray) -> PartialTensor:
     """mTTV: contract the last remaining index of ``partial`` with
     ``factor`` (the factor matrix of ``partial.modes[-1]``), batching over
     the rank index — ``P^(i) -> P^(i-1)`` of Section II-A."""
     if partial.indices.shape[0] < 2:
         raise ValueError("mTTV needs at least two remaining modes")
     last = partial.indices[-1]
-    contrib = gather_multiply_rows(
-        partial.data, np.asarray(factor), last, 0, last.shape[0], tier=tier
-    )
+    contrib = gather_multiply_rows(partial.data, np.asarray(factor), last, 0, last.shape[0])
     prefix = partial.indices[:-1]
     uniq, seg = _group_rows(prefix)
-    data = _segment_sum(contrib, seg, uniq.shape[1], tier=tier)
+    data = segment_sum_rows(contrib, seg, uniq.shape[1])
     return PartialTensor(
         modes=partial.modes[:-1],
         indices=uniq,
@@ -215,7 +192,6 @@ def contract_modes(
     partial: PartialTensor,
     contract: Sequence[int],
     factors: Sequence[np.ndarray],
-    tier: str = TIER_NUMPY,
 ) -> PartialTensor:
     """Contract an arbitrary subset of a PartialTensor's modes with the
     row-wise KRP of their factor matrices (the dimension-tree edge
@@ -239,14 +215,14 @@ def contract_modes(
     if not keep:
         raise ValueError("contraction would remove every mode; use "
                          "reduce_to_matrix for the final step")
-    weights = krp_rows(list(factors), [partial.indices[p] for p in positions], tier=tier)
+    weights = krp_rows(list(factors), [partial.indices[p] for p in positions])
     contrib = partial.data * weights
     remaining = partial.indices[keep]
     order = np.lexsort(remaining[::-1])
     remaining = remaining[:, order]
     contrib = contrib[order]
     uniq, seg = _group_rows(remaining)
-    data = _segment_sum(contrib, seg, uniq.shape[1], tier=tier)
+    data = segment_sum_rows(contrib, seg, uniq.shape[1])
     return PartialTensor(
         modes=tuple(partial.modes[p] for p in keep),
         indices=uniq,
@@ -260,7 +236,6 @@ def reduce_to_matrix(
     target_mode: int,
     factors: Sequence[np.ndarray],
     contract: Sequence[int],
-    tier: str = TIER_NUMPY,
 ) -> np.ndarray:
     """Finish an MTTKRP: contract every mode in ``contract`` (all
     remaining modes except ``target_mode``) and scatter into the dense
@@ -273,18 +248,17 @@ def reduce_to_matrix(
     t_pos = partial.modes.index(target_mode)
     out = np.zeros((partial.shape[t_pos], partial.rank))
     if not contract:
-        _scatter_rows(out, partial.indices[t_pos], partial.data, tier=tier)
+        scatter_rows_add(out, partial.indices[t_pos], partial.data)
         return out
     positions = [partial.modes.index(m) for m in contract]
-    weights = krp_rows(list(factors), [partial.indices[p] for p in positions], tier=tier)
-    _scatter_rows(out, partial.indices[t_pos], partial.data * weights, tier=tier)
+    weights = krp_rows(list(factors), [partial.indices[p] for p in positions])
+    scatter_rows_add(out, partial.indices[t_pos], partial.data * weights)
     return out
 
 
 def mttv_reduce(
     partial: PartialTensor,
     factors: Sequence[np.ndarray],
-    tier: str = TIER_NUMPY,
 ) -> np.ndarray:
     """MTTV: contract all *leading* indices of ``partial`` with the row-wise
     KRP of their factor matrices, producing the MTTKRP output for the last
@@ -298,7 +272,7 @@ def mttv_reduce(
         raise ValueError(
             f"need {lead.shape[0]} leading factors, got {len(factors)}"
         )
-    k = krp_rows(list(factors), list(lead), tier=tier)
+    k = krp_rows(list(factors), list(lead))
     out = np.zeros((partial.shape[-1], partial.rank))
-    _scatter_rows(out, partial.indices[-1], partial.data * k, tier=tier)
+    scatter_rows_add(out, partial.indices[-1], partial.data * k)
     return out

@@ -29,7 +29,7 @@
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -89,17 +89,12 @@ def _build_entry(spec: JobSpec, tensor: CooTensor, key: str,
     machine = MACHINES[spec.machine]
     scoped = ScopedTracer()
     counter = TrafficCounter(cache_elements=machine.cache_elements)
-    kwargs: Dict[str, Any] = {}
-    if spec.jit is not None:
-        kwargs["jit"] = spec.jit
-    if spec.memoize is not None:
-        kwargs["memoize"] = spec.memoize
     with tracer.span("serve.plan", engine=spec.engine, rank=spec.rank,
                      exec_backend=spec.exec_backend) as span:
         engine = create_engine(
             spec.engine, tensor, spec.rank, machine=machine,
             num_threads=spec.num_threads, exec_backend=spec.exec_backend,
-            counter=counter, tracer=scoped, **kwargs,
+            memoize=spec.memoize, counter=counter, tracer=scoped,
         )
         span.annotate(nnz=tensor.nnz)
     return CacheEntry(key=key, engine=engine, tensor=tensor,

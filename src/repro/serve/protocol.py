@@ -14,7 +14,7 @@ Two identities anchor the server's caching story:
   non-zeros inlined) still collide onto one fingerprint, so they share
   one planned engine and one set of shm segments.
 * :func:`cache_key` — the fingerprint joined with every *plan-affecting*
-  option (engine, rank, machine, threads, exec backend, jit, memoize).
+  option (engine, rank, machine, threads, exec backend, memoize).
   ALS-trajectory options (iterations, tolerance, init, seed) are
   deliberately excluded: they do not change the planned engine, so runs
   that differ only there still hit the cache.
@@ -100,7 +100,6 @@ class JobSpec:
     machine: str = "intel-clx-18"
     num_threads: Optional[int] = None
     exec_backend: str = "serial"
-    jit: Optional[str] = None
     memoize: Optional[bool] = None
 
     # -- ALS trajectory options (not part of the cache key) ------------
@@ -128,7 +127,6 @@ class JobSpec:
             "machine": self.machine,
             "num_threads": self.num_threads,
             "exec_backend": self.exec_backend,
-            "jit": self.jit,
             "memoize": self.memoize,
         }
 

@@ -3,7 +3,7 @@
 One event loop owns all coordination state (queue, job table, stats);
 the only work that leaves the loop is :func:`~repro.serve.pool
 .execute_job`, dispatched to a bounded ``ThreadPoolExecutor``.  MTTKRP
-sweeps are numpy/numba calls that release the GIL, so thread workers
+sweeps are NumPy calls that release the GIL, so thread workers
 overlap real work while keeping one shared
 :class:`~repro.serve.cache.EngineCache` — a process pool would defeat
 the whole point of pooling planned engines and their shm segments.

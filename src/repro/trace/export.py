@@ -36,10 +36,9 @@ def engine_run_meta(engine: Any) -> Dict[str, Any]:
 
     Stamped into the JSONL header record (and the serve request logs) so
     a trace file alone answers "what configuration produced this":
-    the engine's registry name, the *resolved* kernel tier actually
-    executing the sweeps (``numpy`` or ``numba`` — not the ``jit=``
-    request, which ``auto`` makes ambiguous), the pool-execution backend,
-    and the effective thread count.
+    the engine's registry name, the kernel-ABI implementation
+    (``numpy``, the only one), the pool-execution backend, and the
+    effective thread count.
     """
     return {
         "engine": getattr(engine, "name", type(engine).__name__),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import AltoMask, AltoTensor, bits_for_mode, random_tensor
+from repro.tensor import AltoMask, AltoTensor, bits_for_mode
 
 
 class TestBits:

@@ -54,13 +54,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["decompose", "--help"])
         text = capsys.readouterr().out.replace("\n", " ")
-        assert "jit=auto" in text and "memoize" in text
-
-    def test_jit_flag(self):
-        args = build_parser().parse_args(
-            ["decompose", "uber", "--jit", "off"]
-        )
-        assert args.jit == "off"
+        assert "memoize" in text and "serial/threads/processes" in text
 
 
 class TestCommands:

@@ -14,7 +14,6 @@ from repro.core import (
 from repro.ops import krp_rows, mttkrp_dense
 from repro.parallel import ReplicatedArray, nnz_partition
 from repro.tensor import CsfTensor
-from tests.conftest import make_factors
 
 
 def level_factors(csf, factors):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ALL_BACKENDS, Splatt2
-from repro.core import MemoizedMttkrp, SAVE_NONE, Stef, Stef2
+from repro.core import MemoizedMttkrp, Stef, Stef2
 from repro.ops import mttkrp_dense
 from repro.tensor import AltoTensor, CooTensor, CsfTensor, random_tensor
 from tests.conftest import make_factors

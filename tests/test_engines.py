@@ -14,12 +14,12 @@ Three contracts:
 """
 
 import glob
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.baselines import ALL_BACKENDS
-from repro.compat import canonicalize_kwargs
 from repro.engines import (
     EngineBase,
     MttkrpEngine,
@@ -141,42 +141,47 @@ class TestContextManager:
 
 
 class TestRetiredKwargs:
-    """The pre-1.0 spellings finished their deprecation cycle: they now
-    raise ``TypeError`` with a migration hint naming the canonical
-    keyword."""
+    """``threads=`` and ``backend=`` (the pre-1.0 spellings of
+    ``num_threads=`` / ``exec_backend=``, and of ``engine=`` on
+    ``cp_als``) and the removed ``jit`` keyword are parameters of
+    nothing: Python raises its own ``TypeError`` on every path."""
 
-    def test_backend_spelling_rejected_with_hint(self, tensor3):
-        with pytest.raises(TypeError, match="exec_backend"):
-            create_engine(
-                "splatt-1", tensor3, 4, num_threads=2, backend="serial"
-            )
-
-    def test_threads_spelling_rejected_with_hint(self, tensor3):
-        with pytest.raises(TypeError, match="num_threads"):
-            create_engine("stef", tensor3, 4, threads=3)
-
-    def test_direct_constructor_rejects_backend(self, tensor3):
-        from repro.core.stef import Stef
-
-        with pytest.raises(TypeError, match="no longer accepts 'backend'"):
-            Stef(tensor3, 4, backend="serial")
-
-    def test_cp_als_rejects_backend(self, tensor3):
-        from repro.baselines import SplattAll
+    @pytest.mark.parametrize("path", ["factory", "constructor", "cp_als"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            pytest.param("threads", 3, id="threads"),
+            pytest.param("backend", "serial", id="backend"),
+            pytest.param("jit", "off", id="jit"),
+        ],
+    )
+    def test_retired_spelling_is_a_type_error(self, key, value, path, tensor3):
+        from repro.core.mttkrp import MemoizedMttkrp
         from repro.cpd.als import cp_als
+        from repro.tensor import CsfTensor
 
-        with pytest.raises(TypeError, match="engine"):
-            cp_als(tensor3, 4, backend=SplattAll(tensor3, 4), max_iters=1)
+        if path == "factory":
+            calls = [
+                partial(create_engine, name, tensor3, 4)
+                for name in sorted(ALL_BACKENDS)
+            ]
+        elif path == "constructor":
+            csf = CsfTensor.from_coo(tensor3, (0, 1, 2))
+            calls = [
+                partial(cls, tensor3, 4)
+                for _, cls in sorted(ALL_BACKENDS.items())
+            ]
+            calls.append(partial(MemoizedMttkrp, csf, 4))
+        else:
+            calls = [partial(cp_als, tensor3, 4, max_iters=1)]
+        unexpected = f"unexpected keyword argument '{key}'"
+        for call in calls:
+            with pytest.raises(TypeError, match=unexpected):
+                call(**{key: value})
 
     def test_unknown_kwarg_still_fails_loudly(self, tensor3):
         with pytest.raises(TypeError, match="unexpected keyword"):
             create_engine("stef", tensor3, 4, exec_backed="serial")
-
-    def test_canonicalize_hint_names_replacement(self):
-        with pytest.raises(TypeError, match="pass exec_backend= instead"):
-            canonicalize_kwargs(
-                "Probe", {"backend": "serial"}, {"backend": "exec_backend"}
-            )
 
 
 class TestTypedFactory:
@@ -187,17 +192,10 @@ class TestTypedFactory:
         infos = engine_names(detail=True)
         assert [i.name for i in infos] == engine_names()
         by_name = {i.name: i for i in infos}
-        assert by_name["stef"].jit_capable
-        assert by_name["stef"].jit_default == "off"
         assert by_name["stef"].memoize_capable
-        assert by_name["stef-jit"].jit_default == "auto"
-        assert not by_name["alto"].jit_capable
-        assert "summary" in dir(by_name["stef"])
-        assert "jit=auto" in by_name["stef-jit"].summary()
-
-    def test_jit_rejected_on_non_capable_engine(self, tensor3):
-        with pytest.raises(TypeError, match="does not support jit="):
-            create_engine("alto", tensor3, 4, jit="auto")
+        assert not by_name["alto"].memoize_capable
+        assert by_name["stef"].summary() == "stef [memoize, serial/threads/processes]"
+        assert by_name["alto"].summary() == "alto [serial/threads/processes]"
 
     def test_bad_exec_backend_is_valueerror(self, tensor3):
         with pytest.raises(ValueError, match="exec_backend"):
@@ -218,13 +216,6 @@ class TestTypedFactory:
             create_engine(
                 "stef", tensor3, 4, memoize=False, plan=MemoPlan((1,))
             )
-
-    def test_jit_off_matches_plain_engine(self, tensor3, factors3):
-        with create_engine("stef", tensor3, 4, jit="off") as eng:
-            assert eng.kernel_tier == "numpy"
-            res = eng.mttkrp_level(factors3, 0)
-        with create_engine("stef", tensor3, 4) as plain:
-            assert np.array_equal(res, plain.mttkrp_level(factors3, 0))
 
 
 class TestLeasing:

@@ -1,10 +1,9 @@
 """Tests for the Monte-Carlo fit estimator."""
 
 import numpy as np
-import pytest
 
 from repro.cpd import KruskalTensor
-from repro.tensor import low_rank_tensor, random_tensor
+from repro.tensor import random_tensor
 
 
 def model_for(shape, rank, seed):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import CooTensor, HicooTensor, random_tensor
+from repro.tensor import CooTensor, HicooTensor
 
 
 class TestRoundTrip:

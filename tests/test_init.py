@@ -1,7 +1,6 @@
 """Unit tests for CP factor initialization."""
 
 import numpy as np
-import pytest
 
 from repro.cpd import hosvd_init, random_init
 from repro.tensor import random_tensor

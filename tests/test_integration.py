@@ -10,15 +10,13 @@ from repro.analysis import (
     relative_performance,
     run_comparison,
 )
-from repro.baselines import ALL_BACKENDS
-from repro.core import SAVE_NONE, Stef, Stef2, plan_decomposition
+from repro.core import Stef, Stef2
 from repro.cpd import cp_als
-from repro.parallel import AMD_TR_64, INTEL_CLX_18
+from repro.parallel import INTEL_CLX_18
 from repro.tensor import (
     TABLE1_SPECS,
     CsfTensor,
     generate,
-    low_rank_tensor,
 )
 
 

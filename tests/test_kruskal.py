@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpd import KruskalTensor
-from repro.tensor import CooTensor, low_rank_tensor, random_tensor
-from tests.conftest import make_factors
+from repro.tensor import CooTensor, low_rank_tensor
 
 
 def random_model(shape, rank, seed=0):

@@ -1,11 +1,10 @@
 """Tests for :mod:`repro.lint.flow` — the interprocedural analyses.
 
 Covers the flow substrate (CFG dominators, call-graph resolution), the
-three project-scope rules against injected violations in scratch copies
-of real kernel modules (the issue's acceptance scenarios: an uncounted
-array write, a ``view()`` after ``merge()`` without ``reset()``, and an
-object-mode op in a kernel inner loop must each produce exactly one
-finding with the right rule id), suppression edge cases, the SARIF
+project-scope rules against injected violations in scratch copies of
+real kernel modules (an uncounted array write and a ``view()`` after
+``merge()`` without ``reset()`` must each produce exactly one finding
+with the right rule id), suppression edge cases, the SARIF
 reporter, the baseline workflow, and the cross-check that the statically
 computed per-kernel charged-category summaries agree with the traffic
 deltas observed on traced engine runs.
@@ -45,7 +44,6 @@ FLOW_RULES = {
     "flow.traffic-conformance",
     "flow.buffer-typestate",
     "flow.arena-typestate",
-    "flow.jit-readiness",
 }
 
 
@@ -280,8 +278,7 @@ class TestAcceptanceInjections:
                     out[idx[p]] += rows[p]
             """,
         )
-        # The counter call is legitimately on the JIT worklist (object
-        # dispatch), but the write itself is accounted: no traffic finding.
+        # The write is accounted: no traffic finding.
         assert not [k for k in diff if k[0] == "flow.traffic-conformance"]
 
     def test_view_after_merge_is_exactly_one_typestate_finding(self, tmp_path):
@@ -313,66 +310,6 @@ class TestAcceptanceInjections:
             """,
         )
         assert diff == Counter()
-
-    def test_object_mode_op_in_loop_is_exactly_one_jit_finding(self, tmp_path):
-        diff = self._diff(
-            tmp_path,
-            """\
-
-            def scratch_jit(rows):
-                total = 0.0
-                for p in range(rows.shape[0]):
-                    opts = {"p": p}
-                    total += rows[p, 0]
-                return total
-            """,
-        )
-        assert sum(diff.values()) == 1
-        ((rule, message),) = diff
-        assert rule == "flow.jit-readiness"
-        assert "scratch_jit" in message and "not nopython-ready" in message
-
-
-class TestJitWorklist:
-    """jit_candidates refinements: kernels routed through the flat-array
-    kernel ABI and charge-only accounting helpers leave the worklist."""
-
-    DISPATCH = str(REPO / "src" / "repro" / "kernels" / "dispatch.py")
-
-    def test_ported_kernel_leaves_worklist(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            from repro.kernels.dispatch import segment_reduce_rows
-
-            def scratch_ported(rows, seg):
-                for _ in range(2):
-                    opts = {"tier": "numpy"}
-                return segment_reduce_rows(rows, seg)
-            """,
-        )
-        # With the ABI module in the file set the call resolves, the
-        # kernel counts as ported, and its dict blocker is moot.
-        report = run_lint(
-            [str(mod), self.DISPATCH], select=["flow.jit-readiness"]
-        )
-        assert not [f for f in report.findings if "scratch_ported" in f.message]
-        # Without it, the call cannot resolve and the blocker resurfaces.
-        report = run_lint([str(mod)], select=["flow.jit-readiness"])
-        assert [f for f in report.findings if "scratch_ported" in f.message]
-
-    def test_charge_only_helper_leaves_worklist(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def scratch_charges(counter, chunks, rank):
-                for n in chunks:
-                    counter.read(n, "values")
-                    counter.flop(2.0 * n * rank, "recompute")
-            """,
-        )
-        report = run_lint([str(mod)], select=["flow.jit-readiness"])
-        assert report.findings == []
 
 
 class TestTypestate:

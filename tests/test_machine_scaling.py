@@ -1,6 +1,5 @@
 """Tests for the roofline machine model's resource-scaling behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.parallel import AMD_TR_64, INTEL_CLX_18, MachineSpec

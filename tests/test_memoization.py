@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import SAVE_ALL, SAVE_NONE, MemoPlan, enumerate_plans
-from repro.tensor import CsfTensor
 
 
 class TestMemoPlan:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import DataMovementModel, MemoPlan, SAVE_NONE, TensorStats
 from repro.parallel import MachineSpec
-from repro.tensor import CsfTensor
 
 TINY_CACHE = MachineSpec("tiny", 2, cache_bytes=8 * 50)  # 50 elements
 HUGE_CACHE = MachineSpec("huge", 2, cache_bytes=8 * 10**9)

@@ -7,7 +7,6 @@ from repro.core import (
     DataMovementModel,
     MemoPlan,
     SAVE_NONE,
-    TensorStats,
     count_swapped_fibers,
     plan_decomposition,
 )

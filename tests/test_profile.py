@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import profile_method
 from repro.engines import EngineBase
 from repro.parallel import INTEL_CLX_18
-from repro.tensor import TABLE1_SPECS, generate, random_tensor
+from repro.tensor import TABLE1_SPECS, generate
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.reorder import Relabeling, lexi_order, random_relabel
-from repro.tensor import CsfTensor, HicooTensor, TABLE1_SPECS, generate, random_tensor
+from repro.reorder import lexi_order, random_relabel
+from repro.tensor import CsfTensor, HicooTensor, TABLE1_SPECS, generate
 from repro.ops import mttkrp_coo_reference
 from tests.conftest import make_factors
 

@@ -68,13 +68,10 @@ def make_spec(tensor, **overrides) -> JobSpec:
 def direct_run(tensor, spec):
     """The single-engine ground truth a served job must reproduce."""
     counter = TrafficCounter(cache_elements=MACHINE.cache_elements)
-    kwargs = {}
-    if spec.jit is not None:
-        kwargs["jit"] = spec.jit
     with create_engine(
         spec.engine, tensor, spec.rank, machine=MACHINE,
         num_threads=spec.num_threads, exec_backend=spec.exec_backend,
-        counter=counter, **kwargs,
+        counter=counter,
     ) as engine:
         result = cp_als(
             tensor, spec.rank, engine=engine, max_iters=spec.max_iters,
@@ -197,7 +194,7 @@ class TestCacheTrace:
         log = os.path.join(spool, "logs", f"{job['job_id']}.jsonl")
         meta = read_jsonl(log)["meta"]
         assert meta["engine"] == "stef"
-        assert meta["jit_tier"] in ("numpy", "numba")
+        assert meta["jit_tier"] == "numpy"
         assert meta["exec_backend"] == "threads"
         assert meta["num_threads"] == 2
         assert meta["job_id"] == job["job_id"]

@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import MemoPlan, MemoizedMttkrp, Stef
 from repro.parallel import TrafficCounter
-from repro.tensor import CsfTensor, low_rank_tensor, random_tensor
-from tests.conftest import make_factors
+from repro.tensor import CsfTensor, low_rank_tensor
 
 
 class TestDecomposeConvenience:
