@@ -10,7 +10,8 @@ tensors (T = 18 threads), in extra element traffic beyond the
 conflict-free baseline:
 
 * **replication** (STeF): one extra buffer row per shared boundary node
-  per level — at most ``T`` rows/level — written and re-read at merge;
+  per level — at most ``T - 1`` rows/level, whatever the tensor size —
+  written and re-read at merge;
 * **atomics**: every *accumulation* into a shared level becomes a
   read-modify-write: 2x traffic on all ``m_i·R`` partial updates (plus
   serialization the traffic metric cannot even see);
@@ -41,7 +42,8 @@ def _strategy_costs(csf, threads, rank):
     privatization = sum(
         2 * threads * csf.fiber_counts[l] * rank for l in written_levels
     )
-    return replication, atomics, privatization
+    widest = max(len(nodes) for nodes in ws.shared_nodes_per_level)
+    return replication, atomics, privatization, widest
 
 
 def test_conflict_strategies(benchmark):
@@ -62,14 +64,16 @@ def test_conflict_strategies(benchmark):
         f"{'repl/atomic':>13}",
         "-" * 77,
     ]
-    for name, (repl, atom, priv) in rows.items():
+    for name, (repl, atom, priv, _) in rows.items():
         lines.append(
             f"{name:22}{repl:>14.0f}{atom:>14.0f}{priv:>14.0f}"
             f"{repl / max(atom, 1):>13.5f}"
         )
     emit("conflict_strategies.txt", "\n".join(lines))
 
-    for name, (repl, atom, priv) in rows.items():
+    for name, (repl, atom, priv, widest) in rows.items():
         assert repl < atom, name          # replication beats atomics
         assert atom < priv, name          # which beats full privatization
-        assert repl < 0.05 * atom, name   # ... by a wide margin
+        # ... and stays cheap at every scale: T threads share at most
+        # T - 1 boundary nodes per level.
+        assert widest <= THREADS - 1, name

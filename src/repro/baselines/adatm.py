@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core.memoization import MemoPlan, enumerate_plans
 from ..core.mttkrp import MemoizedMttkrp
-from ..engines.base import EngineBase, resolve_num_threads
+from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.machine import MachineSpec
 from ..tensor.coo import CooTensor
@@ -105,6 +105,7 @@ class AdaTm(EngineBase):
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer
+        self.exec_backend = resolve_exec_backend(exec_backend)
         threads = resolve_num_threads(machine, num_threads)
         self.csf = CsfTensor.from_coo(tensor, default_mode_order(tensor.shape))
         self.plan = flop_minimal_plan(self.csf.fiber_counts, rank)
@@ -114,7 +115,7 @@ class AdaTm(EngineBase):
             plan=self.plan,
             num_threads=threads,
             partition="slice",
-            exec_backend=exec_backend,
+            exec_backend=self.exec_backend,
             counter=counter,
             tracer=tracer,
         )

@@ -105,7 +105,8 @@ class AltoBackend(EngineBase):
         self.tracer = tracer
         threads = resolve_num_threads(machine, num_threads)
         self.alto = AltoTensor.from_coo(tensor)
-        self.pool = SimulatedPool(threads, resolve_exec_backend(exec_backend), tracer=tracer)
+        self.exec_backend = resolve_exec_backend(exec_backend)
+        self.pool = SimulatedPool(threads, self.exec_backend, tracer=tracer)
         self.shards = ShardedTrafficCounter.like(counter, threads)
         self.partitions = self.alto.partitions(threads)
         self.mode_order: Tuple[int, ...] = tuple(range(tensor.ndim))

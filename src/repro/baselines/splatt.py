@@ -27,7 +27,7 @@ import numpy as np
 
 from ..core.memoization import SAVE_NONE
 from ..core.mttkrp import MemoizedMttkrp
-from ..engines.base import EngineBase, resolve_num_threads
+from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.machine import MachineSpec
 from ..tensor.coo import CooTensor
@@ -56,6 +56,7 @@ class Splatt1(EngineBase):
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer
+        self.exec_backend = resolve_exec_backend(exec_backend)
         self.csf = CsfTensor.from_coo(tensor, default_mode_order(tensor.shape))
         self.engine = MemoizedMttkrp(
             self.csf,
@@ -63,7 +64,7 @@ class Splatt1(EngineBase):
             plan=SAVE_NONE,
             num_threads=resolve_num_threads(machine, num_threads),
             partition="slice",
-            exec_backend=exec_backend,
+            exec_backend=self.exec_backend,
             counter=counter,
             tracer=tracer,
         )
@@ -117,6 +118,7 @@ class SplattAll(EngineBase):
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer
+        self.exec_backend = resolve_exec_backend(exec_backend)
         threads = resolve_num_threads(machine, num_threads)
         d = tensor.ndim
         self.mode_order: Tuple[int, ...] = tuple(range(d))
@@ -136,7 +138,7 @@ class SplattAll(EngineBase):
                     plan=SAVE_NONE,
                     num_threads=threads,
                     partition="slice",
-                    exec_backend=exec_backend,
+                    exec_backend=self.exec_backend,
                     counter=counter,
                     tracer=tracer,
                 )
@@ -199,6 +201,7 @@ class Splatt2(EngineBase):
         self.tensor = tensor
         self.rank = rank
         self.tracer = tracer
+        self.exec_backend = resolve_exec_backend(exec_backend)
         threads = resolve_num_threads(machine, num_threads)
         d = tensor.ndim
         base_order = default_mode_order(tensor.shape)
@@ -214,7 +217,7 @@ class Splatt2(EngineBase):
             plan=SAVE_NONE,
             num_threads=threads,
             partition="slice",
-            exec_backend=exec_backend,
+            exec_backend=self.exec_backend,
             counter=counter,
             tracer=tracer,
         )

@@ -118,7 +118,8 @@ class TacoBackend(EngineBase):
         threads = resolve_num_threads(machine, num_threads)
         d = tensor.ndim
         self.mode_order: Tuple[int, ...] = tuple(range(d))
-        self.pool = SimulatedPool(threads, resolve_exec_backend(exec_backend), tracer=tracer)
+        self.exec_backend = resolve_exec_backend(exec_backend)
+        self.pool = SimulatedPool(threads, self.exec_backend, tracer=tracer)
         self.shards = ShardedTrafficCounter.like(counter, threads)
         self.csfs: List[CsfTensor] = []
         for mode in range(d):

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Four subcommands expose the library's main flows without writing code:
+Subcommands expose the library's main flows without writing code
+(``python -m repro --help`` lists all of them), among them:
 
 * ``decompose`` — CP-decompose a FROSTT ``.tns`` file (or a named Table-I
   generator) with any backend, printing the fit trajectory.
@@ -9,8 +10,6 @@ Four subcommands expose the library's main flows without writing code:
   performance table in both channels.
 * ``info`` — storage and sparsity statistics (CSF fiber counts per mode
   order, HiCOO blocks, ALTO bits).
-* ``lint`` — the kernel-invariant static analyzer (:mod:`repro.lint`)
-  over the repository's own source.
 
 Examples::
 
@@ -18,7 +17,6 @@ Examples::
     python -m repro plan data/enron.tns --rank 32
     python -m repro decompose nell-2 --rank 16 --engine stef2 --iters 10
     python -m repro compare vast-2015-mc1-3d --machine amd-tr-64
-    python -m repro lint src/ --format json
 """
 
 from __future__ import annotations
@@ -150,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_re)
     p_re.add_argument("--output", required=True, help="output .tns path")
     p_re.add_argument("--iterations", type=int, default=2)
-
-    from .lint.cli import add_arguments as add_lint_arguments
-
-    p_lint = sub.add_parser(
-        "lint", help="run the kernel-invariant static analyzer"
-    )
-    add_lint_arguments(p_lint)
 
     def add_socket_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -370,12 +361,6 @@ def _cmd_profile(args, out) -> int:
     return 0
 
 
-def _cmd_lint(args, out) -> int:
-    from .lint.cli import execute
-
-    return execute(args, out)
-
-
 def _cmd_reorder(args, out) -> int:
     from .reorder import lexi_order
     from .tensor import write_tns
@@ -538,7 +523,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         "compare": _cmd_compare,
         "profile": _cmd_profile,
         "reorder": _cmd_reorder,
-        "lint": _cmd_lint,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,

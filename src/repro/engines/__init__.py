@@ -14,9 +14,9 @@ Every registered engine satisfies the :class:`MttkrpEngine` protocol —
 ``describe``, ``close`` (plus the ``mode_order`` attribute the ALS
 driver reads) — and inherits :class:`~repro.engines.base.EngineBase`,
 so each is a context manager whose ``__exit__`` releases shared-memory
-segments even on exceptions (the ``engine-protocol`` lint rule enforces
-the inheritance statically; ``tests/test_engines.py`` checks the
-protocol at runtime).
+segments even on exceptions (:func:`register_engine` enforces the
+inheritance and the protocol methods; ``tests/test_engines.py`` checks
+both).
 
 The factory has a **typed signature**: ``create_engine(name, tensor,
 rank, *, machine=None, num_threads=None, exec_backend=None,
@@ -106,8 +106,7 @@ def register_engine(name: str, cls: Type[EngineBase]) -> Type[EngineBase]:
     """Register an engine class under ``name`` (idempotent re-register).
 
     Raises ``TypeError`` unless ``cls`` inherits :class:`EngineBase` and
-    implements every :class:`MttkrpEngine` method — the same contract the
-    ``engine-protocol`` lint rule checks statically.
+    implements every :class:`MttkrpEngine` method.
     """
     if not (isinstance(cls, type) and issubclass(cls, EngineBase)):
         raise TypeError(

@@ -16,9 +16,10 @@ the :class:`~repro.engines.MttkrpEngine` protocol uniformly:
 * **describe** — a one-line configuration summary, defaulting to the
   engine's registry name.
 
-The ``engine-protocol`` lint rule requires every registered engine class
-to inherit from this base (directly or transitively) so the protocol can
-never be satisfied by accident on one engine and missed on another.
+:func:`~repro.engines.register_engine` raises ``TypeError`` for any
+class that does not inherit from this base (directly or transitively),
+so the protocol can never be satisfied by accident on one engine and
+missed on another.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ class EngineBase:
     #: The implementation of the flat-array kernel ABI (:mod:`repro.kernels`)
     #: every engine runs; stamped into run metadata.
     kernel_tier: str = "numpy"
+    #: The resolved pool-execution mode (:func:`resolve_exec_backend`);
+    #: every engine sets it in ``__init__``; stamped into run metadata.
+    exec_backend: str
 
     # -- capability metadata (read by create_engine / engine_names) ----
     #: Pool-execution modes the engine accepts.

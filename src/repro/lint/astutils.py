@@ -2,32 +2,30 @@
 
 The rules reason about three recurring shapes:
 
-* **dotted receivers** — ``self.pool.map`` / ``self.counter.read`` chains
-  (:func:`dotted_name`, :func:`receiver_of`);
-* **thread bodies** — functions handed to ``SimulatedPool.map`` (or
-  ``run_partitioned``), i.e. code that runs once per simulated thread and
-  must obey the write-conflict invariants (:func:`find_thread_bodies`);
-* **local bindings** — which names a function body owns, so stores to
-  closure/instance state can be told apart from thread-private temporaries
-  (:func:`local_names`).
+* **dotted receivers** — ``self.pool.run_tasks`` / ``self.counter.read``
+  chains (:func:`dotted_name`, :func:`receiver_of`);
+* **local bindings** — which names a task body owns, so stores to
+  module or coordinator state can be told apart from task-private
+  temporaries (:func:`local_names`);
+* **loop depth** — how deeply a node sits inside ``for``/``while`` loops
+  (:func:`walk_with_loop_depth`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Iterator, List, Optional, Set, Union
 
 __all__ = [
     "dotted_name",
     "receiver_of",
     "expr_text",
-    "find_thread_bodies",
     "local_names",
     "walk_with_loop_depth",
     "FunctionNode",
 ]
 
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -55,69 +53,12 @@ def receiver_of(call: ast.Call) -> Optional[ast.AST]:
     return None
 
 
-def _functions_in(tree: ast.AST) -> List[ast.FunctionDef]:
-    return [
-        n for n in ast.walk(tree)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-
-
-def find_thread_bodies(tree: ast.Module) -> Dict[FunctionNode, ast.Call]:
-    """Functions used as per-thread bodies, mapped to the spawning call.
-
-    A function is a thread body when it is the single argument of a
-    ``<pool>.map(fn)`` call (the :class:`~repro.parallel.executor.
-    SimulatedPool` protocol — ``ThreadPoolExecutor.map`` style calls take
-    an extra iterable and are excluded by the single-argument requirement)
-    or the second argument of ``run_partitioned(pool, fn)``.  Lambdas are
-    analyzed in place; names are resolved to the nearest preceding
-    ``def`` with that name (same module — cross-module bodies cannot be
-    resolved statically and are out of scope).
-    """
-    defs = _functions_in(tree)
-    bodies: Dict[FunctionNode, ast.Call] = {}
-
-    def resolve(arg: ast.AST, call: ast.Call) -> None:
-        if isinstance(arg, ast.Lambda):
-            bodies.setdefault(arg, call)
-            return
-        if not isinstance(arg, ast.Name):
-            return
-        candidates = [
-            fn for fn in defs
-            if fn.name == arg.id and fn.lineno <= getattr(call, "lineno", fn.lineno)
-        ]
-        if candidates:
-            # Nearest preceding definition wins (shadowing).
-            target = max(candidates, key=lambda fn: fn.lineno)
-            bodies.setdefault(target, call)
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "map"
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            resolve(node.args[0], node)
-        elif (
-            isinstance(func, ast.Name)
-            and func.id == "run_partitioned"
-            and len(node.args) >= 2
-        ):
-            resolve(node.args[1], node)
-    return bodies
-
-
 def local_names(fn: FunctionNode) -> Set[str]:
     """Names bound inside ``fn``: parameters plus any assignment target.
 
     Nested function bodies are included (an over-approximation that errs
     toward fewer false positives: a name assigned anywhere inside the
-    thread body is treated as thread-private).
+    task body is treated as task-private).
     """
     names: Set[str] = set()
     args = fn.args
@@ -127,8 +68,7 @@ def local_names(fn: FunctionNode) -> Set[str]:
         names.add(args.vararg.arg)
     if args.kwarg:
         names.add(args.kwarg.arg)
-    body = fn.body if isinstance(fn.body, list) else [fn.body]
-    for stmt in body:
+    for stmt in fn.body:
         for node in ast.walk(stmt):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names.add(node.name)

@@ -1,12 +1,12 @@
 """Shared interprocedural state for the flow rules.
 
-Built once per ``repro lint --flow`` run (lazily, through
+Built once per ``python -m repro.lint --flow`` run (lazily, through
 :attr:`repro.lint.framework.ProjectContext.analysis`) and shared by every
 project-scope rule:
 
 * the :class:`~.callgraph.CallGraph` over all linted files;
-* :class:`~.facts.FunctionFacts` per function (CFG, charge/access/
-  lifecycle sites), built on demand and cached;
+* :class:`~.facts.FunctionFacts` per function (CFG, charge and access
+  sites), built on demand and cached;
 * **transitive charge categories** — the least fixpoint of
   ``cats(f) = direct(f) ∪ ⋃ cats(callee)`` over the call graph, giving
   each kernel its "charged categories" summary (what the traffic model
@@ -50,7 +50,7 @@ class FlowAnalysis:
     # ------------------------------------------------------------------
     def facts(self, qname: str) -> FunctionFacts:
         if qname not in self._facts:
-            self._facts[qname] = FunctionFacts(self.graph.functions[qname], self.graph)
+            self._facts[qname] = FunctionFacts(self.graph.functions[qname])
         return self._facts[qname]
 
     def kernel_functions(self) -> List[FunctionInfo]:

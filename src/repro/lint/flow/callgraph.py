@@ -5,19 +5,20 @@ Functions get stable qualified names derived from their module path
 statically from four shapes that cover essentially all intra-project
 calls in this codebase:
 
-* ``helper(...)`` — a plain :class:`ast.Name` call, resolved to a
-  module-level function of the same module or, through the module's
-  ``from x import helper`` table, to another linted module;
+* ``helper(...)`` — a plain :class:`ast.Name` call, resolved as Python
+  resolves it: a function nested in an enclosing *function* scope (class
+  bodies are not enclosing scopes, so a method never captures a bare
+  name), else a module-level function of the same module or, through the
+  module's ``from x import helper`` table, another linted module;
 * ``self.method(...)`` / ``cls.method(...)`` — resolved within the
   enclosing class (base classes are not chased; the kernels do not rely
   on charge-relevant inheritance);
 * ``mod.helper(...)`` — resolved through ``import x as mod`` /
   ``from pkg import mod`` aliases when ``x``/``pkg.mod`` is linted;
-* **dispatch edges** — a function *passed* to ``pool.map(body)`` /
-  ``run_partitioned(pool, body)`` / ``pool.run_tasks([...])`` is called
-  by the enclosing function even though no direct call appears; the
-  traffic analysis needs these edges so charges inside thread bodies
-  count toward their coordinator.
+* **dispatch edges** — the task *passed* to ``pool.run_tasks(task,
+  payloads)`` is called by the enclosing function even though no direct
+  call appears; the traffic analysis needs these edges so charges inside
+  task bodies count toward their coordinator.
 
 Unresolvable calls (numpy, stdlib, getattr-computed) are simply absent —
 every analysis on top treats a missing edge conservatively.
@@ -33,11 +34,6 @@ from ..astutils import dotted_name
 from ..framework import FileContext
 
 __all__ = ["FunctionInfo", "CallSite", "CallGraph", "module_name_for"]
-
-#: Dispatch receivers: ``<pool>.map(fn)`` (single arg), ``<pool>.run_tasks``
-#: and ``run_partitioned(pool, fn)`` hand their function arguments to
-#: worker threads/processes.
-_DISPATCH_METHODS = frozenset({"map", "run_tasks", "submit"})
 
 
 def module_name_for(ctx: FileContext) -> str:
@@ -60,9 +56,9 @@ class CallSite:
 
     caller: str  #: qualified name of the enclosing function
     callee: str  #: qualified name of the target
-    node: ast.AST  #: the Call (or dispatch argument) expression
+    node: ast.AST  #: the Call (or dispatched task) expression
     stmt: ast.stmt  #: enclosing statement (a CFG node of the caller)
-    is_dispatch: bool = False  #: True for pool.map/run_tasks-style edges
+    is_dispatch: bool = False  #: True for ``run_tasks`` task edges
 
 
 @dataclass
@@ -74,15 +70,10 @@ class FunctionInfo:
     ctx: FileContext
     module: str
     cls: Optional[str] = None  #: enclosing class name, if a method
-    parent: Optional[str] = None  #: qname of the enclosing function, if nested
 
     @property
     def name(self) -> str:
         return self.node.name
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
 
 class _ImportTable:
@@ -142,31 +133,29 @@ class CallGraph:
         self._imports[module] = _ImportTable(ctx.tree, module)
         mod_funcs = self._module_funcs.setdefault(module, {})
 
-        def visit(node: ast.AST, prefix: str, cls: Optional[str], parent: Optional[str]) -> None:
+        def visit(node: ast.AST, prefix: str, cls: Optional[str], nested: bool) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qname = f"{prefix}.{child.name}"
-                    info = FunctionInfo(
-                        qname=qname, node=child, ctx=ctx, module=module,
-                        cls=cls, parent=parent,
+                    self.functions[qname] = FunctionInfo(
+                        qname=qname, node=child, ctx=ctx, module=module, cls=cls,
                     )
-                    self.functions[qname] = info
-                    if cls is None and parent is None:
+                    if cls is None and not nested:
                         mod_funcs[child.name] = qname
-                    if cls is not None and parent is None:
+                    if cls is not None and not nested:
                         self._class_methods.setdefault((module, cls), {})[
                             child.name
                         ] = qname
                     # Nested functions keep the enclosing class: closures
                     # capture `self`, so their `self.m()` calls resolve
-                    # against the same class (the thread-body pattern).
-                    visit(child, qname, cls, qname)
+                    # against the same class.
+                    visit(child, qname, cls, True)
                 elif isinstance(child, ast.ClassDef):
-                    visit(child, f"{prefix}.{child.name}", child.name, None)
+                    visit(child, f"{prefix}.{child.name}", child.name, False)
                 else:
-                    visit(child, prefix, cls, parent)
+                    visit(child, prefix, cls, nested)
 
-        visit(ctx.tree, module, None, None)
+        visit(ctx.tree, module, None, False)
 
     # ------------------------------------------------------------------
     # resolution
@@ -199,34 +188,33 @@ class CallGraph:
         callee = self._resolve_target(info, module, call.func)
         if callee is not None:
             self._add_site(CallSite(info.qname, callee, call, stmt))
-        # Dispatch edges: functions passed as arguments to pool plumbing.
-        func = call.func
-        is_dispatch = (
-            isinstance(func, ast.Attribute) and func.attr in _DISPATCH_METHODS
-        ) or (isinstance(func, ast.Name) and func.id == "run_partitioned")
-        if not is_dispatch:
-            return
-        for arg in list(call.args) + [kw.value for kw in call.keywords]:
-            for expr in ast.walk(arg) if not isinstance(arg, ast.Name) else [arg]:
-                if isinstance(expr, ast.Name):
-                    target = self._resolve_target(info, module, expr)
-                    if target is not None:
-                        self._add_site(
-                            CallSite(info.qname, target, expr, stmt, is_dispatch=True)
-                        )
+        # Dispatch edge: the task handed to ``<pool>.run_tasks(task, ...)``.
+        if (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr == "run_tasks"
+            and call.args
+            and isinstance(call.args[0], ast.Name)
+        ):
+            task = self._resolve_target(info, module, call.args[0])
+            if task is not None:
+                self._add_site(
+                    CallSite(info.qname, task, call.args[0], stmt, is_dispatch=True)
+                )
 
     def _resolve_target(
         self, info: FunctionInfo, module: str, func: ast.AST
     ) -> Optional[str]:
         imports = self._imports.get(module)
         if isinstance(func, ast.Name):
-            # Nested function defined in an enclosing scope?
+            # Nested function defined in an enclosing function scope?
+            # Class bodies are skipped: Python never resolves a bare name
+            # inside a method to an attribute of its class.
             scope = info.qname
-            while scope:
+            while scope.startswith(module + "."):
                 candidate = f"{scope}.{func.id}"
-                if candidate in self.functions:
+                if scope in self.functions and candidate in self.functions:
                     return candidate
-                scope = scope.rsplit(".", 1)[0] if "." in scope else ""
+                scope = scope.rsplit(".", 1)[0]
             local = self._module_funcs.get(module, {}).get(func.id)
             if local is not None:
                 return local

@@ -114,22 +114,6 @@ class CFG:
         postdom = self.postdominators().get(nid, frozenset())
         return bool(cover & (set(dom) | set(postdom)))
 
-    def reaches_exit_without(self, blockers: Iterable[int]) -> bool:
-        """True when some ENTRY→EXIT path avoids every node in
-        ``blockers`` — i.e. the blockers do *not* postdominate entry."""
-        blocked = set(blockers)
-        seen: Set[int] = set()
-        stack = [ENTRY]
-        while stack:
-            n = stack.pop()
-            if n in seen or n in blocked:
-                continue
-            if n == EXIT:
-                return True
-            seen.add(n)
-            stack.extend(self.succ.get(n, ()))
-        return False
-
 
 class _Builder:
     """Recursive-descent CFG construction over a statement list."""

@@ -1,7 +1,7 @@
-"""Per-function dataflow facts: charge sites, access sites, lifecycle events.
+"""Per-function dataflow facts: charge sites and access sites.
 
 One :class:`FunctionFacts` per analyzed function collects everything the
-flow rules need, anchored to CFG statements:
+traffic-conformance rule needs, anchored to CFG statements:
 
 * **charge sites** — calls to the :class:`~repro.parallel.counters.
   TrafficCounter` charge API on counter-ish receivers, with the traffic
@@ -11,32 +11,26 @@ flow rules need, anchored to CFG statements:
   subscript *loads* whose index is itself a subscript or call — the
   gather idiom (``vals[ptr[lo]:ptr[hi]]``, ``factors[m][idx]``) that
   moves nnz-scale data.  Constant/slice bookkeeping like ``shape[0]`` is
-  deliberately out of scope;
-* **lifecycle events** — ``view``/``merge``/``merge_into``/``reset``
-  calls on :class:`~repro.parallel.executor.ReplicatedArray`-typed
-  locals and ``share``/``zeros``/``array``/``attach``/``close`` on
-  :class:`~repro.parallel.shm.SharedArena`-typed locals, feeding the
-  typestate machines in :mod:`.typestate`.
-
-Typing is nominal-by-construction: a local is ReplicatedArray/SharedArena
-typed when it is assigned from the constructor (resolved through the
-module's imports) inside the same function; ``self.x`` attributes
-assigned that way in ``__init__`` are tracked class-wide.
+  deliberately out of scope.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Iterator, List, Optional, Set
 
-from ..astutils import dotted_name, expr_text, receiver_of
-from ..rules.counter_discipline import CATEGORY_ARG_INDEX, _counter_ish
-from ..rules.thread_safety import CHARGE_METHODS, UNAMBIGUOUS_CHARGE
-from .callgraph import CallGraph, FunctionInfo
+from ..astutils import expr_text, receiver_of
+from ..rules.counter_discipline import (
+    CATEGORY_ARG_INDEX,
+    CHARGE_METHODS,
+    UNAMBIGUOUS_CHARGE,
+    _counter_ish,
+)
+from .callgraph import FunctionInfo
 from .cfg import CFG, build_cfg
 
-__all__ = ["ChargeSite", "AccessSite", "LifecycleEvent", "FunctionFacts"]
+__all__ = ["ChargeSite", "AccessSite", "FunctionFacts"]
 
 #: Default category per charge method (TrafficCounter signature defaults).
 DEFAULT_CATEGORY = {
@@ -47,10 +41,6 @@ DEFAULT_CATEGORY = {
     "write_factor_rows": "factor",
     "scatter_update": "output",
 }
-
-#: Lifecycle vocabularies for the two typestate machines.
-REPLICATED_EVENTS = frozenset({"view", "merge", "merge_into", "reset"})
-ARENA_EVENTS = frozenset({"share", "zeros", "array", "attach", "close"})
 
 
 @dataclass(frozen=True)
@@ -73,149 +63,48 @@ class AccessSite:
     target: str  #: source text of the accessed expression
 
 
-@dataclass(frozen=True)
-class LifecycleEvent:
-    """One typestate transition attempt on a tracked object."""
-
-    obj: str  #: the tracked variable ("rep", "self.arena", ...)
-    kind: str  #: "replicated" | "arena"
-    event: str  #: method name ("view", "close", ...)
-    node: ast.Call
-    stmt: ast.stmt
-    in_with: bool  #: the event sits inside a ``with`` block
-    in_finally: bool  #: the event sits inside a ``finally`` suite
-
-
 class FunctionFacts:
     """All flow facts for one function, computed on demand."""
 
-    def __init__(self, info: FunctionInfo, graph: CallGraph) -> None:
+    def __init__(self, info: FunctionInfo) -> None:
         self.info = info
-        self.graph = graph
         self.cfg: CFG = build_cfg(info.node)
         self.charges: List[ChargeSite] = []
         self.accesses: List[AccessSite] = []
-        self.lifecycle: List[LifecycleEvent] = []
-        #: locals (or self attributes) known to hold tracked objects.
-        self.tracked: Dict[str, str] = dict(self._seed_tracked())
-        #: subset of ``tracked`` constructed inside *this* function.
-        self.constructed: Dict[str, str] = {}
-        #: names bound to ``<rep>.view(...)`` results, with binding stmt.
-        self.view_bindings: Dict[str, ast.stmt] = {}
-        self._collect()
+        body = info.node.body if isinstance(info.node.body, list) else []
+        for stmt in body:
+            self._collect_stmt(stmt)
 
     # ------------------------------------------------------------------
-    def _seed_tracked(self) -> Dict[str, str]:
-        """Tracked names visible on entry: parameters named like the
-        tracked types plus ``self.<attr>`` constructor assignments made in
-        the enclosing class's ``__init__``."""
-        seeded: Dict[str, str] = {}
-        info = self.info
-        if info.cls is None:
-            return seeded
-        init_qname = info.qname.rsplit(".", 1)[0] + ".__init__"
-        init = self.graph.functions.get(init_qname)
-        if init is None:
-            return seeded
-        for stmt in ast.walk(init.node):
-            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-                continue
-            target = stmt.targets[0]
-            kind = _constructed_kind(stmt.value)
-            if (
-                kind is not None
-                and isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                seeded[f"self.{target.attr}"] = kind
-        return seeded
-
-    def _collect(self) -> None:
-        body = self.info.node.body if isinstance(self.info.node.body, list) else []
-        # Pass 1: local constructor bindings (order-independent; these
-        # functions construct before use and the typestate walk is
-        # path-sensitive anyway).
-        for stmt in body:
-            for node in _walk_own(stmt):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    kind = _constructed_kind(node.value)
-                    name = dotted_name(target)
-                    if kind is not None and name is not None:
-                        self.tracked[name] = kind
-                        self.constructed[name] = kind
-                    if name is not None and _is_view_call(node.value):
-                        self.view_bindings[name] = stmt
-        # Pass 2: sites and events, statement by statement.
-        for stmt in body:
-            self._collect_stmt(stmt, in_with=False, in_finally=False)
-
-    # ------------------------------------------------------------------
-    def _collect_stmt(self, stmt: ast.stmt, in_with: bool, in_finally: bool) -> None:
-        self._scan_exprs(stmt, in_with, in_finally)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for child in stmt.body:
-                self._collect_stmt(child, True, in_finally)
-            return
-        if isinstance(stmt, ast.Try):
-            for child in stmt.body:
-                self._collect_stmt(child, in_with, in_finally)
-            for handler in stmt.handlers:
-                for child in handler.body:
-                    self._collect_stmt(child, in_with, in_finally)
-            for child in stmt.orelse:
-                self._collect_stmt(child, in_with, in_finally)
-            for child in stmt.finalbody:
-                self._collect_stmt(child, in_with, True)
-            return
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs are separate functions in the graph
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._collect_stmt(child, in_with, in_finally)
-
-    def _scan_exprs(self, stmt: ast.stmt, in_with: bool, in_finally: bool) -> None:
-        """Record charge/access/lifecycle facts anchored at ``stmt``.
-
-        Scans the statement's own expressions only — nested statements are
-        visited with their own anchors, nested function bodies not at all
-        (they are separate functions in the graph).
-        """
-        anchor = _anchor_stmt(stmt)
+    def _collect_stmt(self, stmt: ast.stmt) -> None:
+        """Record the sites of ``stmt``'s own expressions, anchored at
+        ``stmt``, then recurse into its child statements (each its own
+        anchor).  Nested function bodies are separate functions in the
+        graph and are not entered."""
         for node in _own_exprs(stmt):
             if isinstance(node, ast.Call):
-                self._scan_call(node, anchor, in_with, in_finally)
+                self._scan_call(node, stmt)
             elif isinstance(node, ast.Subscript):
-                self._scan_subscript(node, anchor)
+                self._scan_subscript(node, stmt)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        for child in ast.iter_child_nodes(stmt):
+            if isinstance(child, ast.ExceptHandler):
+                for handler_stmt in child.body:
+                    self._collect_stmt(handler_stmt)
+            elif isinstance(child, ast.stmt):
+                self._collect_stmt(child)
 
-    def _scan_call(
-        self, call: ast.Call, stmt: ast.stmt, in_with: bool, in_finally: bool
-    ) -> None:
+    def _scan_call(self, call: ast.Call, stmt: ast.stmt) -> None:
         if not isinstance(call.func, ast.Attribute):
             return
         method = call.func.attr
         recv = receiver_of(call)
-        if recv is None:
+        if recv is None or method not in CHARGE_METHODS:
             return
-        recv_name = dotted_name(recv)
-        if method in CHARGE_METHODS and (
-            method in UNAMBIGUOUS_CHARGE or _counter_ish(recv) or _is_shard_call(recv)
-        ):
+        if method in UNAMBIGUOUS_CHARGE or _counter_ish(recv):
             self.charges.append(
                 ChargeSite(call, stmt, method, _literal_category(call, method))
-            )
-            return
-        tracked_kind = self.tracked.get(recv_name) if recv_name else None
-        if tracked_kind == "replicated" and method in REPLICATED_EVENTS:
-            self.lifecycle.append(
-                LifecycleEvent(recv_name, "replicated", method, call, stmt,
-                               in_with, in_finally)
-            )
-        elif tracked_kind == "arena" and method in ARENA_EVENTS:
-            self.lifecycle.append(
-                LifecycleEvent(recv_name, "arena", method, call, stmt,
-                               in_with, in_finally)
             )
 
     def _scan_subscript(self, sub: ast.Subscript, stmt: ast.stmt) -> None:
@@ -259,19 +148,7 @@ class FunctionFacts:
 # ----------------------------------------------------------------------
 # helpers
 # ----------------------------------------------------------------------
-def _walk_own(stmt: ast.AST):
-    """Walk without descending into nested function/lambda bodies."""
-    stack: List[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
-def _own_exprs(stmt: ast.stmt):
+def _own_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
     """Expressions belonging to ``stmt`` itself — child statements (which
     get their own anchors), nested function bodies, and type annotations
     (``x: Optional[List[T]]`` is not an array access) are skipped."""
@@ -295,10 +172,6 @@ def _own_exprs(stmt: ast.stmt):
                 stack.append(child)
 
 
-def _anchor_stmt(stmt: ast.stmt) -> ast.stmt:
-    return stmt
-
-
 def _literal_category(call: ast.Call, method: str) -> Optional[str]:
     for kw in call.keywords:
         if kw.arg == "category":
@@ -311,36 +184,4 @@ def _literal_category(call: ast.Call, method: str) -> Optional[str]:
         return DEFAULT_CATEGORY[method]
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
-    return None
-
-
-def _is_shard_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "shard"
-    )
-
-
-def _is_view_call(node: ast.AST) -> bool:
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "view"
-    )
-
-
-def _constructed_kind(value: ast.AST) -> Optional[str]:
-    """``ReplicatedArray(...)`` / ``SharedArena(...)`` constructor calls
-    (direct name or attribute tail), else ``None``."""
-    if not isinstance(value, ast.Call):
-        return None
-    name = dotted_name(value.func)
-    if name is None:
-        return None
-    tail = name.rsplit(".", 1)[-1]
-    if tail == "ReplicatedArray":
-        return "replicated"
-    if tail == "SharedArena":
-        return "arena"
     return None

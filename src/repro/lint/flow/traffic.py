@@ -10,7 +10,8 @@ access site to be **covered**:
 
 * *intra-procedurally* — dominated or post-dominated by a statement that
   charges a canonical category, either directly or by calling (or
-  dispatching to, via ``pool.map``) a helper that transitively charges; or
+  dispatching to, via ``pool.run_tasks``) a helper that transitively
+  charges; or
 * *externally* — every analyzed call site of the enclosing function is
   itself covered in its caller (the ``ops/partial.py`` pattern: pure
   helpers bracketed by the caller's charges).

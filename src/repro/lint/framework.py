@@ -1,7 +1,7 @@
 """The AST lint framework: rules, per-file context, suppressions, reports.
 
-The invariants that keep the threads backend race-free and the traffic
-channel honest (DESIGN.md §8/§9) are conventions a one-line refactor can
+The invariants that keep the pool tasks race-free and the traffic
+channel honest (DESIGN.md §9/§10) are conventions a one-line refactor can
 break without any small-scale test noticing.  This framework walks the
 repository's own source as ASTs and checks those invariants mechanically:
 
@@ -18,12 +18,12 @@ repository's own source as ASTs and checks those invariants mechanically:
   ``flow.traffic-conformance`` are accepted too).  Pragmas are resolved
   from real comment tokens, so a pragma-shaped substring inside a string
   literal never suppresses anything;
-* **reporters** — stable text (``path:line:col: [rule] message``), JSON,
-  and SARIF 2.1.0 (:mod:`repro.lint.sarif`);
+* **reporters** — stable text (``path:line:col: [rule] message``) and
+  JSON;
 * **exit codes** — 0 clean, 1 findings, 2 unparseable input or usage error.
 
 Per-file rules live in :mod:`repro.lint.rules`; the interprocedural
-(project-scope) analyses in :mod:`repro.lint.flow`; the CLI in
+(project-scope) analysis in :mod:`repro.lint.flow`; the CLI in
 :mod:`repro.lint.cli`.
 """
 
@@ -62,7 +62,7 @@ EXIT_ERROR = 2
 
 #: ``# lint: disable=a,b`` (same line) / ``# lint: disable-next-line=a``
 #: (the following line) / ``# lint: disable-file=a`` (whole file).  Rule
-#: ids may be dotted (``flow.buffer-typestate``); several pragmas may
+#: ids may be dotted (``flow.traffic-conformance``); several pragmas may
 #: share one comment.
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*disable(?P<scope>-file|-next-line)?=(?P<rules>[A-Za-z0-9_.,\- ]+)"
@@ -190,7 +190,7 @@ class Rule:
     rules (the :mod:`repro.lint.flow` analyses) see every parsed file at
     once through :meth:`check_project` — they need the call graph, so a
     single file is never enough.  Project rules only run under
-    ``repro lint --flow`` (or when selected explicitly with a flow run).
+    ``python -m repro.lint --flow`` (or when selected explicitly).
     """
 
     id: str = ""
@@ -222,9 +222,6 @@ class ProjectContext:
 
     def __init__(self, files: Sequence[FileContext]) -> None:
         self.files: List[FileContext] = list(files)
-        self.by_path: Dict[str, FileContext] = {
-            ctx.posix_path: ctx for ctx in self.files
-        }
         self._analysis = None
 
     @property
@@ -235,13 +232,6 @@ class ProjectContext:
 
             self._analysis = FlowAnalysis(self)
         return self._analysis
-
-    def context_for(self, display_path: str) -> Optional[FileContext]:
-        """The FileContext whose display path matches ``display_path``."""
-        for ctx in self.files:
-            if ctx.display_path == display_path:
-                return ctx
-        return None
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -290,8 +280,6 @@ class LintReport:
     errors: List[LintError] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    #: Findings absorbed by a baseline file (tracked debt, not failures).
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -351,29 +339,20 @@ def run_lint(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
     *,
-    ignore: Optional[Iterable[str]] = None,
     flow: bool = False,
 ) -> LintReport:
     """Lint ``paths`` with every registered rule (or just ``select``).
 
-    ``ignore`` drops rule ids from whatever ``select`` (or the full
-    registry) produced — CI uses the pair to run one rule family in
-    isolation without touching exit-code semantics.  ``flow=True``
-    additionally runs the project-scope interprocedural analyses
-    (:mod:`repro.lint.flow`); without it they are skipped even when the
-    registry knows them, because they need every file of the project in
-    one pass.  Selecting a project rule by id implies ``flow``.
+    ``flow=True`` additionally runs the project-scope interprocedural
+    analysis (:mod:`repro.lint.flow`); without it project rules are
+    skipped even when the registry knows them, because they need every
+    file of the project in one pass.  Selecting a project rule by id
+    implies ``flow``.
     """
     if select is None:
         rules: List[Rule] = all_rules()
     else:
         rules = [get_rule(rid) for rid in select]
-    if ignore is not None:
-        dropped = set(ignore)
-        # Validate the ignored ids so a typo fails loudly like --select.
-        for rid in dropped:
-            get_rule(rid)
-        rules = [r for r in rules if r.id not in dropped]
     file_rules = [r for r in rules if r.scope == "file"]
     project_rules = [r for r in rules if r.scope == "project"]
     run_project = project_rules and (flow or select is not None)
@@ -415,8 +394,6 @@ def format_text(report: LintReport) -> str:
         f"checked {report.files_checked} {noun}: "
         f"{len(report.findings)} finding(s), {report.suppressed} suppressed"
     )
-    if report.baselined:
-        summary += f", {report.baselined} baselined"
     if report.errors:
         summary += f", {len(report.errors)} error(s)"
     lines.append(summary)
@@ -428,7 +405,6 @@ def format_json(report: LintReport) -> str:
     payload = {
         "files_checked": report.files_checked,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "exit_code": report.exit_code,
         "findings": [
             {

@@ -3,28 +3,12 @@
 One module per rule family; each ``@register``-decorated class lands in
 the framework registry at import time:
 
-* :mod:`.thread_safety` — ``thread-body-safety``
 * :mod:`.process_safety` — ``process-task-safety``
 * :mod:`.counter_discipline` — ``counter-category``
 * :mod:`.hot_path` — ``hot-path``
 * :mod:`.dtype_discipline` — ``dtype-discipline``
-* :mod:`.engine_protocol` — ``engine-protocol``
 """
 
-from . import (
-    counter_discipline,
-    dtype_discipline,
-    engine_protocol,
-    hot_path,
-    process_safety,
-    thread_safety,
-)
+from . import counter_discipline, dtype_discipline, hot_path, process_safety
 
-__all__ = [
-    "counter_discipline",
-    "dtype_discipline",
-    "engine_protocol",
-    "hot_path",
-    "process_safety",
-    "thread_safety",
-]
+__all__ = ["counter_discipline", "dtype_discipline", "hot_path", "process_safety"]

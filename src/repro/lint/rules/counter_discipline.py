@@ -22,7 +22,16 @@ from typing import Iterator, Optional
 from ...analysis.traffic import CANONICAL_TRAFFIC_CATEGORIES
 from ..astutils import expr_text, receiver_of
 from ..framework import FileContext, Finding, Rule, register
-from .thread_safety import CHARGE_METHODS, UNAMBIGUOUS_CHARGE
+
+#: Methods that charge a counter (TrafficCounter's public charge API).
+CHARGE_METHODS = frozenset(
+    {"read", "write", "flop", "read_factor_rows", "write_factor_rows", "scatter_update"}
+)
+#: Charge methods whose names are unambiguous (no stdlib collision like
+#: ``fh.read()``): any receiver counts as a counter.
+UNAMBIGUOUS_CHARGE = frozenset(
+    {"flop", "read_factor_rows", "write_factor_rows", "scatter_update"}
+)
 
 #: Positional index of the ``category`` parameter per charge method.
 CATEGORY_ARG_INDEX = {

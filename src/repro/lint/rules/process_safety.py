@@ -1,11 +1,12 @@
-"""``process-task-safety`` — picklability invariants of the processes
-backend (DESIGN.md §10).
+"""``process-task-safety`` — the task discipline every execution backend
+relies on (paper Section III-A; DESIGN.md §10).
 
 Tasks handed to :meth:`SimulatedPool.run_tasks` cross a process boundary:
 the task function is *pickled by reference* (module + qualified name) and
 re-imported inside each worker, and a worker's interpreter shares no
-objects with the coordinator.  The contract is therefore stricter than
-the thread-body one:
+objects with the coordinator.  Under the threads backend the same tasks
+run concurrently in one interpreter, so the per-thread writes must be
+conflict-free (paper Section III-A).  The contract:
 
 1. the task must be a **module-level function of the dispatching file**
    — a lambda or a ``def`` nested inside another function cannot be
@@ -17,8 +18,13 @@ the thread-body one:
 2. a task body must not declare ``global`` — module globals are
    per-process copies under ``fork``, so a "shared" global silently
    diverges between coordinator and workers;
-3. a task body must not write attributes of names it does not own —
-   mutating module state from a worker never reaches the coordinator.
+3. a task body must not store into state it does not own: an attribute
+   write (``mod.attr = v``) or a subscript write whose root is a bare
+   name the task does not bind (``_SCRATCH[lo:hi] = 1.0``,
+   ``_SEEN[lo] = hi``).  Under processes such a write never reaches the
+   coordinator; under threads it races.  Stores into buffers the task
+   resolves from its payload (``resolve(rep)[...] += ...``, rooted at a
+   call) and into its own locals stay clean.
 
 Every backend dispatches the same task functions, so this rule covers
 every kernel body the engines run.
@@ -72,7 +78,10 @@ class ProcessTaskSafetyRule(Rule):
         "run_tasks() tasks must be module-level functions that neither "
         "close over nor mutate coordinator state"
     )
-    paper_ref = "DESIGN.md §10 (shared-memory process backend)"
+    paper_ref = (
+        "Section III-A (conflict-free per-thread writes) + DESIGN.md §10 "
+        "(shared-memory process backend)"
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         tree = ctx.tree
@@ -166,20 +175,24 @@ class ProcessTaskSafetyRule(Rule):
             for elt in target.elts:
                 yield from self._check_store(ctx, fn, stmt, elt, owned)
             return
-        if not isinstance(target, ast.Attribute):
+        if not isinstance(target, (ast.Attribute, ast.Subscript)):
             return
         root: ast.AST = target
         while isinstance(root, (ast.Attribute, ast.Subscript)):
             root = root.value
-        if isinstance(root, ast.Name) and root.id in owned:
-            return
+        if isinstance(root, ast.Name):
+            if root.id in owned:
+                return
+        elif isinstance(target, ast.Subscript):
+            return  # a payload-resolved buffer, e.g. resolve(rep)[...]
+        kind = "attribute" if isinstance(target, ast.Attribute) else "subscript"
         yield ctx.finding(
             self.id,
             stmt,
-            f"process task `{fn.name}` writes attribute "
-            f"`{expr_text(target)}` of module-level state: worker-side "
-            "mutations never reach the coordinator — return the value "
-            "through the task result",
+            f"process task `{fn.name}` stores into {kind} "
+            f"`{expr_text(target)}` of state it does not own: under "
+            "processes the write never reaches the coordinator, under "
+            "threads it races — return the value through the task result",
         )
 
 

@@ -43,7 +43,7 @@ def engine_run_meta(engine: Any) -> Dict[str, Any]:
     return {
         "engine": getattr(engine, "name", type(engine).__name__),
         "jit_tier": getattr(engine, "kernel_tier", "numpy"),
-        "exec_backend": getattr(engine, "exec_backend", None) or "serial",
+        "exec_backend": getattr(engine, "exec_backend", "serial"),
         "num_threads": int(getattr(engine, "num_threads", 1)),
     }
 

@@ -1,8 +1,8 @@
 """Fixture: counter-category violations (never imported, AST-only).
 
 One invented category string, one category that is not a literal.
-Both charges run on the coordinator (no thread body), so only the
-counter-category rule fires.
+Neither charge sits in a kernel module or a ``run_tasks`` task, so only
+the counter-category rule fires.
 """
 
 

@@ -4,6 +4,7 @@ Each violation below must trip ``process-task-safety`` exactly once.
 """
 
 TOTALS = {}
+SEEN = {}
 
 
 class Coordinator:
@@ -38,4 +39,6 @@ def stateful_task(payload):
     global TOTALS
     # violation 5: attribute write to module-level state
     stateful_task.calls = payload
+    # violation 6: subscript write into a module-level dict
+    SEEN[payload] = payload
     return payload

@@ -4,9 +4,5 @@ Linting this file must exit 0 with exactly one suppressed finding.
 """
 
 
-def run(pool, counter):
-    def body(th):
-        counter.flop(1.0)  # lint: disable=thread-body-safety
-        return th
-
-    return pool.map(body)
+def account(counter):
+    counter.read(8.0, "fibres")  # lint: disable=counter-category

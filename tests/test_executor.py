@@ -101,6 +101,23 @@ class TestReplicatedArrayLifecycle:
         with pytest.raises(ValueError, match="reset"):
             rep.view(0, 0, 3)
 
+    def test_view_after_merge_without_reset_rejected(self):
+        # merge() keeps the recorded ranges, so re-taking the same view
+        # before reset() would alias stripes that were already folded.
+        rep = ReplicatedArray(6, 2, 2)
+        rep.view(0, 0, 3)[:] = 1.0
+        rep.merge()
+        with pytest.raises(ValueError, match="overlaps its earlier view"):
+            rep.view(0, 0, 3)
+
+    def test_second_merge_returns_equal_arrays(self):
+        # merge() is pure: folding twice never double-counts a stripe.
+        rep = ReplicatedArray(6, 2, 2)
+        rep.view(0, 0, 4)[:] = 1.0
+        rep.view(1, 3, 6)[:] = 2.0
+        first = rep.merge()
+        assert np.array_equal(rep.merge(), first)
+
     def test_partial_overlap_same_thread_rejected(self):
         rep = ReplicatedArray(10, 2, 2)
         rep.view(0, 0, 5)

@@ -1,15 +1,20 @@
 """Tests for :mod:`repro.lint` — the kernel-invariant static analyzer.
 
 Covers the framework (registry, suppressions, reporters, exit codes),
-each rule against a dedicated fixture, the clean-tree guarantee on the
-shipped ``src/`` tree, and the acceptance scenario from the issue:
-moving a counter charge or a ``merge()`` into a thread body in a scratch
-copy of a real kernel module must be caught.
+each per-file rule against a dedicated fixture, the clean-tree guarantee
+on the shipped ``src/`` tree, the ``python -m repro.lint`` command line
+(the one entry point: ``repro`` has no ``lint`` subcommand), and
+injections into a scratch copy of the real mode-0 task: a ``global``
+declaration, a module-attribute store and a module-array store must each
+be caught.
 """
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -33,7 +38,6 @@ REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 RULE_IDS = {
-    "thread-body-safety",
     "process-task-safety",
     "counter-category",
     "hot-path",
@@ -83,8 +87,7 @@ class TestRuleFixtures:
     """Each fixture file violates exactly one rule family."""
 
     CASES = [
-        ("thread_body_bad.py", "thread-body-safety", 3),
-        ("process_task_bad.py", "process-task-safety", 5),
+        ("process_task_bad.py", "process-task-safety", 6),
         ("process_task_imported.py", "process-task-safety", 1),
         ("counter_bad.py", "counter-category", 2),
         ("ops/hot_path_bad.py", "hot-path", 4),
@@ -116,11 +119,9 @@ class TestSuppressions:
     def test_line_suppression_round_trip(self, tmp_path):
         src = textwrap.dedent(
             """\
-            def run(pool, counter):
-                def body(th):
-                    counter.flop(1.0)
-                    return th
-                return pool.map(body)
+            def account(counter):
+                counter.read(8.0, "fibres")
+                return counter
             """
         )
         mod = tmp_path / "mod.py"
@@ -130,7 +131,7 @@ class TestSuppressions:
         line = report.findings[0].line
 
         lines = src.splitlines()
-        lines[line - 1] += "  # lint: disable=thread-body-safety"
+        lines[line - 1] += "  # lint: disable=counter-category"
         mod.write_text("\n".join(lines) + "\n")
         report = run_lint([str(mod)])
         assert report.exit_code == EXIT_CLEAN
@@ -155,11 +156,8 @@ class TestSuppressions:
         mod = tmp_path / "mod.py"
         mod.write_text(
             "# lint: disable-file=all\n"
-            "def run(pool, counter):\n"
-            "    def body(th):\n"
-            "        counter.flop(1.0)\n"
-            "        return th\n"
-            "    return pool.map(body)\n"
+            "def account(counter):\n"
+            '    counter.read(8.0, "fibres")\n'
         )
         report = run_lint([str(mod)])
         assert report.exit_code == EXIT_CLEAN
@@ -168,11 +166,8 @@ class TestSuppressions:
     def test_suppression_is_rule_specific(self, tmp_path):
         mod = tmp_path / "mod.py"
         mod.write_text(
-            "def run(pool, counter):\n"
-            "    def body(th):\n"
-            "        counter.flop(1.0)  # lint: disable=hot-path\n"
-            "        return th\n"
-            "    return pool.map(body)\n"
+            "def account(counter):\n"
+            '    counter.read(8.0, "fibres")  # lint: disable=hot-path\n'
         )
         assert run_lint([str(mod)]).exit_code == EXIT_FINDINGS
 
@@ -226,6 +221,11 @@ class TestAcceptanceScenario:
         message = self._task_findings(scratch)
         assert "mode0_task" in message and "np.last_task_thread" in message
 
+    def test_module_array_store_in_task_body_is_caught(self, tmp_path):
+        scratch = self._scratch_copy(tmp_path, "_TASK_SCRATCH[th] = 1.0")
+        message = self._task_findings(scratch)
+        assert "mode0_task" in message and "_TASK_SCRATCH[th]" in message
+
 
 class TestCli:
     def test_module_main_text(self):
@@ -251,8 +251,12 @@ class TestCli:
     def test_list_rules(self):
         out = io.StringIO()
         assert lint_main(["--list-rules"], out) == EXIT_CLEAN
-        for rid in RULE_IDS:
-            assert rid in out.getvalue()
+        listed = {
+            line.split()[0]
+            for line in out.getvalue().splitlines()
+            if line and not line.startswith(" ")
+        }
+        assert listed == RULE_IDS | {"flow.traffic-conformance"}
 
     def test_unknown_select_exits_2(self):
         out = io.StringIO()
@@ -260,11 +264,33 @@ class TestCli:
         assert code == EXIT_ERROR
         assert "unknown rule" in out.getvalue()
 
-    def test_repro_subcommand(self):
-        out = io.StringIO()
-        code = repro_main(["lint", str(FIXTURES / "thread_body_bad.py")], out)
-        assert code == EXIT_FINDINGS
-        assert "[thread-body-safety]" in out.getvalue()
+    def test_help_offers_exactly_the_kept_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--help"], io.StringIO())
+        assert exc.value.code == EXIT_CLEAN
+        help_text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z][a-z-]*", help_text)) == {
+            "--help", "--format", "--select", "--flow", "--list-rules",
+        }
+        assert "--format {text,json}" in help_text
+
+    def test_repro_has_no_lint_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["lint", str(REPO / "src")], io.StringIO())
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
+    def test_repro_parser_does_not_import_the_linter(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        probe = (
+            "import sys; from repro.cli import build_parser; "
+            "build_parser(); print('repro.lint' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestNoFalsePositives:
@@ -277,33 +303,26 @@ class TestNoFalsePositives:
         return list(rule.check(ctx))
 
     def test_shard_charges_are_fine(self):
+        """A task that charges its own shard and stores only into its
+        payload, its locals, views and payload-resolved buffers."""
         findings = self._check(
             """\
-            def run(pool, shards, rep):
-                def body(th):
-                    shard = shards.shard(th)
-                    shard.read(4.0, "structure")
-                    shards.shard(th).flop(2.0)
-                    out = rep.view(th, 0, 4)
-                    out[:] = th
-                    local = {}
-                    local["x"] = th
-                    return th
-                return pool.map(body)
-            """,
-            "thread-body-safety",
-        )
-        assert findings == []
+            def task(payload):
+                shards, rep, th = payload["shards"], payload["rep"], payload["th"]
+                shard = shards.shard(th)
+                shard.read(4.0, "structure")
+                out = rep.view(th, 0, 4)
+                out[:] = th
+                resolve(payload["buf"])[th : th + 4] += 1.0
+                payload["seen"] = th
+                local = {}
+                local["x"] = th
+                return th
 
-    def test_two_arg_executor_map_is_not_a_thread_body(self):
-        findings = self._check(
-            """\
-            def run(pool, counter, items):
-                def body(item):
-                    counter.read(1.0, "structure")
-                return list(pool.map(body, items))
+            def run(pool, payloads):
+                return pool.run_tasks(task, payloads)
             """,
-            "thread-body-safety",
+            "process-task-safety",
         )
         assert findings == []
 

@@ -1,18 +1,15 @@
-"""Tests for :mod:`repro.lint.flow` — the interprocedural analyses.
+"""Tests for :mod:`repro.lint.flow` — the interprocedural analysis.
 
-Covers the flow substrate (CFG dominators, call-graph resolution), the
-project-scope rules against injected violations in scratch copies of
-real kernel modules (an uncounted array write and a ``view()`` after
-``merge()`` without ``reset()`` must each produce exactly one finding
-with the right rule id), suppression edge cases, the SARIF
-reporter, the baseline workflow, and the cross-check that the statically
+Covers the flow substrate (CFG dominators, call-graph resolution,
+``run_tasks`` dispatch edges), ``flow.traffic-conformance`` against an
+uncounted array write injected into a scratch copy of a real kernel
+module (exactly one finding with that rule id), suppression edge cases,
+the hard-clean shipped tree, and the cross-check that the statically
 computed per-kernel charged-category summaries agree with the traffic
 deltas observed on traced engine runs.
 """
 
 import ast
-import io
-import json
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -21,30 +18,18 @@ import pytest
 
 from repro.lint import (
     EXIT_CLEAN,
-    EXIT_ERROR,
     EXIT_FINDINGS,
     FileContext,
     ProjectContext,
     all_rules,
-    apply_baseline,
-    baseline_key,
-    format_sarif,
-    load_baseline,
-    main as lint_main,
     run_lint,
-    write_baseline,
 )
 from repro.lint.flow.callgraph import CallGraph
 from repro.lint.flow.cfg import ENTRY, EXIT, build_cfg
 
 REPO = Path(__file__).resolve().parents[1]
-BASELINE = REPO / "lint-flow-baseline.json"
 
-FLOW_RULES = {
-    "flow.traffic-conformance",
-    "flow.buffer-typestate",
-    "flow.arena-typestate",
-}
+FLOW_RULES = {"flow.traffic-conformance"}
 
 
 def kernel_file(tmp_path, source, name="scratch.py"):
@@ -219,29 +204,56 @@ class TestCallGraph:
             "repro.eng.Engine._charge"
         }
 
-    def test_dispatch_edge_for_pool_map(self):
+    def test_dispatch_edge_for_run_tasks(self):
         g = self._graph(
             {
                 "/x/repro/eng.py": """\
+                    def task(payload):
+                        return payload
+
+                    def done(results):
+                        return results
+
                     class Engine:
-                        def run(self, pool):
-                            def body(th):
-                                return th
-                            return pool.map(body)
+                        def run(self, pool, payloads):
+                            return pool.run_tasks(task, payloads)
+
+                        def other(self, pool):
+                            pool.map(done)
+                            return pool.submit(task, wait=done)
                     """,
             }
         )
-        sites = [
-            s for s in g.call_sites
-            if s.caller == "repro.eng.Engine.run" and s.is_dispatch
+        sites = [s for s in g.call_sites if s.is_dispatch]
+        assert [(s.caller, s.callee) for s in sites] == [
+            ("repro.eng.Engine.run", "repro.eng.task")
         ]
-        assert [s.callee for s in sites] == ["repro.eng.Engine.run.body"]
+
+    def test_bare_name_in_method_skips_class_scope(self):
+        """Class bodies are not enclosing scopes: ``helper(x)`` inside a
+        method is the module-level ``helper``, never ``Engine.helper``."""
+        g = self._graph(
+            {
+                "/x/repro/eng.py": """\
+                    def helper(x):
+                        return x
+
+                    class Engine:
+                        def helper(self, x):
+                            return x
+
+                        def run(self, x):
+                            return helper(x)
+                    """,
+            }
+        )
+        assert g.callees["repro.eng.Engine.run"] == {"repro.eng.helper"}
 
 
 class TestAcceptanceInjections:
-    """Issue acceptance: inject one violation into a scratch copy of the
-    real ``ops/partial.py`` and diff against the pristine copy — exactly
-    one new finding with the expected rule id each time."""
+    """Inject one violation into a scratch copy of the real
+    ``ops/partial.py`` and diff against the pristine copy — exactly one
+    new finding with the expected rule id."""
 
     PARTIAL = (REPO / "src" / "repro" / "ops" / "partial.py").read_text()
 
@@ -280,117 +292,6 @@ class TestAcceptanceInjections:
         )
         # The write is accounted: no traffic finding.
         assert not [k for k in diff if k[0] == "flow.traffic-conformance"]
-
-    def test_view_after_merge_is_exactly_one_typestate_finding(self, tmp_path):
-        diff = self._diff(
-            tmp_path,
-            """\
-
-            def scratch_lifecycle(n, threads):
-                rep = ReplicatedArray(n, 4, threads)
-                rep.merge()
-                return rep.view(0, 0, n)
-            """,
-        )
-        assert sum(diff.values()) == 1
-        ((rule, message),) = diff
-        assert rule == "flow.buffer-typestate"
-        assert "reset()" in message
-
-    def test_merge_after_reset_adds_no_finding(self, tmp_path):
-        diff = self._diff(
-            tmp_path,
-            """\
-
-            def scratch_lifecycle(n, threads):
-                rep = ReplicatedArray(n, 4, threads)
-                rep.merge()
-                rep.reset()
-                return rep.view(0, 0, n)
-            """,
-        )
-        assert diff == Counter()
-
-
-class TestTypestate:
-    def test_use_after_close_is_caught(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def scratch_arena(shape):
-                arena = SharedArena()
-                try:
-                    buf = arena.zeros(shape)
-                finally:
-                    arena.close()
-                return arena.zeros(shape)
-            """,
-        )
-        report = run_lint([str(mod)], select=["flow.arena-typestate"])
-        assert len(report.findings) == 1
-        assert "after close()" in report.findings[0].message
-
-    def test_unprotected_close_of_local_arena_is_caught(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def scratch_arena(shape):
-                arena = SharedArena()
-                buf = arena.zeros(shape)
-                arena.close()
-                return buf
-            """,
-        )
-        report = run_lint([str(mod)], select=["flow.arena-typestate"])
-        assert len(report.findings) == 1
-        assert "context manager" in report.findings[0].message
-
-    def test_finally_close_of_local_arena_is_fine(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def scratch_arena(shape):
-                arena = SharedArena()
-                try:
-                    return arena.zeros(shape)
-                finally:
-                    arena.close()
-            """,
-        )
-        report = run_lint([str(mod)], select=["flow.arena-typestate"])
-        assert report.findings == []
-
-    def test_escaping_view_is_caught(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def run(pool, rep, n):
-                window = rep.view(0, 0, n)
-                def body(th):
-                    window[:] = th
-                    return th
-                return pool.map(body)
-            """,
-        )
-        report = run_lint([str(mod)], select=["flow.buffer-typestate"])
-        assert len(report.findings) == 1
-        assert "escapes into a task closure" in report.findings[0].message
-
-    def test_view_taken_inside_body_is_fine(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def run(pool, rep, n):
-                def body(th):
-                    window = rep.view(th, 0, n)
-                    window[:] = th
-                    return th
-                return pool.map(body)
-            """,
-        )
-        report = run_lint([str(mod)], select=["flow.buffer-typestate"])
-        assert report.findings == []
-
 
 class TestSuppressionEdgeCases:
     def test_two_pragmas_in_one_comment(self, tmp_path):
@@ -454,152 +355,14 @@ class TestSuppressionEdgeCases:
         assert report.suppressed >= 1
 
 
-class TestSarif:
-    def _sarif(self, paths, **kw):
-        return json.loads(format_sarif(run_lint(paths, **kw)))
-
-    def test_structure_and_rule_metadata(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            def f(out, idx, rows):
-                for p in range(idx.shape[0]):
-                    out[idx[p]] += rows[p]
-            """,
-        )
-        doc = self._sarif([str(mod)], flow=True)
-        assert doc["version"] == "2.1.0"
-        assert "sarif" in doc["$schema"]
-        (run,) = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = {r["id"] for r in driver["rules"]}
-        assert FLOW_RULES <= rule_ids
-        assert run["results"], "expected at least one result"
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids
-            assert result["message"]["text"]
-            (loc,) = result["locations"]
-            phys = loc["physicalLocation"]
-            assert phys["artifactLocation"]["uri"]
-            assert phys["region"]["startLine"] >= 1
-        (invocation,) = run["invocations"]
-        assert invocation["executionSuccessful"] is True
-
-    def test_errors_become_notifications(self, tmp_path):
-        bad = tmp_path / "broken.py"
-        bad.write_text("def broken(:\n")
-        doc = self._sarif([str(bad)])
-        (invocation,) = json.loads(json.dumps(doc))["runs"][0]["invocations"]
-        assert invocation["executionSuccessful"] is False
-        assert invocation["toolExecutionNotifications"]
-
-    def test_cli_sarif_output_parses(self, tmp_path):
-        mod = kernel_file(
-            tmp_path,
-            """\
-            import numpy as np
-
-            def f(out, idx, rows):
-                np.add.at(out, idx, rows)
-            """,
-        )
-        out = io.StringIO()
-        code = lint_main(["--format", "sarif", str(mod)], out)
-        assert code == EXIT_FINDINGS
-        doc = json.loads(out.getvalue())
-        assert doc["runs"][0]["results"]
-
-
-class TestBaseline:
-    SOURCE = """\
-        def f(out, idx, rows):
-            for p in range(idx.shape[0]):
-                out[idx[p]] += rows[p]
-        """
-
-    def test_round_trip_silences_known_findings(self, tmp_path):
-        mod = kernel_file(tmp_path, self.SOURCE)
-        baseline = tmp_path / "baseline.json"
-        report = run_lint([str(mod)], flow=True)
-        assert report.exit_code == EXIT_FINDINGS
-        write_baseline(report, baseline)
-
-        report = run_lint([str(mod)], flow=True)
-        apply_baseline(report, load_baseline(baseline))
-        assert report.findings == []
-        assert report.baselined >= 1
-        assert report.exit_code == EXIT_CLEAN
-
-    def test_new_finding_survives_baseline(self, tmp_path):
-        mod = kernel_file(tmp_path, self.SOURCE)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(run_lint([str(mod)], flow=True), baseline)
-
-        mod.write_text(
-            mod.read_text()
-            + textwrap.dedent(
-                """\
-
-                def g(out, idx, rows):
-                    for p in range(idx.shape[0]):
-                        out[idx[p]] += rows[p]
-                """
-            )
-        )
-        report = run_lint([str(mod)], flow=True)
-        apply_baseline(report, load_baseline(baseline))
-        live = {f.rule for f in report.findings}
-        assert "flow.traffic-conformance" in live
-        assert all("`g`" in f.message for f in report.findings)
-
-    def test_baseline_key_has_no_line_numbers(self, tmp_path):
-        mod = kernel_file(tmp_path, self.SOURCE)
-        report = run_lint([str(mod)], flow=True)
-        for finding in report.findings:
-            key = baseline_key(finding)
-            assert str(finding.line) not in key.split("::")[1]
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
-
-    def test_cli_update_baseline_requires_file(self):
-        out = io.StringIO()
-        assert lint_main(["--update-baseline", "src"], out) == EXIT_ERROR
-
-    def test_cli_update_then_apply(self, tmp_path):
-        mod = kernel_file(tmp_path, self.SOURCE)
-        baseline = tmp_path / "baseline.json"
-        out = io.StringIO()
-        code = lint_main(
-            ["--flow", "--baseline", str(baseline), "--update-baseline", str(mod)],
-            out,
-        )
-        assert code == EXIT_CLEAN
-        out = io.StringIO()
-        code = lint_main(["--flow", "--baseline", str(baseline), str(mod)], out)
-        assert code == EXIT_CLEAN
-        assert "baselined" in out.getvalue()
-
-
 class TestShippedTree:
     def test_flow_run_is_hard_clean(self):
-        """The flow-debt baseline was burned down to zero and deleted —
-        ``repro lint --flow src/`` must exit clean with no baseline."""
+        """``python -m repro.lint --flow src/`` must exit clean."""
         report = run_lint([str(REPO / "src")], flow=True)
         assert report.errors == []
         live = "\n".join(f.format() for f in report.findings)
         assert report.findings == [], f"flow findings on shipped tree:\n{live}"
         assert report.exit_code == EXIT_CLEAN
-
-    def test_no_baseline_file_checked_in(self):
-        """Regression guard: debt must be fixed (or narrowly pragma'd),
-        never re-baselined — the file must not reappear."""
-        assert not BASELINE.exists(), (
-            "lint-flow-baseline.json reappeared; fix the findings instead "
-            "of re-introducing a debt baseline (CONTRIBUTING.md)"
-        )
-
 
 class TestChargedCategorySummaries:
     """The static per-kernel charged-category summaries must agree with

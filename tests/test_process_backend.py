@@ -126,6 +126,15 @@ class TestSharedArena:
         with pytest.raises(FileNotFoundError):
             attach(fresh)
 
+    def test_zeros_and_share_after_close_raise(self):
+        arena = SharedArena()
+        arena.close()
+        with pytest.raises(RuntimeError, match="SharedArena is closed"):
+            arena.zeros((2, 2))
+        with pytest.raises(RuntimeError, match="SharedArena is closed"):
+            arena.share(np.ones(3))
+        assert len(arena) == 0
+
     def test_attach_cache_reuses_mapping(self):
         arena = SharedArena()
         try:

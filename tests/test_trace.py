@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.cpd import cp_als
-from repro.engines import create_engine
+from repro.engines import create_engine, engine_names
 from repro.parallel import MACHINES, TrafficCounter
 from repro.tensor import random_tensor
 from repro.trace import (
@@ -295,6 +295,16 @@ class TestEngineRunMeta:
         assert header["num_threads"] == 2
         # The tracer's own meta still comes through alongside the stamp.
         assert header["tensor"] == "unit"
+
+    @pytest.mark.parametrize("exec_backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("method", engine_names())
+    def test_header_names_the_backend_that_ran(self, method, exec_backend):
+        tensor = random_tensor((10, 8, 6), nnz=120, seed=3)
+        with create_engine(
+            method, tensor, 4, machine=MACHINE, num_threads=2,
+            exec_backend=exec_backend,
+        ) as engine:
+            assert engine_run_meta(engine)["exec_backend"] == exec_backend
 
     def test_meta_defaults_for_minimal_engines(self):
         """Objects without the capability attrs still produce a complete
