@@ -15,7 +15,8 @@ bit-interleaved linear index (:mod:`repro.tensor.alto`).  Its MTTKRP:
 
 Output conflicts between partitions are handled by per-partition
 accumulation merged by the coordinator (standing in for ALTO's recursive
-reduction).  Traffic accounting charges the linearized-index decode
+reduction), through one scatter operator per (mode, partition) built
+with the engine.  Traffic accounting charges the linearized-index decode
 (8 or 16 bytes per non-zero per mode pass), the values, the factor-row
 gathers for all ``d-1`` non-target modes with the cache rule, and the
 output scatter.
@@ -35,7 +36,13 @@ from ..core.proc_tasks import (
     resolve,
 )
 from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
-from ..kernels import gather_multiply_rows, value_gather_rows
+from ..kernels import (
+    ScatterOperator,
+    gather_multiply_rows,
+    operator_basis,
+    scatter_operator,
+    value_gather_rows,
+)
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
@@ -58,7 +65,7 @@ def _charge_alto_chunk(
     counter.flop(2.0 * decode_bits * n, "decode")
 
 
-def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
     """One ALTO partition's mode-``ctx["mode"]`` MTTKRP: gather the
     non-target factor rows of the partition's non-zeros, scale by the
     values and multiply through; the rows go back via :func:`emit_contrib`
@@ -80,7 +87,7 @@ def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     acc = value_gather_rows(vals, factors[other[0]], coords[other[0]], lo, hi)
     for m in other[1:]:
         acc = gather_multiply_rows(acc, factors[m], coords[m], lo, hi)
-    return emit_contrib(ctx["scratch"][th], lo, acc, counter)
+    return emit_contrib(ctx["scratch"][th], acc, counter)
 
 
 class AltoBackend(EngineBase):
@@ -126,6 +133,13 @@ class AltoBackend(EngineBase):
         self._coord_handles = [self._ctx.share(c) for c in self._coords]
         width = max((hi - lo for lo, hi in self.partitions), default=0)
         self._scratch = self._ctx.scratch(threads, max(1, width), rank)
+        # The coordinator's scatter of partition th into mode m's output
+        # always targets the same coordinates: sort them once, here.
+        basis = operator_basis(width)
+        self._scatter_ops: Optional[List[List[ScatterOperator]]] = [
+            [scatter_operator(c[lo:hi], basis) for lo, hi in self.partitions]
+            for c in self._coords
+        ]
 
     @property
     def num_threads(self) -> int:
@@ -155,6 +169,8 @@ class AltoBackend(EngineBase):
     def _mttkrp_level_impl(
         self, factors: Sequence[np.ndarray], mode: int
     ) -> np.ndarray:
+        if self._scatter_ops is None:
+            raise RuntimeError("engine is closed")
         out = np.zeros((self.tensor.shape[mode], self.rank))
         self.shards.reset()
         payloads = self._ctx.payloads(
@@ -170,18 +186,20 @@ class AltoBackend(EngineBase):
             decode_bits=self.alto.mask.total_bits,
         )
         results = self.pool.run_tasks(_alto_mode_task, payloads)
-        for th, result in enumerate(results):
-            lo, acc = self._ctx.contribution(
+        for th, (result, op) in enumerate(zip(results, self._scatter_ops[mode])):
+            acc = self._ctx.contribution(
                 self._scratch[th], result, self.shards.shard(th)
             )
-            scatter_add_rows(out, self._coords[mode][lo : lo + acc.shape[0]], acc)
+            scatter_add_rows(out, op, acc)
 
         self.shards.merge_into(self.counter)
         self._charge(mode, factors)
         return out
 
     def close(self) -> None:
-        """Release the processes backend's shared segments (no-op else)."""
+        """Release the scatter operators and the processes backend's
+        shared segments."""
+        self._scatter_ops = None
         self._ctx.close()
 
     def _charge(self, mode: int, factors: Sequence[np.ndarray]) -> None:

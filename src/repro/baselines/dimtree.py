@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
+from ..engines.base import EngineBase, resolve_num_threads
 from ..ops.partial import PartialTensor, contract_modes, from_coo, reduce_to_matrix
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.machine import MachineSpec
@@ -90,9 +90,10 @@ class DimTreeBackend(EngineBase):
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        # The BDT walk is coordinator-side dense algebra; ``exec_backend``
-        # is accepted for signature uniformity but has no pool to drive.
-        self.exec_backend = resolve_exec_backend(exec_backend)
+        # The BDT walk is coordinator-side dense algebra with no pool to
+        # drive: ``exec_backend`` is accepted for signature uniformity,
+        # and run metadata names the backend that actually runs it.
+        self.exec_backend = "serial"
         self.tensor = tensor
         self.rank = rank
         self.counter = counter

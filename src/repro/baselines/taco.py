@@ -16,7 +16,10 @@ The reimplementation mirrors that characterization:
 
 The chunk granularity controls how many root slices each simulated-thread
 task covers: small chunks approximate dynamic scheduling (better balance,
-more scheduling overhead), large chunks the static slice deal.
+more scheduling overhead), large chunks the static slice deal.  The
+segment operators of every chunk's sweep are built per (mode, chunk
+size) before that chunk size runs, so neither a probe nor a tuned
+sweep pays for index work.
 """
 
 from __future__ import annotations
@@ -26,16 +29,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.csf_kernels import thread_upward_sweep
+from ..core.csf_kernels import sweep_operators, thread_upward_sweep
 from ..core.proc_tasks import (
+    OperatorSpec,
     ProcessEngineContext,
     counter_state,
     local_counter,
     merge_counter_state,
     resolve,
     resolve_csf,
+    resolve_operators,
 )
 from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
+from ..kernels import operator_basis
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
@@ -67,6 +73,14 @@ def _charge_chunk(
     shard.flop(2.0 * rank * children, "sweep")
 
 
+def _chunk_leaves(csf: CsfTensor, s_lo: int, s_hi: int) -> Tuple[int, int]:
+    """Leaf range of the root slices ``[s_lo, s_hi)`` (``(0, 0)`` when
+    the chunk is empty)."""
+    if s_hi <= s_lo:
+        return 0, 0
+    return csf.leaf_span(0, s_lo)[0], csf.leaf_span(0, s_hi - 1)[1]
+
+
 def _taco_sweep_task(
     payload: Dict[str, Any]
 ) -> Tuple[List[Tuple[int, np.ndarray]], tuple]:
@@ -82,14 +96,11 @@ def _taco_sweep_task(
     results: List[Tuple[int, np.ndarray]] = []
     for ti in range(th, len(tasks), pool_t):
         s_lo, s_hi = tasks[ti]
-        leaf_lo, _ = csf.leaf_span(0, s_lo) if s_hi > s_lo else (0, 0)
-        if s_hi > s_lo:
-            _, leaf_hi = csf.leaf_span(0, s_hi - 1)
-        else:
-            leaf_hi = leaf_lo
+        leaf_lo, leaf_hi = _chunk_leaves(csf, s_lo, s_hi)
         if ctx["charge"]:
             _charge_chunk(counter, csf, s_lo, s_hi, ctx["rank"])
-        res = thread_upward_sweep(csf, lf, leaf_lo, leaf_hi, stop_level=0)
+        ops = resolve_operators(ctx["ops"], ti)
+        res = thread_upward_sweep(csf, lf, leaf_lo, leaf_hi, stop_level=0, ops=ops)
         results.append(res[0])
     return results, counter_state(counter)
 
@@ -137,8 +148,13 @@ class TacoBackend(EngineBase):
             counter, shared=self.pool.backend == "processes"
         )
         self._csf_specs = [self._ctx.share_csf(c) for c in self.csfs]
+        #: Chunk sweeps' segment operators, keyed by (mode, chunk size).
+        self._ops: Optional[Dict[Tuple[int, int], OperatorSpec]] = {}
+        self._basis = operator_basis(tensor.nnz)
         if autotune:
             self.autotune()
+        for mode in range(d):
+            self._operators(mode)
 
     # ------------------------------------------------------------------
     def autotune(self) -> int:
@@ -156,6 +172,7 @@ class TacoBackend(EngineBase):
         )
         for chunk in CHUNK_GRID:
             self.chunk_slices = chunk
+            self._operators(0)  # index work stays out of the probe's time
             t1 = time.perf_counter()
             self._sweep_mode(0, probe, charge=False)
             dt = time.perf_counter() - t1
@@ -164,6 +181,8 @@ class TacoBackend(EngineBase):
             if score < best[0]:
                 best = (score, chunk)
         self.chunk_slices = best[1]
+        kept = (self._ops or {}).items()
+        self._ops = {k: v for k, v in kept if k[1] == self.chunk_slices}
         self.tuning_seconds = time.perf_counter() - t0
         return self.chunk_slices
 
@@ -174,9 +193,29 @@ class TacoBackend(EngineBase):
         edges = list(range(0, n_slices, self.chunk_slices)) + [n_slices]
         return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
+    def _operators(self, mode: int) -> OperatorSpec:
+        """The segment operators of ``mode``'s chunk sweeps at the current
+        chunk size, built on first use and kept by the engine."""
+        if self._ops is None:
+            raise RuntimeError("engine is closed")
+        key = (mode, self.chunk_slices)
+        spec = self._ops.get(key)
+        if spec is None:
+            csf = self.csfs[mode]
+            spec = self._ctx.share_operators(
+                [
+                    sweep_operators(csf, *_chunk_leaves(csf, *task), basis=self._basis)
+                    for task in self._task_bounds(csf)
+                ],
+                self._basis,
+            )
+            self._ops[key] = spec
+        return spec
+
     def _sweep_mode(
         self, mode: int, factors: Sequence[np.ndarray], *, charge: bool = True
     ) -> np.ndarray:
+        ops = self._operators(mode)
         csf = self.csfs[mode]
         rank = self.rank
         out = np.zeros((csf.level_shape(0), rank))
@@ -192,6 +231,7 @@ class TacoBackend(EngineBase):
             csf=self._csf_specs[mode],
             factors=self._ctx.refresh_factors(factors),
             tasks=tasks,
+            ops=ops,
             pool_t=pool_t,
             rank=rank,
             charge=charge,
@@ -216,7 +256,9 @@ class TacoBackend(EngineBase):
         return out
 
     def close(self) -> None:
-        """Release the processes backend's shared segments (no-op else)."""
+        """Release the segment operators and the processes backend's
+        shared segments; later kernel calls raise."""
+        self._ops = None
         self._ctx.close()
 
     # ------------------------------------------------------------------
@@ -249,10 +291,7 @@ class TacoBackend(EngineBase):
         pool_t = self.pool.num_threads
         loads = [0] * pool_t
         for ti, (s_lo, s_hi) in enumerate(tasks):
-            if s_hi <= s_lo:
-                continue
-            leaf_lo, _ = csf.leaf_span(0, s_lo)
-            _, leaf_hi = csf.leaf_span(0, s_hi - 1)
+            leaf_lo, leaf_hi = _chunk_leaves(csf, s_lo, s_hi)
             loads[ti % pool_t] += leaf_hi - leaf_lo
         mean = sum(loads) / pool_t
         return max(loads) / mean if mean else 1.0

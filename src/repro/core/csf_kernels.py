@@ -9,14 +9,16 @@ NumPy call per tree level instead of one Python iteration per node:
 * **upward sweep** (:func:`thread_upward_sweep`) — the TTM + chain of
   mTTV contractions that produce the partial results ``t_i`` /
   ``P^(i)``: per level, one gather of factor rows, one elementwise
-  multiply, one ``np.add.reduceat`` segmented sum over the ``ptr`` array.
+  multiply, one segmented sum — a product with the thread's segment
+  operator for that level (:func:`sweep_operators`).
 * **downward sweep** (:func:`thread_downward_k`) — the ``k_i`` rows of
   Algorithm 5 (row-wise KRP of ``A^(0..i)`` along each tree path): per
   level, one ``np.repeat`` expansion by child counts and one gather-
   multiply.
 * **scatter** (:func:`scatter_add_rows`) — the ``Ā^(u)[idx] += ...``
-  accumulation (gathered writes with duplicate indices): a stable sort
-  by target row and one segmented reduce.
+  accumulation (gathered writes with duplicate indices): one product
+  with a scatter operator whose stable sort by target row was done when
+  the operator was built.
 
 Thread decomposition follows Algorithm 3: every primitive takes a
 *half-open child range* owned by the calling thread and clips segment
@@ -25,24 +27,32 @@ by each adjacent thread; because every contraction is linear in ``t``,
 partial contributions merge correctly at any level (this is exactly the
 property STeF's boundary-replication scheme exploits).
 
-The inner loops themselves — gathers, multiplies, expansions and
-segmented reduces — are the flat-array kernel ABI (:mod:`repro.kernels`),
-called here by name.  Traffic stays charged in these wrappers, never
-inside the ABI functions.
+The segment boundaries of a thread's sweep depend only on the CSF and
+the thread's range, so engines build the operators once
+(:func:`sweep_operators`) and pass them to every call.  The inner loops
+themselves — gathers, multiplies, expansions and the two reductions —
+are the flat-array kernel ABI (:mod:`repro.kernels`), called here by
+name.  Traffic stays charged in these wrappers, never inside the ABI
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ..kernels import (
+    INDEX_DTYPE,
+    OperatorBasis,
+    ScatterOperator,
     gather_multiply_rows,
     parent_of,
     repeat_rows,
     scatter_rows_add,
+    segment_operator,
     segment_reduce_rows,
     take_factor_rows,
     value_gather_rows,
@@ -54,23 +64,24 @@ __all__ = [
     "scatter_add_rows",
     "LevelSlice",
     "thread_level_ranges",
+    "sweep_operators",
     "thread_upward_sweep",
     "thread_downward_k",
     "serial_upward_sweep",
 ]
 
 
-def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``out[idx[p], :] += rows[p, :]`` with duplicate indices.
+def scatter_add_rows(out: np.ndarray, op: ScatterOperator, rows: np.ndarray) -> None:
+    """``out[idx[p], :] += rows[p, :]`` with duplicate indices, through
+    the :func:`~repro.kernels.scatter_operator` of ``idx``.
 
-    Sorts by target row and segment-reduces — one vectorized pass over
-    all rank columns at once, with temporaries sized by the *input*
-    (nnz) rather than the output matrix.  Orders of magnitude faster
-    than ``np.add.at`` and beats per-column ``bincount`` whenever the
-    output has many rows.  The loop lives in the kernel ABI
-    (:func:`repro.kernels.scatter_rows_add`).
+    One sparse product over all rank columns at once, with temporaries
+    sized by the touched output rows; the sort by target row happened
+    when the operator was built.  Each target accumulates its rows in
+    position order, as ``np.add.at`` does.  The loop lives in the kernel
+    ABI (:func:`repro.kernels.scatter_rows_add`).
     """
-    scatter_rows_add(out, idx, rows)
+    scatter_rows_add(out, op, rows)
 
 
 @dataclass(frozen=True)
@@ -123,13 +134,43 @@ def thread_level_ranges(
     return ancestor_windows(csf, csf.ndim - 1, leaf_lo, leaf_hi)
 
 
-def _segment_starts(
-    csf: CsfTensor, level: int, window: LevelSlice, child_lo: int, child_hi: int
+def _segment_bounds(
+    ptr: np.ndarray, window: LevelSlice, child: LevelSlice
 ) -> np.ndarray:
-    """Relative ``reduceat`` boundaries for the nodes of ``window`` at
-    ``level`` over the thread-owned child positions ``[child_lo, child_hi)``."""
-    starts = csf.ptr[level][window.lo : window.hi]
-    return np.clip(starts, child_lo, child_hi) - child_lo
+    """The child spans of ``window``'s nodes in ``ptr``, clipped to the
+    rows of ``child`` and made relative to its first one."""
+    bounds = np.clip(ptr[window.lo : window.hi + 1], child.lo, child.hi)
+    return (bounds - child.lo).astype(INDEX_DTYPE)
+
+
+def sweep_operators(
+    csf: CsfTensor,
+    child_lo: int,
+    child_hi: int,
+    *,
+    start_level: Optional[int] = None,
+    stop_level: int = 0,
+    basis: Optional[OperatorBasis] = None,
+) -> Dict[int, csr_array]:
+    """Segment operators of one thread's upward sweep, ``level -> op``.
+
+    The sweep starts from positions ``[child_lo, child_hi)`` at
+    ``start_level`` (default: the leaves).  ``op`` at ``level`` sums the
+    thread's rows at ``level + 1`` into the nodes of its window at
+    ``level``, each segment clipped to the rows the thread owns.  An
+    empty range needs no operators.
+    """
+    if start_level is None:
+        start_level = csf.ndim - 1
+    if child_hi <= child_lo:
+        return {}
+    w = ancestor_windows(csf, start_level, child_lo, child_hi)
+    return {
+        level: segment_operator(
+            _segment_bounds(csf.ptr[level], w[level], w[level + 1]), basis
+        )
+        for level in range(stop_level, start_level)
+    }
 
 
 def thread_upward_sweep(
@@ -141,6 +182,7 @@ def thread_upward_sweep(
     start_level: Optional[int] = None,
     init: Optional[np.ndarray] = None,
     stop_level: int = 0,
+    ops: Optional[Mapping[int, csr_array]] = None,
 ) -> Dict[int, Tuple[int, np.ndarray]]:
     """One thread's share of the TTM/mTTV contraction chain.
 
@@ -164,6 +206,10 @@ def thread_upward_sweep(
     stop_level:
         Deepest level whose partial ``t`` should be *returned* — the sweep
         contracts down to (and including) ``stop_level``.
+    ops:
+        This range's :func:`sweep_operators` (covering at least
+        ``stop_level``); engines build them once and pass them to every
+        call.  Built here when omitted.
 
     Returns
     -------
@@ -185,6 +231,14 @@ def thread_upward_sweep(
         for level in range(stop_level, start_level):
             out[level] = (0, np.zeros((0, rank)))
         return out
+    if ops is None:
+        ops = sweep_operators(
+            csf,
+            child_lo,
+            child_hi,
+            start_level=start_level,
+            stop_level=stop_level,
+        )
 
     # Seed contributions at the start level, already multiplied by the
     # start level's factor rows (the TTM step when starting from leaves).
@@ -213,8 +267,7 @@ def thread_upward_sweep(
             parent_of(csf.ptr[level], lo),
             parent_of(csf.ptr[level], hi - 1) + 1,
         )
-        rel = _segment_starts(csf, level, window, lo, hi)
-        t_partial = segment_reduce_rows(contrib, rel)
+        t_partial = segment_reduce_rows(contrib, ops[level])
         out[level] = (window.lo, t_partial)
         if level > stop_level:
             contrib = gather_multiply_rows(

@@ -27,10 +27,16 @@ per-thread kernel: its context holds the engine's own arrays under
 ``serial``/``threads`` and shared-memory tokens under ``processes``
 (:class:`~repro.core.proc_tasks.ProcessEngineContext`), so the backends
 run identical arithmetic by construction.  Tasks only *compute*
-(gathers, multiplies, segmented sums — all GIL-releasing NumPy) and
-write slot-disjoint :class:`~repro.parallel.executor.ReplicatedArray`
-stripes; scatters into shared outputs happen on the coordinating thread
-in thread-id order, so every backend is bit-identical to ``serial``.
+(gathers, multiplies, segmented sums) and write slot-disjoint
+:class:`~repro.parallel.executor.ReplicatedArray` stripes; scatters into
+shared outputs happen on the coordinating thread in thread-id order, so
+every backend is bit-identical to ``serial``.
+
+Both reductions are plan-time operators (:mod:`repro.kernels`) the
+engine builds once and owns: a segment operator per (sweep, thread,
+level) that the tasks receive through ``ctx["sweeps"]``, and a scatter
+operator per (level ``u``, thread) contribution that the coordinator
+applies.  :meth:`MemoizedMttkrp.close` releases them.
 
 Every call charges its semantic read/write volumes at the same
 granularity as the Section IV model, giving the measured channel the
@@ -58,13 +64,19 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engines.base import EngineBase, resolve_exec_backend
-from ..kernels import scale_rows_by_values
+from ..kernels import operator_basis, scale_rows_by_values, scatter_operator
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import ReplicatedArray, SimulatedPool
 from ..parallel.partition import ThreadPartition, nnz_partition, slice_partition
 from ..tensor.csf import CsfTensor
 from ..trace import NULL_TRACER, Tracer
-from .csf_kernels import scatter_add_rows, thread_downward_k, thread_upward_sweep
+from .csf_kernels import (
+    ancestor_windows,
+    scatter_add_rows,
+    sweep_operators,
+    thread_downward_k,
+    thread_upward_sweep,
+)
 from .memoization import SAVE_NONE, MemoPlan
 from .proc_tasks import (
     Handle,
@@ -75,6 +87,7 @@ from .proc_tasks import (
     merge_counter_state,
     resolve,
     resolve_csf,
+    resolve_operators,
 )
 
 __all__ = [
@@ -155,8 +168,10 @@ def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     ctx, th = payload["ctx"], payload["th"]
     csf, lf, counter = _task_operands(ctx)
     charge_sweep(counter, _owned(ctx, th), ctx["rank"])
-    lo, hi = _range(ctx, th, csf.ndim - 1)
-    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0)
+    leaf = csf.ndim - 1
+    lo, hi = _range(ctx, th, leaf)
+    ops = resolve_operators(ctx["sweeps"][leaf], th)
+    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0, ops=ops)
     ranges: Dict[int, Tuple[int, int]] = {}
     for lvl, rep in ctx["rep"].items():
         nlo, tp = res[lvl]
@@ -166,7 +181,7 @@ def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"ranges": ranges, "traffic": counter_state(counter)}
 
 
-def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
     """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over this thread's node ownership."""
     ctx, th = payload["ctx"], payload["th"]
     u = ctx["u"]
@@ -175,10 +190,10 @@ def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     a, b = _range(ctx, th, u)
     k = thread_downward_k(csf, lf, u, a, b)
     memo = resolve(ctx["memo"][u])
-    return emit_contrib(ctx["scratch"][th], a, k * memo[a:b], counter)
+    return emit_contrib(ctx["scratch"][th], k * memo[a:b], counter)
 
 
-def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
     """Fig. 1c/1d: rebuild ``t_u`` from ``P^(source)`` (or the tensor when
     ``source == d-1``) and fuse with the downward ``k`` sweep.
 
@@ -191,8 +206,9 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     d = csf.ndim
     charge_mode_u(counter, _owned(ctx, th), u, source, d, ctx["rank"])
     lo, hi = _range(ctx, th, source)
+    ops = resolve_operators(ctx["sweeps"][source], th)
     if source == d - 1:
-        res = thread_upward_sweep(csf, lf, lo, hi, stop_level=u)
+        res = thread_upward_sweep(csf, lf, lo, hi, stop_level=u, ops=ops)
     else:
         res = thread_upward_sweep(
             csf,
@@ -202,13 +218,14 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
             start_level=source,
             init=resolve(ctx["memo"][source]),
             stop_level=u,
+            ops=ops,
         )
     nlo, tp = res[u]
     k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0])
-    return emit_contrib(ctx["scratch"][th], nlo, k * tp, counter)
+    return emit_contrib(ctx["scratch"][th], k * tp, counter)
 
 
-def leaf_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
+def leaf_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
     """Leaf-mode kernel: ``val · k_{d-2}`` per owned leaf."""
     ctx, th = payload["ctx"], payload["th"]
     csf, lf, counter = _task_operands(ctx)
@@ -217,7 +234,7 @@ def leaf_task(payload: Dict[str, Any]) -> Tuple[str, int, Any, tuple]:
     lo, hi = _range(ctx, th, d - 1)
     k = thread_downward_k(csf, lf, d - 1, lo, hi)
     contrib = scale_rows_by_values(csf.values, k, lo, hi)
-    return emit_contrib(ctx["scratch"][th], lo, contrib, counter)
+    return emit_contrib(ctx["scratch"][th], contrib, counter)
 
 
 class MemoizedMttkrp(EngineBase):
@@ -296,13 +313,14 @@ class MemoizedMttkrp(EngineBase):
         self._csf_spec = self._proc.share_csf(csf)
         self._rep_handles: Dict[int, Handle] = {}
         self._memo_handles: Dict[int, Handle] = {}
-        # Scratch rows bound any mode-u contribution: the widest
-        # per-thread node range at any level, +1 for the shared boundary
-        # node recompute sweeps may touch.
+        # Scratch rows bound any mode-u contribution, and the operator
+        # basis any operator's width: the widest per-thread node range at
+        # any level, +1 for the shared boundary node recompute sweeps may
+        # touch.
         diffs = np.diff(self.partition.starts, axis=0)
-        self._scratch = self._proc.scratch(
-            self.pool.num_threads, int(diffs.max()) + 1 if diffs.size else 1, rank
-        )
+        width = int(diffs.max()) + 1 if diffs.size else 1
+        self._scratch = self._proc.scratch(self.pool.num_threads, width, rank)
+        self._build_operators(width)
 
     # ------------------------------------------------------------------
     @property
@@ -341,6 +359,72 @@ class MemoizedMttkrp(EngineBase):
         return self.partition.load_factor(source)
 
     # ------------------------------------------------------------------
+    # plan-time reduction operators
+    # ------------------------------------------------------------------
+    def _build_operators(self, width: int) -> None:
+        """Build every reduction operator the plan's kernels apply.
+
+        Segment operators (``self._sweep_ops``, keyed by the sweep's
+        start level): per thread and level, for the leaf sweep of mode 0
+        (which recompute-from-tensor kernels share) and for the sweep up
+        from each saved ``P^(s)`` that feeds a recompute.  Scatter
+        operators (``self._scatter_ops``, keyed by level ``u``): per
+        thread, over the rows its mode-``u`` task emits.  All of it
+        depends only on the CSF, the partition and the plan, so it runs
+        once, here, and the operators view one basis ``width`` rows wide.
+        """
+        csf, d = self.csf, self.csf.ndim
+        threads = range(self.num_threads)
+        starts = self.partition.starts
+        basis = operator_basis(width)
+        # Each sweep runs from its start level up to the shallowest level
+        # it feeds: the root for the leaf sweep, the first recomputed
+        # level for a sweep up from a saved P^(s).
+        stops = {d - 1: 0}
+        for u in range(1, d - 1):
+            source = self.plan.source_level(u, d)
+            if source != u:
+                stops.setdefault(source, u)
+        proc = self._context()
+        self._sweep_ops = {
+            start: proc.share_operators(
+                [
+                    sweep_operators(
+                        csf,
+                        int(starts[th, start]),
+                        int(starts[th + 1, start]),
+                        start_level=start,
+                        stop_level=stop,
+                        basis=basis,
+                    )
+                    for th in threads
+                ],
+                basis,
+            )
+            for start, stop in stops.items()
+        }
+        self._scatter_ops = {
+            u: [
+                scatter_operator(csf.idx[u][lo:hi], basis)
+                for lo, hi in (self._emitted_span(u, th) for th in threads)
+            ]
+            for u in range(1, d)
+        }
+
+    def _emitted_span(self, u: int, th: int) -> Tuple[int, int]:
+        """Node range at level ``u`` of the rows thread ``th``'s mode-``u``
+        task emits: its owned range at the source level when that is
+        ``u`` itself (leaf and memo-direct kernels), else the window at
+        ``u`` of its sweep up from the source."""
+        d, starts = self.csf.ndim, self.partition.starts
+        source = self.plan.source_level(u, d) if u < d - 1 else d - 1
+        lo, hi = int(starts[th, source]), int(starts[th + 1, source])
+        if source == u:
+            return lo, hi
+        window = ancestor_windows(self.csf, source, lo, hi)[u]
+        return window.lo, window.hi
+
+    # ------------------------------------------------------------------
     # dispatch plumbing
     # ------------------------------------------------------------------
     def _context(self) -> ProcessEngineContext:
@@ -359,6 +443,7 @@ class MemoizedMttkrp(EngineBase):
             factors=proc.refresh_factors(lf),
             memo=dict(self._memo_handles),
             scratch=self._scratch,
+            sweeps=self._sweep_ops,
             **extra,
         )
 
@@ -502,11 +587,11 @@ class MemoizedMttkrp(EngineBase):
         else:
             results = self.pool.run_tasks(recompute_task, payloads)
         proc = self._context()
-        for th, result in enumerate(results):
-            nlo, contrib = proc.contribution(
+        for th, (result, op) in enumerate(zip(results, self._scatter_ops[u])):
+            contrib = proc.contribution(
                 self._scratch[th], result, self.shards.shard(th)
             )
-            scatter_add_rows(out, csf.idx[u][nlo : nlo + contrib.shape[0]], contrib)
+            scatter_add_rows(out, op, contrib)
 
         self.shards.merge_into(self.counter)
         self._charge_mode_u(u, source)
@@ -534,11 +619,14 @@ class MemoizedMttkrp(EngineBase):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the shared-memory segments of the processes backend
-        (no-op for the others).  Also triggered by garbage collection;
-        calling it explicitly just makes the release deterministic."""
+        """Release the reduction operators and, under the processes
+        backend, the shared-memory segments; later kernel calls raise.
+        Shared segments are also released by garbage collection; calling
+        it explicitly just makes the release deterministic."""
         proc = self._proc
-        if proc is not None and proc.arena is not None:
+        if proc is not None:
+            self._sweep_ops.clear()
+            self._scatter_ops.clear()
             self._reps.clear()
             self._rep_handles.clear()
             proc.close()

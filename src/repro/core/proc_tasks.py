@@ -16,6 +16,11 @@ this module supplies both ends of that contract:
   arrays: no shared memory, no copy.
 * :func:`resolve` / :func:`resolve_csf` are the task side: the identity
   on an in-process array, :func:`~repro.parallel.shm.attach` on a token.
+* An engine's plan-time segment operators reach its tasks the same way
+  (:meth:`ProcessEngineContext.share_operators`,
+  :func:`resolve_operators`): the operators themselves in-process; across
+  processes their row pointers, packed into one segment per level and
+  shared once, which the task wraps as operators again.
 * A task charges its per-thread traffic legs to a :func:`local_counter`
   and returns its :func:`counter_state`; the coordinator folds it into
   that thread's :class:`~repro.parallel.counters.ShardedTrafficCounter`
@@ -31,16 +36,20 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_array
 
+from ..kernels import INDEX_DTYPE, OperatorBasis, segment_operator
 from ..parallel.counters import TrafficCounter
 from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.csf import CsfTensor
 
 __all__ = [
     "Handle",
+    "OperatorSpec",
     "ProcessEngineContext",
     "resolve",
     "resolve_csf",
+    "resolve_operators",
     "local_counter",
     "counter_state",
     "merge_counter_state",
@@ -50,6 +59,12 @@ __all__ = [
 #: A task operand: the array itself in-process, a token across processes.
 Handle = Union[np.ndarray, ShmToken]
 CounterState = Tuple[float, float, float, Dict[str, float]]
+#: Per-task segment operators, ``level -> operator`` for each task.
+TaskOperators = Sequence[Dict[int, csr_array]]
+#: Their task-side spec: the operators in-process, tokens across processes.
+OperatorSpec = Union[TaskOperators, Dict[str, Any]]
+
+_NO_BOUNDS = np.zeros(0, dtype=INDEX_DTYPE)
 
 
 # ----------------------------------------------------------------------
@@ -73,6 +88,21 @@ def resolve_csf(spec: Union[CsfTensor, Dict[str, Any]]) -> CsfTensor:
         spec["shape"],
         spec["fiber_counts"],
     )
+
+
+def resolve_operators(spec: OperatorSpec, task: int) -> Dict[int, csr_array]:
+    """Task ``task``'s segment operators, ``level -> operator``: the
+    engine's own in-process, wrapped around the shared row pointers and
+    basis in a process worker (no index work, no copy)."""
+    if not isinstance(spec, dict):
+        return spec[task]
+    basis = OperatorBasis(*(attach(t) for t in spec["basis"]))
+    ops: Dict[int, csr_array] = {}
+    for level, (token, offsets) in spec["levels"].items():
+        lo, hi = offsets[task], offsets[task + 1]
+        if hi > lo:
+            ops[level] = segment_operator(attach(token)[lo:hi], basis)
+    return ops
 
 
 def local_counter(ctx: Dict[str, Any]) -> TrafficCounter:
@@ -102,10 +132,9 @@ def merge_counter_state(shard: TrafficCounter, state: CounterState) -> None:
 
 def emit_contrib(
     scratch: Optional[Handle],
-    nlo: int,
     contrib: np.ndarray,
     counter: TrafficCounter,
-) -> Tuple[str, int, Any, CounterState]:
+) -> Tuple[str, Any, CounterState]:
     """Hand a per-thread contribution back to the coordinator.
 
     In-process (no scratch) the array itself travels back.  Across the
@@ -118,8 +147,8 @@ def emit_contrib(
         n = contrib.shape[0]
         if contrib.dtype == buf.dtype and n <= buf.shape[0]:
             buf[:n] = contrib
-            return ("shm", nlo, n, counter_state(counter))
-    return ("obj", nlo, contrib, counter_state(counter))
+            return ("shm", n, counter_state(counter))
+    return ("obj", contrib, counter_state(counter))
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +171,7 @@ class ProcessEngineContext:
         }
         self._factor_tokens: Optional[List[ShmToken]] = None
         self._memo_tokens: Dict[int, ShmToken] = {}
+        self._basis: Optional[OperatorBasis] = None
 
     # ------------------------------------------------------------------
     def share_csf(self, csf: CsfTensor) -> Union[CsfTensor, Dict[str, Any]]:
@@ -157,6 +187,27 @@ class ProcessEngineContext:
             "ptr": [arena.share(p) for p in csf.ptr],
             "values": arena.share(csf.values),
         }
+
+    def share_operators(
+        self, per_task: TaskOperators, basis: OperatorBasis
+    ) -> OperatorSpec:
+        """Task-side spec of per-task segment operators built over
+        ``basis`` (resolved by :func:`resolve_operators`).  When shared,
+        each level's row pointers are packed into one segment — never a
+        segment per (task, level), which would overrun the workers'
+        attach cache — and the basis is shared once per context."""
+        arena = self.arena
+        if arena is None:
+            return list(per_task)
+        if self._basis is None:
+            self._basis = OperatorBasis(*(arena.share(v) for v in basis))
+        levels = sorted({level for ops in per_task for level in ops})
+        packed: Dict[int, Tuple[ShmToken, List[int]]] = {}
+        for level in levels:
+            parts = [ops[level].indptr if level in ops else _NO_BOUNDS for ops in per_task]
+            offsets = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
+            packed[level] = (arena.share(np.concatenate(parts)), offsets)
+        return {"levels": packed, "basis": self._basis}
 
     def share(self, array: np.ndarray) -> Handle:
         """Handle to an immutable operand (copied into a segment once)."""
@@ -182,16 +233,16 @@ class ProcessEngineContext:
     def contribution(
         self,
         scratch: Optional[Handle],
-        result: Tuple[str, int, Any, CounterState],
+        result: Tuple[str, Any, CounterState],
         shard: TrafficCounter,
-    ) -> Tuple[int, np.ndarray]:
+    ) -> np.ndarray:
         """Fold one :func:`emit_contrib` result: its traffic into the
-        thread's ``shard``, its rows returned as ``(nlo, rows)``."""
-        kind, nlo, val, traffic = result
+        thread's ``shard``; returns its rows."""
+        kind, val, traffic = result
         merge_counter_state(shard, traffic)
         if kind == "shm":
-            return nlo, self.array(scratch)[:val]
-        return nlo, val
+            return self.array(scratch)[:val]
+        return val
 
     # ------------------------------------------------------------------
     def refresh_factors(self, factors: Sequence[np.ndarray]) -> List[Handle]:

@@ -8,8 +8,9 @@ everything under ``ops/`` and ``baselines/`` — for the idioms that
 quietly reintroduce interpreter- or copy-bound inner loops:
 
 1. ``np.add.at`` — the documented-slow buffered scatter; use
-   :func:`repro.core.csf_kernels.scatter_add_rows` (sort + segmented
-   ``reduceat``) instead;
+   :func:`repro.core.csf_kernels.scatter_add_rows` (one product with a
+   scatter operator sorted once, :func:`repro.kernels.scatter_operator`)
+   instead;
 2. ``.flatten()`` — always copies; ``.ravel()`` is view-returning;
 3. array concatenation (``np.concatenate``/``append``/``vstack``/
    ``hstack``) *inside a loop* — quadratic reallocation; build a list and
@@ -83,8 +84,8 @@ class HotPathRule(Rule):
                 node,
                 "np.add.at is a buffered per-element scatter (orders of "
                 "magnitude slower); use "
-                "repro.core.csf_kernels.scatter_add_rows (sort + "
-                "segmented reduceat)",
+                "repro.core.csf_kernels.scatter_add_rows with a "
+                "repro.kernels.scatter_operator built once",
             )
             return
         if isinstance(node.func, ast.Attribute) and node.func.attr == "flatten":

@@ -24,7 +24,15 @@ conflict-free (paper Section III-A).  The contract:
    ``_SEEN[lo] = hi``).  Under processes such a write never reaches the
    coordinator; under threads it races.  Stores into buffers the task
    resolves from its payload (``resolve(rep)[...] += ...``, rooted at a
-   call) and into its own locals stay clean.
+   call) and into its own locals stay clean;
+4. nor may it mutate a module-level container in place: a ``del``
+   target or the receiver of a mutating method call (``append``,
+   ``update``, ``setdefault``, ``pop``, ...) rooted at a bare name the
+   module binds by assignment (``_LOG.append(lo)``,
+   ``_CACHE[th].append(lo)``, ``del _SEEN[lo]``) — a worker-side cache
+   is exactly this.  Names bound by ``import``,
+   ``def`` or ``class`` are not containers the task could fill
+   (``np.append(...)`` returns a new array).
 
 Every backend dispatches the same task functions, so this rule covers
 every kernel body the engines run.
@@ -37,6 +45,12 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from ..astutils import expr_text, local_names
 from ..framework import FileContext, Finding, Rule, register
+
+#: Methods that mutate a list, dict or set in place.
+MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+    "clear", "remove", "add", "discard",
+})
 
 
 def _run_tasks_calls(tree: ast.Module) -> List[ast.Call]:
@@ -58,6 +72,30 @@ def _module_level_defs(tree: ast.Module) -> Set[str]:
         for n in tree.body
         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
+
+
+def _module_assigned_names(tree: ast.Module) -> Set[str]:
+    """Bare names bound by assignment directly at module scope."""
+    names: Set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+    return names
+
+
+def _root_name(node: ast.AST) -> Optional[str]:
+    """The bare name an attribute/subscript chain hangs off, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _nested_defs(tree: ast.Module) -> Set[str]:
@@ -91,6 +129,7 @@ class ProcessTaskSafetyRule(Rule):
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         nested = _nested_defs(tree)
+        module_names = _module_assigned_names(tree)
         checked_bodies: Set[str] = set()
         for call in _run_tasks_calls(tree):
             task = call.args[0]
@@ -101,7 +140,9 @@ class ProcessTaskSafetyRule(Rule):
             if isinstance(task, ast.Name) and task.id in top_defs:
                 if task.id not in checked_bodies:
                     checked_bodies.add(task.id)
-                    yield from self._check_task_body(ctx, top_defs[task.id])
+                    yield from self._check_task_body(
+                        ctx, top_defs[task.id], module_names
+                    )
 
     # ------------------------------------------------------------------
     def _task_arg_problem(
@@ -140,9 +181,10 @@ class ProcessTaskSafetyRule(Rule):
         )
 
     def _check_task_body(
-        self, ctx: FileContext, fn: ast.FunctionDef
+        self, ctx: FileContext, fn: ast.FunctionDef, module_names: Set[str]
     ) -> Iterator[Finding]:
         owned = local_names(fn)
+        shared = module_names - owned
         for stmt in fn.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Global):
@@ -162,6 +204,36 @@ class ProcessTaskSafetyRule(Rule):
                     )
                     for target in targets:
                         yield from self._check_store(ctx, fn, node, target, owned)
+                elif isinstance(node, ast.Delete):
+                    for target in node.targets:
+                        if (
+                            isinstance(target, (ast.Attribute, ast.Subscript))
+                            and _root_name(target) in shared
+                        ):
+                            yield self._mutation(
+                                ctx, fn, node, f"`del {expr_text(target)}`"
+                            )
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in MUTATING_METHODS
+                    and _root_name(node.func.value) in shared
+                ):
+                    yield self._mutation(
+                        ctx, fn, node, f"`{expr_text(node.func)}()`"
+                    )
+
+    def _mutation(
+        self, ctx: FileContext, fn: ast.FunctionDef, node: ast.AST, what: str
+    ) -> Finding:
+        return ctx.finding(
+            self.id,
+            node,
+            f"process task `{fn.name}` mutates module-level state with "
+            f"{what}: under processes the change never reaches the "
+            "coordinator, under threads it races — return the value "
+            "through the task result",
+        )
 
     def _check_store(
         self,
@@ -177,13 +249,10 @@ class ProcessTaskSafetyRule(Rule):
             return
         if not isinstance(target, (ast.Attribute, ast.Subscript)):
             return
-        root: ast.AST = target
-        while isinstance(root, (ast.Attribute, ast.Subscript)):
-            root = root.value
-        if isinstance(root, ast.Name):
-            if root.id in owned:
-                return
-        elif isinstance(target, ast.Subscript):
+        root = _root_name(target)
+        if root in owned:
+            return
+        if root is None and isinstance(target, ast.Subscript):
             return  # a payload-resolved buffer, e.g. resolve(rep)[...]
         kind = "attribute" if isinstance(target, ast.Attribute) else "subscript"
         yield ctx.finding(

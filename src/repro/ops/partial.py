@@ -16,6 +16,8 @@ A :class:`PartialTensor` stores the result sparsely: an integer prefix
 coordinate matrix (unique rows) plus an aligned ``(m, R)`` dense payload.
 These operators are used directly by the SPLATT-style baselines and as a
 second oracle for the fused CSF kernels in :mod:`repro.core.csf_kernels`.
+Their index sets change with every call, so each reduction builds its
+operator (:mod:`repro.kernels`) and applies it in the same call.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 
 from ..kernels import (
     gather_multiply_rows,
+    scatter_operator,
     scatter_rows_add,
     segment_sum_rows,
     value_gather_rows,
@@ -101,7 +104,7 @@ class PartialTensor:
         out = np.zeros((int(np.prod(self.shape, dtype=np.int64)), self.rank))
         if self.num_fibers:
             flat = np.ravel_multi_index(tuple(self.indices), self.shape)
-            scatter_rows_add(out, flat, self.data)
+            scatter_rows_add(out, scatter_operator(flat), self.data)
         return out.reshape(tuple(self.shape) + (self.rank,))
 
 
@@ -248,11 +251,13 @@ def reduce_to_matrix(
     t_pos = partial.modes.index(target_mode)
     out = np.zeros((partial.shape[t_pos], partial.rank))
     if not contract:
-        scatter_rows_add(out, partial.indices[t_pos], partial.data)
+        scatter_rows_add(out, scatter_operator(partial.indices[t_pos]), partial.data)
         return out
     positions = [partial.modes.index(m) for m in contract]
     weights = krp_rows(list(factors), [partial.indices[p] for p in positions])
-    scatter_rows_add(out, partial.indices[t_pos], partial.data * weights)
+    scatter_rows_add(
+        out, scatter_operator(partial.indices[t_pos]), partial.data * weights
+    )
     return out
 
 
@@ -274,5 +279,5 @@ def mttv_reduce(
         )
     k = krp_rows(list(factors), list(lead))
     out = np.zeros((partial.shape[-1], partial.rank))
-    scatter_rows_add(out, partial.indices[-1], partial.data * k)
+    scatter_rows_add(out, scatter_operator(partial.indices[-1]), partial.data * k)
     return out

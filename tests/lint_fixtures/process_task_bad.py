@@ -5,6 +5,8 @@ Each violation below must trip ``process-task-safety`` exactly once.
 
 TOTALS = {}
 SEEN = {}
+_LOG = []
+_LOG_BY_TH = {}
 
 
 class Coordinator:
@@ -41,4 +43,10 @@ def stateful_task(payload):
     stateful_task.calls = payload
     # violation 6: subscript write into a module-level dict
     SEEN[payload] = payload
+    # violations 7-11: in-place mutation of module-level containers
+    _LOG.append(payload)
+    _LOG_BY_TH[payload].append(payload)
+    SEEN.update({payload: payload})
+    SEEN.setdefault(payload, payload)
+    del SEEN[payload]
     return payload

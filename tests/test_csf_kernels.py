@@ -11,6 +11,7 @@ from repro.core import (
     thread_level_ranges,
     thread_upward_sweep,
 )
+from repro.kernels import scatter_operator
 from repro.ops import krp_rows, mttkrp_dense
 from repro.parallel import ReplicatedArray, nnz_partition
 from repro.tensor import CsfTensor
@@ -23,12 +24,14 @@ def level_factors(csf, factors):
 class TestScatterAddRows:
     def test_duplicates_accumulate(self):
         out = np.zeros((3, 2))
-        scatter_add_rows(out, np.array([0, 0, 2]), np.ones((3, 2)))
+        scatter_add_rows(out, scatter_operator(np.array([0, 0, 2])), np.ones((3, 2)))
         assert np.allclose(out, [[2, 2], [0, 0], [1, 1]])
 
     def test_empty_noop(self):
         out = np.ones((2, 2))
-        scatter_add_rows(out, np.empty(0, dtype=np.int64), np.empty((0, 2)))
+        scatter_add_rows(
+            out, scatter_operator(np.empty(0, dtype=np.int64)), np.empty((0, 2))
+        )
         assert np.allclose(out, 1.0)
 
     def test_matches_add_at(self):
@@ -37,7 +40,7 @@ class TestScatterAddRows:
         out_b = np.zeros((10, 5))
         idx = rng.integers(0, 10, 50)
         rows = rng.standard_normal((50, 5))
-        scatter_add_rows(out_a, idx, rows)
+        scatter_add_rows(out_a, scatter_operator(idx), rows)
         np.add.at(out_b, idx, rows)
         assert np.allclose(out_a, out_b)
 

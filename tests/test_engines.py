@@ -139,6 +139,24 @@ class TestContextManager:
         with pytest.raises(RuntimeError, match="engine is closed"):
             eng.mttkrp_level(factors3, 0)
 
+    @pytest.mark.parametrize("exec_backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize(
+        "name", [n for n in engine_names() if n != "dimtree"]
+    )
+    def test_closed_engine_raises_on_every_backend(
+        self, name, exec_backend, tensor3, factors3
+    ):
+        """close() releases the reduction operators: a later kernel call
+        fails loudly instead of scattering through nothing (dimtree owns
+        no operators)."""
+        eng = create_engine(
+            name, tensor3, 4, num_threads=2, exec_backend=exec_backend
+        )
+        eng.mttkrp_level(factors3, 0)
+        eng.close()
+        with pytest.raises(RuntimeError, match="engine is closed"):
+            eng.mttkrp_level(factors3, 0)
+
 
 class TestRetiredKwargs:
     """``threads=`` and ``backend=`` (the pre-1.0 spellings of

@@ -87,7 +87,7 @@ class TestRuleFixtures:
     """Each fixture file violates exactly one rule family."""
 
     CASES = [
-        ("process_task_bad.py", "process-task-safety", 6),
+        ("process_task_bad.py", "process-task-safety", 11),
         ("process_task_imported.py", "process-task-safety", 1),
         ("counter_bad.py", "counter-category", 2),
         ("ops/hot_path_bad.py", "hot-path", 4),
@@ -226,6 +226,14 @@ class TestAcceptanceScenario:
         message = self._task_findings(scratch)
         assert "mode0_task" in message and "_TASK_SCRATCH[th]" in message
 
+    def test_worker_side_operator_cache_is_caught(self, tmp_path):
+        scratch = self._scratch_copy(
+            tmp_path, '_OPS_CACHE.setdefault(th, ctx["sweeps"])'
+        )
+        scratch.write_text("_OPS_CACHE = {}\n" + scratch.read_text())
+        message = self._task_findings(scratch)
+        assert "mode0_task" in message and "_OPS_CACHE.setdefault()" in message
+
 
 class TestCli:
     def test_module_main_text(self):
@@ -318,6 +326,42 @@ class TestNoFalsePositives:
                 local = {}
                 local["x"] = th
                 return th
+
+            def run(pool, payloads):
+                return pool.run_tasks(task, payloads)
+            """,
+            "process-task-safety",
+        )
+        assert findings == []
+
+    def test_mutating_calls_on_imports_defs_and_locals_are_fine(self):
+        """Only containers the module binds by assignment are shared
+        state: ``np.append`` returns a new array, and a name the task
+        binds itself is task-private."""
+        findings = self._check(
+            """\
+            import numpy as np
+            from collections import deque as queue
+
+            _LOG = []
+
+            def helper():
+                return None
+
+            class Registry:
+                pass
+
+            def task(payload):
+                out = np.append(payload["x"], 1.0)
+                queue.append(out)
+                helper.update(out)
+                Registry.add(out)
+                _LOG = []
+                _LOG.append(out)
+                local = {}
+                local.update({1: 2})
+                del local[1]
+                return out
 
             def run(pool, payloads):
                 return pool.run_tasks(task, payloads)

@@ -154,3 +154,102 @@ class TestTrafficCharging:
         assert c.by_category["r:structure"] > 0
         assert c.by_category["r:factor"] > 0
         assert c.writes > 0
+
+
+class TestPlanTimeOperators:
+    """The engine builds its reduction operators once and owns them."""
+
+    # threads runs the process task bodies in this interpreter, so a task
+    # that rebuilt its operators would be counted; a process worker's
+    # builds would not reach these counters (see the next test).
+    @pytest.mark.parametrize("exec_backend", ["serial", "threads"])
+    def test_sets_after_the_first_build_no_operator(
+        self, monkeypatch, coo4, exec_backend
+    ):
+        from repro.core import csf_kernels, mttkrp
+        from repro.engines import create_engine
+
+        calls = {"sweep": 0, "scatter": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # The engine's builder, and the one a sweep falls back on when it
+        # is called without operators.
+        for module in (mttkrp, csf_kernels):
+            monkeypatch.setattr(
+                module, "sweep_operators", counted("sweep", module.sweep_operators)
+            )
+        monkeypatch.setattr(
+            mttkrp, "scatter_operator", counted("scatter", mttkrp.scatter_operator)
+        )
+        factors = make_factors(coo4.shape, 4, seed=3)
+        # P^(2) saved: a memo-direct level, a recompute from the memo and
+        # the leaf kernel all run, so every kind of operator is exercised.
+        with create_engine(
+            "stef", coo4, 4, num_threads=3, plan=MemoPlan((2,)),
+            swap_last_two=False, exec_backend=exec_backend,
+        ) as engine:
+            first = engine.iteration_results(factors)
+            built = dict(calls)
+            assert built["sweep"] > 0 and built["scatter"] > 0
+            for _ in range(3):
+                again = engine.iteration_results(factors)
+            assert calls == built
+            for (mode_a, a), (mode_b, b) in zip(first, again):
+                assert mode_a == mode_b and np.array_equal(a, b)
+
+    def test_process_tasks_wrap_the_shared_operator_arrays(self, coo4):
+        """Under processes a task's operators are the engine's row
+        pointers and basis, re-wrapped: views of the shared segments,
+        equal to the in-process operators, with no index work."""
+        from repro.core.proc_tasks import resolve_operators
+        from repro.parallel.shm import attach
+
+        csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
+        kwargs = dict(plan=MemoPlan((2,)), num_threads=3)
+        local = MemoizedMttkrp(csf, 4, **kwargs)
+        with MemoizedMttkrp(csf, 4, exec_backend="processes", **kwargs) as shared:
+            assert shared._sweep_ops.keys() == local._sweep_ops.keys()
+            for start, spec in shared._sweep_ops.items():
+                assert isinstance(spec, dict)
+                ones, cols = (attach(t) for t in spec["basis"])
+                wrapped = 0
+                for th in range(3):
+                    ops = resolve_operators(spec, th)
+                    expected = local._sweep_ops[start][th]
+                    assert ops.keys() == expected.keys()
+                    for level, op in ops.items():
+                        packed = attach(spec["levels"][level][0])
+                        assert np.shares_memory(op.indptr, packed)
+                        assert np.shares_memory(op.data, ones)
+                        assert np.shares_memory(op.indices, cols)
+                        assert np.array_equal(op.indptr, expected[level].indptr)
+                        assert op.shape == expected[level].shape
+                        wrapped += 1
+                assert wrapped > 0
+
+    def test_close_drops_the_operators(self, coo4):
+        import gc
+        import weakref
+
+        engine = MemoizedMttkrp(
+            CsfTensor.from_coo(coo4, (0, 1, 2, 3)), 4,
+            plan=MemoPlan((2,)), num_threads=3,
+        )
+        engine.iteration_results(make_factors(coo4.shape, 4, seed=3))
+        refs = [weakref.ref(engine._scatter_ops[3][0].matrix)] + [
+            weakref.ref(op)
+            for per_thread in engine._sweep_ops.values()
+            for op in per_thread[0].values()
+        ]
+        assert len(refs) > 1
+        engine.close()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        with pytest.raises(RuntimeError, match="engine is closed"):
+            engine.mode0(make_factors(coo4.shape, 4, seed=3))
