@@ -1,7 +1,8 @@
 """Kernel microbenchmarks — the performance-regression suite.
 
 Wall-times the primitives everything else is built from: CSF
-construction, the upward/downward sweeps, the scatter, Algorithm 9,
+construction, the upward/downward sweeps and the leaf-mode scatter as
+the engines run them (over operators built beforehand), Algorithm 9,
 ALTO encode/decode, partition construction, and the full memoized
 MTTKRP set.  Useful for catching performance regressions in the
 vectorized kernels (the paper's wall-clock story lives or dies on
@@ -17,12 +18,12 @@ from repro.core import (
     MemoizedMttkrp,
     count_swapped_fibers,
     plan_decomposition,
-    serial_upward_sweep,
     thread_downward_k,
+    thread_upward_sweep,
 )
-from repro.core.csf_kernels import scatter_add_rows
+from repro.core.csf_kernels import scatter_add_rows, sweep_operators
 from repro.cpd import random_init
-from repro.kernels import scatter_operator
+from repro.kernels import leaf_scatter_operator
 from repro.parallel import nnz_partition, slice_partition
 from repro.tensor import AltoTensor, CsfTensor, random_tensor
 
@@ -45,28 +46,39 @@ def test_csf_construction(benchmark, setup):
 
 
 def test_upward_sweep(benchmark, setup):
+    """The leaf sweep up to the root over operators built outside the
+    timed call, as engines build theirs at construction."""
     _, csf, _, lf = setup
-    benchmark(serial_upward_sweep, csf, lf)
+    ops = sweep_operators(csf, 0, csf.nnz)
+    benchmark(thread_upward_sweep, csf, lf, 0, csf.nnz, ops=ops)
 
 
 def test_downward_k_full(benchmark, setup):
+    """``k_{d-2}`` with level d-2's own factor rows folded in, over every
+    level-(d-2) node: what the leaf-mode kernel computes."""
     _, csf, _, lf = setup
-    level = csf.ndim - 1
-    benchmark(thread_downward_k, csf, lf, level, 0, csf.nnz)
+    level = csf.ndim - 2
+    benchmark(
+        thread_downward_k, csf, lf, level, 0, csf.fiber_counts[level],
+        multiply_last=True,
+    )
 
 
 def test_scatter_add(benchmark, setup):
-    """The leaf-mode scatter through its operator, built once outside
-    the timed call as engines build theirs at construction."""
-    tensor, csf, _, _ = setup
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((csf.nnz, RANK))
-    op = scatter_operator(csf.idx[csf.ndim - 1])
-    n = csf.level_shape(csf.ndim - 1)
+    """The leaf-mode scatter ``out[targets] += M @ k_{d-2}`` through the
+    leaf scatter operator, built once outside the timed call as engines
+    build theirs at construction."""
+    _, csf, _, lf = setup
+    d = csf.ndim
+    m = csf.fiber_counts[d - 2]
+    k = thread_downward_k(csf, lf, d - 2, 0, m, multiply_last=True)
+    parents = np.repeat(np.arange(m), np.diff(csf.ptr[d - 2]))
+    op = leaf_scatter_operator(csf.idx[d - 1], csf.values, parents, m)
+    n = csf.level_shape(d - 1)
 
     def run():
         out = np.zeros((n, RANK))
-        scatter_add_rows(out, op, rows)
+        scatter_add_rows(out, op, k)
         return out
 
     benchmark(run)

@@ -8,13 +8,17 @@ NumPy call per tree level instead of one Python iteration per node:
 
 * **upward sweep** (:func:`thread_upward_sweep`) — the TTM + chain of
   mTTV contractions that produce the partial results ``t_i`` /
-  ``P^(i)``: per level, one gather of factor rows, one elementwise
-  multiply, one segmented sum — a product with the thread's segment
-  operator for that level (:func:`sweep_operators`).
+  ``P^(i)``.  The TTM is one product of the leaf factor with the
+  thread's leaf TTM operator, whose ``data`` are the tensor values and
+  whose columns are the leaf indices; above it, per level, one gather of
+  factor rows, one elementwise multiply and one segmented sum — a
+  product with the thread's segment operator for that level
+  (:func:`sweep_operators` builds both kinds).
 * **downward sweep** (:func:`thread_downward_k`) — the ``k_i`` rows of
   Algorithm 5 (row-wise KRP of ``A^(0..i)`` along each tree path): per
   level, one ``np.repeat`` expansion by child counts and one gather-
-  multiply.
+  multiply.  Nothing expands to the leaves: the leaf-mode kernel stops
+  at ``k_{d-2}`` and its scatter operator weights by the values.
 * **scatter** (:func:`scatter_add_rows`) — the ``Ā^(u)[idx] += ...``
   accumulation (gathered writes with duplicate indices): one product
   with a scatter operator whose stable sort by target row was done when
@@ -30,7 +34,7 @@ property STeF's boundary-replication scheme exploits).
 The segment boundaries of a thread's sweep depend only on the CSF and
 the thread's range, so engines build the operators once
 (:func:`sweep_operators`) and pass them to every call.  The inner loops
-themselves — gathers, multiplies, expansions and the two reductions —
+themselves — gathers, multiplies, expansions and the sparse products —
 are the flat-array kernel ABI (:mod:`repro.kernels`), called here by
 name.  Traffic stays charged in these wrappers, never inside the ABI
 functions.
@@ -49,14 +53,18 @@ from ..kernels import (
     OperatorBasis,
     ScatterOperator,
     gather_multiply_rows,
+    leaf_ttm_operator,
     parent_of,
     repeat_rows,
     scatter_rows_add,
     segment_operator,
     segment_reduce_rows,
     take_factor_rows,
-    value_gather_rows,
 )
+# No sweep calls it (the leaf TTM operator folds in the values); kept
+# bound here because perfbench/layers.py wraps every ABI_NAMES entry
+# under this module's name.
+from ..kernels import value_gather_rows as value_gather_rows
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..tensor.csf import CsfTensor
 
@@ -134,13 +142,50 @@ def thread_level_ranges(
     return ancestor_windows(csf, csf.ndim - 1, leaf_lo, leaf_hi)
 
 
-def _segment_bounds(
-    ptr: np.ndarray, window: LevelSlice, child: LevelSlice
+def _child_bounds(
+    csf: CsfTensor, level: int, window: LevelSlice, child_window: LevelSlice
 ) -> np.ndarray:
-    """The child spans of ``window``'s nodes in ``ptr``, clipped to the
-    rows of ``child`` and made relative to its first one."""
-    bounds = np.clip(ptr[window.lo : window.hi + 1], child.lo, child.hi)
-    return (bounds - child.lo).astype(INDEX_DTYPE)
+    """The child spans of ``window``'s nodes at ``level``, trimmed to
+    ``child_window``: node ``window.lo + j`` owns children
+    ``[bounds[j], bounds[j+1])`` of it.
+
+    ``window`` holds exactly the ancestors of ``child_window`` (as
+    :func:`ancestor_windows` builds it), so only its first and last node
+    can straddle the child range: the child range's ends replace theirs,
+    and every other node keeps its full span.
+    """
+    if window.hi <= window.lo:
+        return np.array([child_window.lo])
+    inner = csf.ptr[level][window.lo + 1 : window.hi]
+    return np.concatenate(([child_window.lo], inner, [child_window.hi]))
+
+
+def child_counts(
+    csf: CsfTensor, level: int, window: LevelSlice, child_window: LevelSlice
+) -> np.ndarray:
+    """How many children in ``child_window`` each node of ``window`` at
+    ``level`` has (see :func:`_child_bounds`)."""
+    return np.diff(_child_bounds(csf, level, window, child_window))
+
+
+def _sweep_operator(
+    csf: CsfTensor,
+    level: int,
+    w: Sequence[LevelSlice],
+    basis: Optional[OperatorBasis],
+) -> csr_array:
+    """The operator that sums a sweep's rows at ``level + 1`` into its
+    window ``w[level]``: a segment operator, or at the leaves the leaf
+    TTM operator, which views the leaf values and multiplies them in."""
+    child = w[level + 1]
+    bounds = (_child_bounds(csf, level, w[level], child) - child.lo).astype(INDEX_DTYPE)
+    leaf = csf.ndim - 1
+    if level + 1 < leaf:
+        return segment_operator(bounds, basis)
+    lo, hi = w[leaf].lo, w[leaf].hi
+    return leaf_ttm_operator(
+        bounds, csf.values[lo:hi], csf.idx[leaf][lo:hi], csf.level_shape(leaf)
+    )
 
 
 def sweep_operators(
@@ -152,13 +197,17 @@ def sweep_operators(
     stop_level: int = 0,
     basis: Optional[OperatorBasis] = None,
 ) -> Dict[int, csr_array]:
-    """Segment operators of one thread's upward sweep, ``level -> op``.
+    """Reduction operators of one thread's upward sweep, ``level -> op``.
 
     The sweep starts from positions ``[child_lo, child_hi)`` at
     ``start_level`` (default: the leaves).  ``op`` at ``level`` sums the
     thread's rows at ``level + 1`` into the nodes of its window at
-    ``level``, each segment clipped to the rows the thread owns.  An
-    empty range needs no operators.
+    ``level``, each segment clipped to the rows the thread owns.  Above
+    the leaves ``op`` is an indicator over ``basis``; at level ``d-2`` of
+    a sweep from the leaves it is the leaf TTM operator
+    (:func:`repro.kernels.leaf_ttm_operator`): its ``data`` view the
+    thread's tensor values, its columns are the leaf indices, so
+    ``op @ A_leaf`` is the TTM.  An empty range needs no operators.
     """
     if start_level is None:
         start_level = csf.ndim - 1
@@ -166,9 +215,7 @@ def sweep_operators(
         return {}
     w = ancestor_windows(csf, start_level, child_lo, child_hi)
     return {
-        level: segment_operator(
-            _segment_bounds(csf.ptr[level], w[level], w[level + 1]), basis
-        )
+        level: _sweep_operator(csf, level, w, basis)
         for level in range(stop_level, start_level)
     }
 
@@ -208,8 +255,9 @@ def thread_upward_sweep(
         contracts down to (and including) ``stop_level``.
     ops:
         This range's :func:`sweep_operators` (covering at least
-        ``stop_level``); engines build them once and pass them to every
-        call.  Built here when omitted.
+        ``stop_level``; from the leaves, level ``d-2``'s is the leaf TTM
+        operator); engines build them once and pass them to every call.
+        Built here when omitted.
 
     Returns
     -------
@@ -240,16 +288,12 @@ def thread_upward_sweep(
             stop_level=stop_level,
         )
 
-    # Seed contributions at the start level, already multiplied by the
-    # start level's factor rows (the TTM step when starting from leaves).
+    # The rows the first operator reduces.  From the leaves that is the
+    # leaf factor itself: the leaf TTM operator gathers its rows and
+    # multiplies in the tensor values.  From a memoized P^(i), the
+    # thread's rows already multiplied by level i's factor rows.
     if start_level == d - 1:
-        contrib = value_gather_rows(
-            csf.values,
-            np.asarray(level_factors[d - 1]),
-            csf.idx[d - 1],
-            child_lo,
-            child_hi,
-        )
+        contrib = np.asarray(level_factors[d - 1])
     else:
         if init is None:
             raise ValueError("resuming from a memoized level requires init")
@@ -288,20 +332,10 @@ def expand_rows(
     window: LevelSlice,
     child_window: LevelSlice,
 ) -> np.ndarray:
-    """Repeat per-node ``rows`` at ``level`` once per owned child.
-
-    Child counts are clipped to ``child_window`` so boundary nodes only
-    expand over the children this thread owns.
-    """
-    child_starts = np.clip(
-        csf.ptr[level][window.lo : window.hi], child_window.lo, child_window.hi
-    )
-    child_ends = np.clip(
-        csf.ptr[level][window.lo + 1 : window.hi + 1],
-        child_window.lo,
-        child_window.hi,
-    )
-    return repeat_rows(rows, child_ends - child_starts)
+    """Repeat per-node ``rows`` at ``level`` once per owned child
+    (:func:`child_counts`), so boundary nodes only expand over the
+    children this thread owns."""
+    return repeat_rows(rows, child_counts(csf, level, window, child_window))
 
 
 def thread_downward_k(

@@ -16,7 +16,10 @@ STeF over one CSF:
 * **level d-1** — the leaf-mode kernel: ``Ā[idx] += val · k_{d-2}``
   (the "series of Khatri-Rao products"; the paper notes this MTTV-style
   kernel is STeF's weak spot on nell-2, which STeF2 fixes with a second
-  CSF — :mod:`repro.core.stef2`).
+  CSF — :mod:`repro.core.stef2`).  Each task computes ``k_{d-2}`` over
+  its level-``d-2`` window only; the thread's leaf scatter operator,
+  whose ``data`` are the values, applies the rest in one product, so
+  nothing is expanded to one row per non-zero.
 
 Every kernel is a module-level task function (:func:`mode0_task`,
 :func:`memo_direct_task`, :func:`recompute_task`, :func:`leaf_task`)
@@ -34,9 +37,12 @@ every backend is bit-identical to ``serial``.
 
 Both reductions are plan-time operators (:mod:`repro.kernels`) the
 engine builds once and owns: a segment operator per (sweep, thread,
-level) that the tasks receive through ``ctx["sweeps"]``, and a scatter
-operator per (level ``u``, thread) contribution that the coordinator
-applies.  :meth:`MemoizedMttkrp.close` releases them.
+level) that the tasks receive through ``ctx["sweeps"]`` — at level
+``d-2`` of the leaf sweep, the leaf TTM operator that multiplies in the
+tensor values — and a scatter operator per (level ``u``, thread)
+contribution that the coordinator applies — for the leaf mode, the leaf
+scatter operator, again value-weighted.  :meth:`MemoizedMttkrp.close`
+releases them.
 
 Every call charges its semantic read/write volumes at the same
 granularity as the Section IV model, giving the measured channel the
@@ -64,7 +70,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engines.base import EngineBase, resolve_exec_backend
-from ..kernels import operator_basis, scale_rows_by_values, scatter_operator
+from ..kernels import (
+    OperatorBasis,
+    ScatterOperator,
+    leaf_scatter_operator,
+    operator_basis,
+    scatter_operator,
+)
+
+# No kernel calls it (the leaf scatter operator folds in the values);
+# kept bound here because perfbench/layers.py wraps it next to its
+# ABI_NAMES entries under this module's name.
+from ..kernels import scale_rows_by_values as scale_rows_by_values
 from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
 from ..parallel.executor import ReplicatedArray, SimulatedPool
 from ..parallel.partition import ThreadPartition, nnz_partition, slice_partition
@@ -72,6 +89,7 @@ from ..tensor.csf import CsfTensor
 from ..trace import NULL_TRACER, Tracer
 from .csf_kernels import (
     ancestor_windows,
+    child_counts,
     scatter_add_rows,
     sweep_operators,
     thread_downward_k,
@@ -226,15 +244,21 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
 
 
 def leaf_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
-    """Leaf-mode kernel: ``val · k_{d-2}`` per owned leaf."""
+    """Leaf-mode kernel: ``k_{d-2}`` over the thread's level-``d-2``
+    window (the parents of its leaves).  The coordinator's leaf scatter
+    operator adds each leaf's value times its parent's row into the
+    leaf's output row."""
     ctx, th = payload["ctx"], payload["th"]
     csf, lf, counter = _task_operands(ctx)
     d = csf.ndim
     charge_mode_u(counter, _owned(ctx, th), d - 1, d - 1, d, ctx["rank"])
     lo, hi = _range(ctx, th, d - 1)
-    k = thread_downward_k(csf, lf, d - 1, lo, hi)
-    contrib = scale_rows_by_values(csf.values, k, lo, hi)
-    return emit_contrib(ctx["scratch"][th], contrib, counter)
+    windows = ancestor_windows(csf, d - 1, lo, hi)
+    w = windows[d - 2]
+    k = thread_downward_k(
+        csf, lf, d - 2, w.lo, w.hi, multiply_last=True, windows=windows
+    )
+    return emit_contrib(ctx["scratch"][th], k, counter)
 
 
 class MemoizedMttkrp(EngineBase):
@@ -369,7 +393,9 @@ class MemoizedMttkrp(EngineBase):
         (which recompute-from-tensor kernels share) and for the sweep up
         from each saved ``P^(s)`` that feeds a recompute.  Scatter
         operators (``self._scatter_ops``, keyed by level ``u``): per
-        thread, over the rows its mode-``u`` task emits.  All of it
+        thread, over the rows its mode-``u`` task emits.  The leaf
+        sweep's level-``d-2`` operator and the leaf mode's scatter
+        operator carry the tensor values instead of the basis.  All of it
         depends only on the CSF, the partition and the plan, so it runs
         once, here, and the operators view one basis ``width`` rows wide.
         """
@@ -404,25 +430,34 @@ class MemoizedMttkrp(EngineBase):
             for start, stop in stops.items()
         }
         self._scatter_ops = {
-            u: [
-                scatter_operator(csf.idx[u][lo:hi], basis)
-                for lo, hi in (self._emitted_span(u, th) for th in threads)
-            ]
+            u: [self._scatter_operator(u, th, basis) for th in threads]
             for u in range(1, d)
         }
 
-    def _emitted_span(self, u: int, th: int) -> Tuple[int, int]:
-        """Node range at level ``u`` of the rows thread ``th``'s mode-``u``
-        task emits: its owned range at the source level when that is
-        ``u`` itself (leaf and memo-direct kernels), else the window at
-        ``u`` of its sweep up from the source."""
-        d, starts = self.csf.ndim, self.partition.starts
+    def _scatter_operator(
+        self, u: int, th: int, basis: OperatorBasis
+    ) -> ScatterOperator:
+        """The operator that scatters thread ``th``'s mode-``u`` rows.
+
+        Below the leaves the rows are one per node of level ``u``: the
+        thread's owned range at the source level when that is ``u``
+        itself (memo-direct), else the window at ``u`` of its sweep up
+        from the source.  The leaf task emits ``k_{d-2}`` over the
+        parents of its leaves, so the leaf operator's column for each
+        leaf is its parent's row and its ``data`` the leaf's value.
+        """
+        csf, d, starts = self.csf, self.csf.ndim, self.partition.starts
         source = self.plan.source_level(u, d) if u < d - 1 else d - 1
         lo, hi = int(starts[th, source]), int(starts[th + 1, source])
-        if source == u:
-            return lo, hi
-        window = ancestor_windows(self.csf, source, lo, hi)[u]
-        return window.lo, window.hi
+        windows = ancestor_windows(csf, source, lo, hi)
+        if u == d - 1:
+            parents = windows[d - 2]
+            counts = child_counts(csf, d - 2, parents, windows[d - 1])
+            cols = np.repeat(np.arange(parents.count), counts)
+            return leaf_scatter_operator(
+                csf.idx[u][lo:hi], csf.values[lo:hi], cols, parents.count
+            )
+        return scatter_operator(csf.idx[u][windows[u].lo : windows[u].hi], basis)
 
     # ------------------------------------------------------------------
     # dispatch plumbing

@@ -20,7 +20,9 @@ this module supplies both ends of that contract:
   (:meth:`ProcessEngineContext.share_operators`,
   :func:`resolve_operators`): the operators themselves in-process; across
   processes their row pointers, packed into one segment per level and
-  shared once, which the task wraps as operators again.
+  shared once, which the task wraps as operators again.  A leaf TTM
+  operator also packs its int32 columns per level; its ``data`` view the
+  CSF values segment the engine already shares.
 * A task charges its per-thread traffic legs to a :func:`local_counter`
   and returns its :func:`counter_state`; the coordinator folds it into
   that thread's :class:`~repro.parallel.counters.ShardedTrafficCounter`
@@ -33,12 +35,12 @@ this module supplies both ends of that contract:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from ..kernels import INDEX_DTYPE, OperatorBasis, segment_operator
+from ..kernels import INDEX_DTYPE, OperatorBasis, leaf_ttm_operator, segment_operator
 from ..parallel.counters import TrafficCounter
 from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.csf import CsfTensor
@@ -67,6 +69,25 @@ OperatorSpec = Union[TaskOperators, Dict[str, Any]]
 _NO_BOUNDS = np.zeros(0, dtype=INDEX_DTYPE)
 
 
+class PackedLevel(NamedTuple):
+    """One level's operators of every task, shared for process workers.
+
+    Task ``t``'s row pointers are ``indptr[offsets[t]:offsets[t+1]]``
+    (empty when the task has no operator at this level).  A leaf TTM
+    level also packs its columns (``cols`` at ``col_offsets``) and names
+    the shared CSF values its ``data`` view (``values``, task ``t``'s
+    from ``value_starts[t]``) and the leaf factor's row count.
+    """
+
+    indptr: ShmToken
+    offsets: List[int]
+    cols: Optional[ShmToken] = None
+    col_offsets: Optional[List[int]] = None
+    values: Optional[ShmToken] = None
+    value_starts: Optional[List[int]] = None
+    n_cols: int = 0
+
+
 # ----------------------------------------------------------------------
 # task side
 # ----------------------------------------------------------------------
@@ -91,17 +112,30 @@ def resolve_csf(spec: Union[CsfTensor, Dict[str, Any]]) -> CsfTensor:
 
 
 def resolve_operators(spec: OperatorSpec, task: int) -> Dict[int, csr_array]:
-    """Task ``task``'s segment operators, ``level -> operator``: the
-    engine's own in-process, wrapped around the shared row pointers and
-    basis in a process worker (no index work, no copy)."""
+    """Task ``task``'s sweep operators, ``level -> operator``: the
+    engine's own in-process; in a process worker, wrapped around the
+    shared row pointers and basis — or, for a leaf TTM operator, its
+    packed columns and the shared CSF values (no index work, no copy)."""
     if not isinstance(spec, dict):
         return spec[task]
     basis = OperatorBasis(*(attach(t) for t in spec["basis"]))
     ops: Dict[int, csr_array] = {}
-    for level, (token, offsets) in spec["levels"].items():
-        lo, hi = offsets[task], offsets[task + 1]
-        if hi > lo:
-            ops[level] = segment_operator(attach(token)[lo:hi], basis)
+    for level, pack in spec["levels"].items():
+        lo, hi = pack.offsets[task], pack.offsets[task + 1]
+        if hi == lo:
+            continue
+        bounds = attach(pack.indptr)[lo:hi]
+        if pack.cols is None:
+            ops[level] = segment_operator(bounds, basis)
+            continue
+        a, b = pack.col_offsets[task], pack.col_offsets[task + 1]
+        start = pack.value_starts[task]
+        ops[level] = leaf_ttm_operator(
+            bounds,
+            attach(pack.values)[start : start + b - a],
+            attach(pack.cols)[a:b],
+            pack.n_cols,
+        )
     return ops
 
 
@@ -154,6 +188,13 @@ def emit_contrib(
 # ----------------------------------------------------------------------
 # coordinator side
 # ----------------------------------------------------------------------
+def _packed(arena: SharedArena, parts: Sequence[np.ndarray]) -> Tuple[ShmToken, List[int]]:
+    """One shared segment holding ``parts`` end to end, and where each
+    part starts (with the total as the last entry)."""
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
+    return arena.share(np.concatenate(parts)), offsets
+
+
 class ProcessEngineContext:
     """Operand storage behind one engine's kernel tasks.
 
@@ -172,6 +213,9 @@ class ProcessEngineContext:
         self._factor_tokens: Optional[List[ShmToken]] = None
         self._memo_tokens: Dict[int, ShmToken] = {}
         self._basis: Optional[OperatorBasis] = None
+        # Each shared CSF's values and their segment, so an operator whose
+        # data view them can name the segment instead of copying.
+        self._shared_values: List[Tuple[np.ndarray, ShmToken]] = []
 
     # ------------------------------------------------------------------
     def share_csf(self, csf: CsfTensor) -> Union[CsfTensor, Dict[str, Any]]:
@@ -179,35 +223,69 @@ class ProcessEngineContext:
         arena = self.arena
         if arena is None:
             return csf
+        values = arena.share(csf.values)
+        self._shared_values.append((csf.values, values))
         return {
             "mode_order": csf.mode_order,
             "shape": csf.shape,
             "fiber_counts": csf.fiber_counts,
             "idx": [arena.share(a) for a in csf.idx],
             "ptr": [arena.share(p) for p in csf.ptr],
-            "values": arena.share(csf.values),
+            "values": values,
         }
 
     def share_operators(
         self, per_task: TaskOperators, basis: OperatorBasis
     ) -> OperatorSpec:
-        """Task-side spec of per-task segment operators built over
+        """Task-side spec of per-task sweep operators built over
         ``basis`` (resolved by :func:`resolve_operators`).  When shared,
         each level's row pointers are packed into one segment — never a
         segment per (task, level), which would overrun the workers'
-        attach cache — and the basis is shared once per context."""
+        attach cache — and the basis is shared once per context.  A leaf
+        TTM level packs its columns the same way; its values are a CSF's
+        that :meth:`share_csf` already shared."""
         arena = self.arena
         if arena is None:
             return list(per_task)
         if self._basis is None:
             self._basis = OperatorBasis(*(arena.share(v) for v in basis))
         levels = sorted({level for ops in per_task for level in ops})
-        packed: Dict[int, Tuple[ShmToken, List[int]]] = {}
-        for level in levels:
-            parts = [ops[level].indptr if level in ops else _NO_BOUNDS for ops in per_task]
-            offsets = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
-            packed[level] = (arena.share(np.concatenate(parts)), offsets)
-        return {"levels": packed, "basis": self._basis}
+        return {
+            "levels": {
+                level: self._pack_level(arena, [ops.get(level) for ops in per_task])
+                for level in levels
+            },
+            "basis": self._basis,
+        }
+
+    def _pack_level(
+        self, arena: SharedArena, ops: Sequence[Optional[csr_array]]
+    ) -> PackedLevel:
+        """Pack one level's operators (``None`` where a task has none)."""
+        indptr, offsets = _packed(
+            arena, [_NO_BOUNDS if op is None else op.indptr for op in ops]
+        )
+        views = [None if op is None else self._values_view(op.data) for op in ops]
+        shared = [v for v in views if v is not None]
+        if not shared:
+            return PackedLevel(indptr, offsets)
+        cols, col_offsets = _packed(
+            arena, [_NO_BOUNDS if op is None else op.indices for op in ops]
+        )
+        n_cols = next(op.shape[1] for op in ops if op is not None)
+        starts = [0 if v is None else v[1] for v in views]
+        return PackedLevel(
+            indptr, offsets, cols, col_offsets, shared[0][0], starts, n_cols
+        )
+
+    def _values_view(self, data: np.ndarray) -> Optional[Tuple[ShmToken, int]]:
+        """The shared CSF values segment that ``data`` is a slice of and
+        where the slice starts, or ``None`` (an indicator's ones)."""
+        for values, token in self._shared_values:
+            if np.may_share_memory(data, values):
+                start = (data.ctypes.data - values.ctypes.data) // values.itemsize
+                return token, start
+        return None
 
     def share(self, array: np.ndarray) -> Handle:
         """Handle to an immutable operand (copied into a segment once)."""

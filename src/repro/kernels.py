@@ -8,11 +8,15 @@ one vectorized NumPy (or SciPy sparse) expression.
 
 The two reductions — the segmented mTTV sums of an upward sweep and the
 conflicted scatter into ``Ā^(u)`` — are products with CSR indicator
-operators (:func:`segment_operator`, :func:`scatter_operator`).  Their
-index arrays depend only on the CSF and the thread partition, so engines
-build them once at plan time and every call is a single sparse-dense
-product: no per-call segment search, no per-call sort.  A CSR row sums
-its columns left to right, so each segment and each scatter target
+operators (:func:`segment_operator`, :func:`scatter_operator`).  At the
+leaf level the operators carry the tensor values as their ``data``
+(:func:`leaf_ttm_operator`, :func:`leaf_scatter_operator`), so the value
+multiply happens inside the product and no kernel builds nnz-row
+temporaries.  Their index arrays depend only on the CSF and the thread
+partition, so engines build them once at plan time and every call is a
+single sparse-dense product: no per-call segment search, no per-call
+sort.  A CSR row adds ``data[p] * rows[col[p]]`` to a running sum from
+zero, left to right, so each segment and each scatter target
 accumulates in position order on every execution backend.
 
 The callers charge traffic in their own wrappers, never in here, so the
@@ -22,7 +26,7 @@ loops.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -33,6 +37,8 @@ __all__ = [
     "operator_basis",
     "segment_operator",
     "scatter_operator",
+    "leaf_ttm_operator",
+    "leaf_scatter_operator",
     "segment_reduce_rows",
     "segment_sum_rows",
     "scatter_rows_add",
@@ -99,6 +105,27 @@ def segment_operator(
     return _csr(basis.ones[:n], basis.cols[:n], bounds, n)
 
 
+def leaf_ttm_operator(
+    bounds: np.ndarray, values: np.ndarray, cols: np.ndarray, n_cols: int
+) -> csr_array:
+    """CSR operator whose row ``s`` sums ``values[p] * rows[cols[p]]``
+    over ``p`` in ``[bounds[s], bounds[s+1])`` — a CSF leaf level as a
+    matrix, so its product with the leaf factor is the TTM.  Wraps
+    ``bounds`` and ``values`` without copying; ``cols`` is copied only
+    when it is not already int32."""
+    return _csr(values, np.asarray(cols, dtype=INDEX_DTYPE), bounds, n_cols)
+
+
+def _by_target(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stable sort of positions by target row: the order, the distinct
+    targets and each target's span in the order."""
+    order = np.argsort(idx, kind="stable")
+    sidx = idx[order]
+    first = np.flatnonzero(np.diff(sidx, prepend=-1))
+    bounds = np.append(first, idx.shape[0]).astype(INDEX_DTYPE)
+    return order, sidx[first], bounds
+
+
 def scatter_operator(
     idx: np.ndarray, basis: Optional[OperatorBasis] = None
 ) -> ScatterOperator:
@@ -107,18 +134,28 @@ def scatter_operator(
     n = idx.shape[0]
     if basis is None or basis.ones.shape[0] < n:
         basis = operator_basis(n)
-    order = np.argsort(idx, kind="stable")
-    sidx = idx[order]
-    first = np.flatnonzero(np.diff(sidx, prepend=-1))
-    bounds = np.append(first, n).astype(INDEX_DTYPE)
+    order, targets, bounds = _by_target(idx)
     matrix = _csr(basis.ones[:n], order.astype(INDEX_DTYPE), bounds, n)
-    return ScatterOperator(sidx[first], matrix)
+    return ScatterOperator(targets, matrix)
+
+
+def leaf_scatter_operator(
+    idx: np.ndarray, values: np.ndarray, cols: np.ndarray, n_cols: int
+) -> ScatterOperator:
+    """The operator of ``out[idx[p], :] += values[p] * rows[cols[p], :]``
+    with duplicate indices — the leaf-mode kernel, with ``cols[p]`` the
+    row of leaf ``p``'s parent among ``n_cols`` rows, so nothing is
+    expanded to one row per leaf.  Owns the values and columns in stable
+    target order."""
+    order, targets, bounds = _by_target(idx)
+    matrix = _csr(values[order], cols[order].astype(INDEX_DTYPE), bounds, n_cols)
+    return ScatterOperator(targets, matrix)
 
 
 def segment_reduce_rows(rows: np.ndarray, op: csr_array) -> np.ndarray:
     """Segmented row sums ``op @ rows`` (a :func:`segment_operator`):
     ``out[s] = rows[bounds[s]:bounds[s+1]].sum(0)``, left to right.  The
-    mTTV reduce step."""
+    mTTV reduce step; with a :func:`leaf_ttm_operator`, the TTM."""
     return op @ rows
 
 
@@ -148,16 +185,18 @@ def gather_multiply_rows(
 def value_gather_rows(
     values: np.ndarray, factor: np.ndarray, idx: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """``values[lo:hi, None] * factor[idx[lo:hi]]`` — the TTM seed of an
-    upward sweep (tensor values times leaf-level factor rows)."""
+    """``values[lo:hi, None] * factor[idx[lo:hi]]`` — tensor values times
+    factor rows (ALTO's and the partial-tensor kernels' TTM; CSF sweeps
+    use a :func:`leaf_ttm_operator`)."""
     return values[lo:hi, None] * factor[idx[lo:hi]]
 
 
 def scale_rows_by_values(
     values: np.ndarray, rows: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """``values[lo:hi, None] * rows`` — the leaf-mode MTTV kernel
-    (``rows`` is already ``(hi-lo, R)``)."""
+    """``values[lo:hi, None] * rows`` (``rows`` is already ``(hi-lo, R)``).
+    No engine calls it: the leaf-mode kernel folds the values into its
+    :func:`leaf_scatter_operator`."""
     return values[lo:hi, None] * rows
 
 

@@ -11,14 +11,34 @@ from repro.core import (
     thread_level_ranges,
     thread_upward_sweep,
 )
-from repro.kernels import scatter_operator
+from repro.core.csf_kernels import child_counts, sweep_operators
+from repro.kernels import leaf_scatter_operator, scatter_operator
 from repro.ops import krp_rows, mttkrp_dense
 from repro.parallel import ReplicatedArray, nnz_partition
 from repro.tensor import CsfTensor
+from tests.test_kernels import add_at_weighted, left_to_right_weighted
 
 
 def level_factors(csf, factors):
     return [factors[m] for m in csf.mode_order]
+
+
+def mid_fiber_range(csf):
+    """A leaf range that starts and ends strictly inside level-(d-2)
+    fibers, with at least one whole fiber between."""
+    ptr = csf.ptr[csf.ndim - 2]
+    long = np.flatnonzero(np.diff(ptr) >= 2)
+    first, last = long[0], long[-1]
+    assert last > first + 1
+    return int(ptr[first]) + 1, int(ptr[last]) + 1
+
+
+def parents_in_window(csf, lo, hi):
+    """Each leaf's parent at level d-2, as a row of the thread's window."""
+    d = csf.ndim
+    window = ancestor_windows(csf, d - 1, lo, hi)[d - 2]
+    parents = np.searchsorted(csf.ptr[d - 2], np.arange(lo, hi), side="right") - 1
+    return parents - window.lo, window
 
 
 class TestScatterAddRows:
@@ -203,3 +223,75 @@ class TestDownwardK:
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         k = thread_downward_k(csf, level_factors(csf, factors4), 2, 4, 4)
         assert k.shape == (0, 4)
+
+
+class TestChildCounts:
+    @staticmethod
+    def clipped(csf, level, window, child):
+        """The per-call formula the counts replace: both ends of every
+        node's child span clipped to the child window."""
+        ptr = csf.ptr[level]
+        starts = np.clip(ptr[window.lo : window.hi], child.lo, child.hi)
+        ends = np.clip(ptr[window.lo + 1 : window.hi + 1], child.lo, child.hi)
+        return ends - starts
+
+    def test_equal_the_clip_formula(self, csf4):
+        lo, hi = mid_fiber_range(csf4)
+        d = csf4.ndim
+        ranges = [(lo, hi), (lo, lo + 1), (hi - 1, hi), (0, csf4.nnz), (lo, lo)]
+        for a, b in ranges:
+            windows = ancestor_windows(csf4, d - 1, a, b)
+            for level in range(d - 1):
+                got = child_counts(csf4, level, windows[level], windows[level + 1])
+                want = self.clipped(csf4, level, windows[level], windows[level + 1])
+                assert np.array_equal(got, want), (a, b, level)
+        # The first range really straddles fibers at both ends.
+        w = ancestor_windows(csf4, d - 1, lo, hi)[d - 2]
+        assert csf4.ptr[d - 2][w.lo] < lo and csf4.ptr[d - 2][w.hi] > hi
+
+    def test_node_ranges_mid_fiber(self, csf4):
+        # A node range at level 2, cutting level-1 fibers at both ends.
+        ptr = csf4.ptr[1]
+        long = np.flatnonzero(np.diff(ptr) >= 2)
+        a, b = int(ptr[long[0]]) + 1, int(ptr[long[-1]]) + 1
+        windows = ancestor_windows(csf4, 2, a, b)
+        for level in range(2):
+            got = child_counts(csf4, level, windows[level], windows[level + 1])
+            want = self.clipped(csf4, level, windows[level], windows[level + 1])
+            assert np.array_equal(got, want), level
+
+
+class TestLeafOperatorsOnCsf:
+    """A thread range that starts and ends mid-fiber: its leaf TTM
+    operator and its leaf scatter match their definitions."""
+
+    def test_leaf_ttm_operator(self, csf4, factors4):
+        lf = level_factors(csf4, factors4)
+        d = csf4.ndim
+        lo, hi = mid_fiber_range(csf4)
+        parents, window = parents_in_window(csf4, lo, hi)
+        op = sweep_operators(csf4, lo, hi)[d - 2]
+        assert np.shares_memory(op.data, csf4.values)
+        bounds = np.searchsorted(parents, np.arange(window.count + 1))
+        want = left_to_right_weighted(
+            lf[d - 1], bounds, csf4.values[lo:hi], csf4.idx[d - 1][lo:hi]
+        )
+        assert np.array_equal(op @ lf[d - 1], want)
+        # The sweep starts from it.
+        nlo, t = thread_upward_sweep(csf4, lf, lo, hi, stop_level=d - 2)[d - 2]
+        assert nlo == window.lo and np.array_equal(t, want)
+
+    def test_leaf_scatter_operator(self, csf4, factors4):
+        lf = level_factors(csf4, factors4)
+        d = csf4.ndim
+        lo, hi = mid_fiber_range(csf4)
+        parents, window = parents_in_window(csf4, lo, hi)
+        k = thread_downward_k(
+            csf4, lf, d - 2, window.lo, window.hi, multiply_last=True
+        )
+        idx, values = csf4.idx[d - 1][lo:hi], csf4.values[lo:hi]
+        op = leaf_scatter_operator(idx, values, parents, window.count)
+        n = csf4.level_shape(d - 1)
+        out = np.zeros((n, k.shape[1]))
+        scatter_add_rows(out, op, k)
+        assert np.array_equal(out, add_at_weighted(n, idx, values, parents, k))

@@ -25,6 +25,104 @@ def left_to_right_segments(rows, bounds):
     return out
 
 
+def left_to_right_weighted(x, bounds, values, cols):
+    """The leaf TTM by definition: ``0 + v_lo·x[c_lo] + ...``."""
+    out = np.zeros((len(bounds) - 1, x.shape[1]))
+    for s in range(len(bounds) - 1):
+        acc = np.zeros(x.shape[1])
+        for p in range(bounds[s], bounds[s + 1]):
+            acc = acc + values[p] * x[cols[p]]
+        out[s] = acc
+    return out
+
+
+def add_at_weighted(n_rows, idx, values, cols, x):
+    """The leaf scatter by definition, on a zero output."""
+    out = np.zeros((n_rows, x.shape[1]))
+    np.add.at(out, idx, values[:, None] * x[cols])
+    return out
+
+
+def leaf_scatter(n_rows, op, x):
+    out = np.zeros((n_rows, x.shape[1]))
+    kernels.scatter_rows_add(out, op, x)
+    return out
+
+
+class TestLeafOperators:
+    """The value-weighted leaf operators against their definitions."""
+
+    def test_leaf_ttm_sums_left_to_right(self, rng):
+        x = rng.standard_normal((9, 3)) * np.logspace(0, 12, 9)[:, None]
+        values = rng.standard_normal(400) * np.logspace(0, 6, 400)
+        cols = rng.integers(0, 9, 400)
+        bounds = np.array([0, 1, 2, 150, 150, 399, 400], dtype=np.int32)
+        op = kernels.leaf_ttm_operator(bounds, values, cols, 9)
+        assert np.shares_memory(op.data, values)
+        assert op.indices.dtype == kernels.INDEX_DTYPE
+        got = kernels.segment_reduce_rows(x, op)
+        assert np.array_equal(got, left_to_right_weighted(x, bounds, values, cols))
+
+    def test_leaf_ttm_length_one_segments(self, rng):
+        x = rng.standard_normal((4, 5))
+        values = rng.standard_normal(6)
+        cols = np.array([3, 0, 0, 2, 1, 3])
+        op = kernels.leaf_ttm_operator(np.arange(7, dtype=np.int32), values, cols, 4)
+        got = kernels.segment_reduce_rows(x, op)
+        assert np.array_equal(got, values[:, None] * x[cols])
+
+    def test_leaf_ttm_empty(self):
+        x = np.ones((3, 2))
+        no_rows = np.zeros(1, dtype=np.int32)
+        op = kernels.leaf_ttm_operator(no_rows, np.zeros(0), np.zeros(0, np.int64), 3)
+        assert kernels.segment_reduce_rows(x, op).shape == (0, 2)
+        two_empty = np.zeros(3, dtype=np.int32)
+        op = kernels.leaf_ttm_operator(two_empty, np.zeros(0), np.zeros(0, np.int64), 3)
+        assert np.array_equal(kernels.segment_reduce_rows(x, op), np.zeros((2, 2)))
+
+    def test_leaf_scatter_matches_add_at(self, rng):
+        x = rng.standard_normal((9, 3)) * np.logspace(0, 9, 9)[:, None]
+        values = rng.standard_normal(300) * np.logspace(0, 6, 300)
+        idx = rng.integers(0, 12, 300)
+        cols = np.sort(rng.integers(0, 9, 300))
+        op = kernels.leaf_scatter_operator(idx, values, cols, 9)
+        assert np.array_equal(op.targets, np.unique(idx))
+        assert np.array_equal(
+            leaf_scatter(12, op, x), add_at_weighted(12, idx, values, cols, x)
+        )
+
+    def test_leaf_scatter_all_duplicate_targets(self, rng):
+        x = rng.standard_normal((5, 4)) * np.logspace(0, 9, 5)[:, None]
+        values = rng.standard_normal(60) * np.logspace(0, 9, 60)
+        idx = np.full(60, 3)
+        cols = np.repeat(np.arange(5), 12)
+        op = kernels.leaf_scatter_operator(idx, values, cols, 5)
+        assert op.targets.tolist() == [3]
+        assert np.array_equal(
+            leaf_scatter(4, op, x), add_at_weighted(4, idx, values, cols, x)
+        )
+
+    def test_leaf_scatter_one_leaf_per_target(self, rng):
+        x = rng.standard_normal((3, 2))
+        values = rng.standard_normal(5)
+        idx = np.array([4, 0, 2, 1, 3])
+        cols = np.array([0, 0, 1, 2, 2])
+        op = kernels.leaf_scatter_operator(idx, values, cols, 3)
+        want = np.zeros((5, 2))
+        want[idx] = values[:, None] * x[cols]
+        assert np.array_equal(leaf_scatter(5, op, x), want)
+
+    def test_leaf_scatter_empty(self):
+        x = np.zeros((0, 3))
+        op = kernels.leaf_scatter_operator(
+            np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), 0
+        )
+        assert op.targets.size == 0
+        out = np.ones((2, 3))
+        kernels.scatter_rows_add(out, op, x)
+        assert np.array_equal(out, np.ones((2, 3)))
+
+
 class TestReductionOperators:
     """The plan-time reduction operators on their edge cases."""
 

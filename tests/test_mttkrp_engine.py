@@ -169,7 +169,7 @@ class TestPlanTimeOperators:
         from repro.core import csf_kernels, mttkrp
         from repro.engines import create_engine
 
-        calls = {"sweep": 0, "scatter": 0}
+        calls = {"sweep": 0, "scatter": 0, "leaf_ttm": 0, "leaf_scatter": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -187,6 +187,16 @@ class TestPlanTimeOperators:
         monkeypatch.setattr(
             mttkrp, "scatter_operator", counted("scatter", mttkrp.scatter_operator)
         )
+        # The value-weighted leaf operators: W inside every leaf sweep's
+        # build, M beside the scatter operators.
+        monkeypatch.setattr(
+            csf_kernels, "leaf_ttm_operator",
+            counted("leaf_ttm", csf_kernels.leaf_ttm_operator),
+        )
+        monkeypatch.setattr(
+            mttkrp, "leaf_scatter_operator",
+            counted("leaf_scatter", mttkrp.leaf_scatter_operator),
+        )
         factors = make_factors(coo4.shape, 4, seed=3)
         # P^(2) saved: a memo-direct level, a recompute from the memo and
         # the leaf kernel all run, so every kind of operator is exercised.
@@ -196,7 +206,9 @@ class TestPlanTimeOperators:
         ) as engine:
             first = engine.iteration_results(factors)
             built = dict(calls)
-            assert built["sweep"] > 0 and built["scatter"] > 0
+            assert all(n > 0 for n in built.values()), built
+            # One W and one M per thread.
+            assert built["leaf_ttm"] == built["leaf_scatter"] == 3
             for _ in range(3):
                 again = engine.iteration_results(factors)
             assert calls == built
@@ -206,15 +218,20 @@ class TestPlanTimeOperators:
     def test_process_tasks_wrap_the_shared_operator_arrays(self, coo4):
         """Under processes a task's operators are the engine's row
         pointers and basis, re-wrapped: views of the shared segments,
-        equal to the in-process operators, with no index work."""
+        equal to the in-process operators, with no index work.  The leaf
+        TTM operator W (level d-2 of the leaf sweep) views the shared CSF
+        values and its packed columns instead of the basis."""
         from repro.core.proc_tasks import resolve_operators
         from repro.parallel.shm import attach
 
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         kwargs = dict(plan=MemoPlan((2,)), num_threads=3)
         local = MemoizedMttkrp(csf, 4, **kwargs)
+        leaf = csf.ndim - 1
         with MemoizedMttkrp(csf, 4, exec_backend="processes", **kwargs) as shared:
+            values = attach(shared._csf_spec["values"])
             assert shared._sweep_ops.keys() == local._sweep_ops.keys()
+            wrapped_w = 0
             for start, spec in shared._sweep_ops.items():
                 assert isinstance(spec, dict)
                 ones, cols = (attach(t) for t in spec["basis"])
@@ -224,14 +241,53 @@ class TestPlanTimeOperators:
                     expected = local._sweep_ops[start][th]
                     assert ops.keys() == expected.keys()
                     for level, op in ops.items():
-                        packed = attach(spec["levels"][level][0])
-                        assert np.shares_memory(op.indptr, packed)
-                        assert np.shares_memory(op.data, ones)
-                        assert np.shares_memory(op.indices, cols)
+                        pack = spec["levels"][level]
+                        assert np.shares_memory(op.indptr, attach(pack.indptr))
+                        if start == leaf and level == leaf - 1:
+                            assert np.shares_memory(op.data, values)
+                            assert np.shares_memory(op.indices, attach(pack.cols))
+                            assert not np.shares_memory(op.indices, cols)
+                            wrapped_w += 1
+                        else:
+                            assert pack.cols is None
+                            assert np.shares_memory(op.data, ones)
+                            assert np.shares_memory(op.indices, cols)
                         assert np.array_equal(op.indptr, expected[level].indptr)
+                        assert np.array_equal(op.indices, expected[level].indices)
+                        assert np.array_equal(op.data, expected[level].data)
                         assert op.shape == expected[level].shape
                         wrapped += 1
                 assert wrapped > 0
+            assert wrapped_w == 3
+
+    def test_leaf_scatter_weights_each_leaf_into_its_parents_row(self, coo4):
+        """Thread ``th``'s leaf scatter operator M applied to ``k_{d-2}``
+        over its level-(d-2) window adds ``v_p · k[parent(p)]`` into row
+        ``idx[p]`` for every leaf it owns, ranges cut mid-fiber included."""
+        from tests.test_kernels import add_at_weighted
+
+        csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
+        d = csf.ndim
+        # 11 threads: two of the nnz partition's cuts fall mid-fiber.
+        threads = 11
+        engine = MemoizedMttkrp(csf, 4, num_threads=threads)
+        rng = np.random.default_rng(7)
+        n = csf.level_shape(d - 1)
+        ptr = csf.ptr[d - 2]
+        cut = 0
+        for th in range(threads):
+            lo, hi = engine.partition.leaf_range(th)
+            first = np.searchsorted(ptr, lo, side="right") - 1
+            parents = np.searchsorted(ptr, np.arange(lo, hi), side="right") - 1 - first
+            cut += ptr[first] < lo
+            op = engine._scatter_ops[d - 1][th]
+            x = rng.standard_normal((int(parents[-1]) + 1, 4))
+            assert op.matrix.shape == (op.targets.size, x.shape[0])
+            got = np.zeros((n, 4))
+            got[op.targets] += op.matrix @ x
+            idx, values = csf.idx[d - 1][lo:hi], csf.values[lo:hi]
+            assert np.array_equal(got, add_at_weighted(n, idx, values, parents, x))
+        assert cut > 0
 
     def test_close_drops_the_operators(self, coo4):
         import gc
@@ -242,12 +298,19 @@ class TestPlanTimeOperators:
             plan=MemoPlan((2,)), num_threads=3,
         )
         engine.iteration_results(make_factors(coo4.shape, 4, seed=3))
-        refs = [weakref.ref(engine._scatter_ops[3][0].matrix)] + [
+        # M (the leaf scatter operator), W (the leaf sweep's level-2
+        # operator) and the indicators beside them.
+        leaf_scatter = engine._scatter_ops[3][0].matrix
+        leaf_ttm = engine._sweep_ops[3][0][2]
+        assert np.shares_memory(leaf_ttm.data, engine.csf.values)
+        assert not np.array_equal(leaf_scatter.data, np.ones(leaf_scatter.nnz))
+        refs = [weakref.ref(leaf_scatter), weakref.ref(engine._scatter_ops[2][0].matrix)] + [
             weakref.ref(op)
             for per_thread in engine._sweep_ops.values()
             for op in per_thread[0].values()
         ]
-        assert len(refs) > 1
+        del leaf_scatter, leaf_ttm
+        assert len(refs) > 3
         engine.close()
         gc.collect()
         assert all(ref() is None for ref in refs)

@@ -65,6 +65,15 @@ def make_spec(tensor, **overrides) -> JobSpec:
     return JobSpec(**options)
 
 
+def wait_until_running(client, job_id, timeout=60.0):
+    """Poll until the job has left the queue (the only worker is busy)."""
+    deadline = time.monotonic() + timeout
+    while client.status(job_id)["state"] == "queued":
+        assert time.monotonic() < deadline, f"{job_id} never started"
+        time.sleep(0.01)
+    assert client.status(job_id)["state"] == "running"
+
+
 def direct_run(tensor, spec):
     """The single-engine ground truth a served job must reproduce."""
     counter = TrafficCounter(cache_elements=MACHINE.cache_elements)
@@ -305,8 +314,9 @@ class TestCancelAndStatus:
             blocker = random_tensor((30, 25, 20), nnz=4000, seed=11)
             quick = random_tensor((8, 7, 6), nnz=80, seed=12)
             with ServeClient(sock) as client:
-                running = client.submit(make_spec(blocker, max_iters=150))
-                time.sleep(0.2)
+                # Over a second of ALS: the victim stays queued behind it.
+                running = client.submit(make_spec(blocker, max_iters=1200))
+                wait_until_running(client, running["job_id"])
                 victim = client.submit(make_spec(quick))
                 cancelled = client.cancel(victim["job_id"])
                 assert cancelled["state"] == "cancelled"
