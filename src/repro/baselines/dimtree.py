@@ -59,13 +59,10 @@ def build_mode_tree(ndim: int) -> Dict[ModeSet, Tuple[ModeSet, ...]]:
 
     def split(modes: ModeSet) -> None:
         if len(modes) == 1:
-            # Plan-construction dict write, not kernel array traffic.
-            # lint: disable-next-line=flow.traffic-conformance
             tree[modes] = ()
             return
         half = (len(modes) + 1) // 2
         left, right = modes[:half], modes[half:]
-        # lint: disable-next-line=flow.traffic-conformance
         tree[modes] = (left, right)
         split(left)
         split(right)

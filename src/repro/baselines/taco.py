@@ -181,8 +181,9 @@ class TacoBackend(EngineBase):
             if score < best[0]:
                 best = (score, chunk)
         self.chunk_slices = best[1]
-        kept = (self._ops or {}).items()
-        self._ops = {k: v for k, v in kept if k[1] == self.chunk_slices}
+        ops = self._ops or {}
+        for key in [k for k in ops if k[1] != self.chunk_slices]:
+            self._ctx.release_operators(ops.pop(key))
         self.tuning_seconds = time.perf_counter() - t0
         return self.chunk_slices
 

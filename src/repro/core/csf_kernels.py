@@ -122,14 +122,11 @@ def ancestor_windows(
     out: List[LevelSlice] = [LevelSlice(0, 0)] * (level + 1)
     if hi <= lo:
         return [LevelSlice(lo, lo)] * (level + 1)
-    # O(d) window bookkeeping on a Python list, not element traffic.
-    # lint: disable-next-line=flow.traffic-conformance
     out[level] = LevelSlice(lo, hi)
     a, b = lo, hi - 1
     for i in range(level - 1, -1, -1):
         a = parent_of(csf.ptr[i], a)
         b = parent_of(csf.ptr[i], b)
-        # lint: disable-next-line=flow.traffic-conformance
         out[i] = LevelSlice(a, b + 1)
     return out
 

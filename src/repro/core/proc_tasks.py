@@ -258,6 +258,16 @@ class ProcessEngineContext:
             "basis": self._basis,
         }
 
+    def release_operators(self, spec: OperatorSpec) -> None:
+        """Release the segments :meth:`share_operators` packed for
+        ``spec`` (the shared basis and CSF values stay)."""
+        if self.arena is None or not isinstance(spec, dict):
+            return
+        for pack in spec["levels"].values():
+            self.arena.release(pack.indptr)
+            if pack.cols is not None:
+                self.arena.release(pack.cols)
+
     def _pack_level(
         self, arena: SharedArena, ops: Sequence[Optional[csr_array]]
     ) -> PackedLevel:

@@ -1,23 +1,22 @@
 """Static analysis for the repository's own kernel invariants.
 
 The processes backend's task discipline, the traffic channel's category
-vocabulary and coverage, the kernels' level-vectorization, and the
-float64 buffer discipline are all *conventions* — exactly the class of
-rule that rots silently as the codebase grows.  This package checks them
-mechanically:
+vocabulary, the kernels' level-vectorization, and the float64 buffer
+discipline are all *conventions* — exactly the class of rule that rots
+silently as the codebase grows.  This package checks them mechanically,
+one file at a time:
 
 * :mod:`repro.lint.framework` — rule registry, per-file AST context,
   ``# lint: disable=<rule>`` suppressions, text/JSON reporters,
   exit codes;
-* :mod:`repro.lint.rules` — the per-file rules (``process-task-safety``,
+* :mod:`repro.lint.rules` — the four rules (``process-task-safety``,
   ``counter-category``, ``hot-path``, ``dtype-discipline``);
-* :mod:`repro.lint.flow` — the interprocedural
-  ``flow.traffic-conformance`` analysis over the project call graph,
-  run under ``python -m repro.lint --flow``;
 * :mod:`repro.lint.cli` — ``python -m repro.lint``.
 
-See DESIGN.md §9 for the invariant ↔ paper-section mapping and
-CONTRIBUTING.md for suppression etiquette.
+Whether the kernels charge the traffic they move is not a lint question:
+the tier-1 tests pin every engine's per-kernel counts
+(``tests/test_traffic_oracle.py``).  See DESIGN.md §9 for the invariant
+↔ paper-section mapping and CONTRIBUTING.md for suppression etiquette.
 """
 
 from .framework import (
@@ -28,7 +27,6 @@ from .framework import (
     Finding,
     LintError,
     LintReport,
-    ProjectContext,
     Rule,
     all_rules,
     format_json,
@@ -47,7 +45,6 @@ __all__ = [
     "Finding",
     "LintError",
     "LintReport",
-    "ProjectContext",
     "Rule",
     "all_rules",
     "format_json",

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python -m repro.lint src/                 # per-file rules, text report
-    python -m repro.lint --flow src/          # + interprocedural analysis
+    python -m repro.lint src/                 # every rule, text report
     python -m repro.lint --format json src/   # machine-readable
     python -m repro.lint --select hot-path,dtype-discipline src/repro/ops
     python -m repro.lint --list-rules
@@ -24,8 +23,7 @@ __all__ = ["main"]
 
 def _print_rules(out: IO[str]) -> int:
     for rule in all_rules():
-        scope = " (project-scope, runs under --flow)" if rule.scope == "project" else ""
-        print(f"{rule.id}{scope}", file=out)
+        print(rule.id, file=out)
         print(f"    {rule.description}", file=out)
         if rule.paper_ref:
             print(f"    derives from: {rule.paper_ref}", file=out)
@@ -43,9 +41,9 @@ def main(argv: Optional[List[str]] = None, out: Optional[IO[str]] = None) -> int
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description=(
-            "AST + interprocedural-dataflow analyzer for the repo's kernel "
-            "invariants: process-task safety, traffic categories and "
-            "conformance, hot-path performance, dtype discipline"
+            "AST analyzer for the repo's kernel invariants: process-task "
+            "safety, traffic categories, hot-path performance, dtype "
+            "discipline"
         ),
     )
     parser.add_argument(
@@ -61,10 +59,6 @@ def main(argv: Optional[List[str]] = None, out: Optional[IO[str]] = None) -> int
         help="run only these rules (default: all registered rules)",
     )
     parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the interprocedural flow analysis (repro.lint.flow)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit",
     )
@@ -73,7 +67,7 @@ def main(argv: Optional[List[str]] = None, out: Optional[IO[str]] = None) -> int
     if args.list_rules:
         return _print_rules(out)
     try:
-        report = run_lint(args.paths, select=_split(args.select), flow=args.flow)
+        report = run_lint(args.paths, select=_split(args.select))
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=out)
         return EXIT_ERROR

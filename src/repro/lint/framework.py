@@ -14,16 +14,14 @@ repository's own source as ASTs and checks those invariants mechanically:
   line to silence specific rules there, put
   ``# lint: disable-next-line=<rule>`` on the line *above* the finding,
   or put ``# lint: disable-file=<rule>`` anywhere in a file to allowlist
-  the whole file (``all`` is accepted in every form; dotted rule ids like
-  ``flow.traffic-conformance`` are accepted too).  Pragmas are resolved
-  from real comment tokens, so a pragma-shaped substring inside a string
-  literal never suppresses anything;
+  the whole file (``all`` is accepted in every form).  Pragmas are
+  resolved from real comment tokens, so a pragma-shaped substring inside
+  a string literal never suppresses anything;
 * **reporters** — stable text (``path:line:col: [rule] message``) and
   JSON;
 * **exit codes** — 0 clean, 1 findings, 2 unparseable input or usage error.
 
-Per-file rules live in :mod:`repro.lint.rules`; the interprocedural
-(project-scope) analysis in :mod:`repro.lint.flow`; the CLI in
+The rules live in :mod:`repro.lint.rules`; the CLI in
 :mod:`repro.lint.cli`.
 """
 
@@ -46,7 +44,6 @@ __all__ = [
     "LintError",
     "FileContext",
     "Rule",
-    "ProjectContext",
     "register",
     "all_rules",
     "get_rule",
@@ -61,11 +58,10 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 #: ``# lint: disable=a,b`` (same line) / ``# lint: disable-next-line=a``
-#: (the following line) / ``# lint: disable-file=a`` (whole file).  Rule
-#: ids may be dotted (``flow.traffic-conformance``); several pragmas may
-#: share one comment.
+#: (the following line) / ``# lint: disable-file=a`` (whole file); several
+#: pragmas may share one comment.
 _SUPPRESS_RE = re.compile(
-    r"#\s*lint:\s*disable(?P<scope>-file|-next-line)?=(?P<rules>[A-Za-z0-9_.,\- ]+)"
+    r"#\s*lint:\s*disable(?P<scope>-file|-next-line)?=(?P<rules>[A-Za-z0-9_,\- ]+)"
 )
 
 
@@ -182,56 +178,21 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``id`` / ``description`` / ``paper_ref`` and implement
-    :meth:`check`; :meth:`applies_to` scopes path-restricted rules (the
-    hot-path and dtype rules only police kernel modules).
-
-    ``scope`` selects the analysis granularity: ``"file"`` rules see one
-    :class:`FileContext` at a time through :meth:`check`; ``"project"``
-    rules (the :mod:`repro.lint.flow` analyses) see every parsed file at
-    once through :meth:`check_project` — they need the call graph, so a
-    single file is never enough.  Project rules only run under
-    ``python -m repro.lint --flow`` (or when selected explicitly).
+    :meth:`check` over one :class:`FileContext`; :meth:`applies_to`
+    scopes path-restricted rules (the hot-path and dtype rules only
+    police kernel modules).
     """
 
     id: str = ""
     description: str = ""
     #: The paper section the enforced invariant derives from.
     paper_ref: str = ""
-    #: ``"file"`` (per-file AST rule) or ``"project"`` (interprocedural).
-    scope: str = "file"
 
     def applies_to(self, ctx: FileContext) -> bool:
         return True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        """Project-scope entry point (``scope == "project"`` rules)."""
-        raise NotImplementedError
-
-
-class ProjectContext:
-    """Every parsed file of one lint run, plus lazily built flow state.
-
-    The interprocedural analyses all need the same two artifacts — the
-    project-wide call graph and per-function summaries — so the context
-    builds them once and every project rule shares them (see
-    :mod:`repro.lint.flow.analysis`).
-    """
-
-    def __init__(self, files: Sequence[FileContext]) -> None:
-        self.files: List[FileContext] = list(files)
-        self._analysis = None
-
-    @property
-    def analysis(self):
-        """The shared :class:`repro.lint.flow.analysis.FlowAnalysis`."""
-        if self._analysis is None:
-            from .flow.analysis import FlowAnalysis
-
-            self._analysis = FlowAnalysis(self)
-        return self._analysis
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -266,7 +227,6 @@ def get_rule(rule_id: str) -> Rule:
 def _load_builtin_rules() -> None:
     """Import the built-in rule modules (they self-register on import)."""
     from . import rules as _rules  # noqa: F401
-    from . import flow as _flow  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -313,16 +273,14 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
     return uniq
 
 
-def lint_file(
-    path: Path, rules: Sequence[Rule], report: LintReport
-) -> Optional[FileContext]:
-    """Lint one file into ``report``; returns its context when parseable."""
+def lint_file(path: Path, rules: Sequence[Rule], report: LintReport) -> None:
+    """Lint one file into ``report``."""
     try:
         source = path.read_text(encoding="utf-8")
         ctx = FileContext(path, source, display_path=str(path))
     except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
         report.errors.append(LintError(path=str(path), message=str(exc)))
-        return None
+        return
     report.files_checked += 1
     for rule in rules:
         if not rule.applies_to(ctx):
@@ -332,52 +290,22 @@ def lint_file(
                 report.suppressed += 1
             else:
                 report.findings.append(finding)
-    return ctx
 
 
-def run_lint(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    *,
-    flow: bool = False,
-) -> LintReport:
-    """Lint ``paths`` with every registered rule (or just ``select``).
-
-    ``flow=True`` additionally runs the project-scope interprocedural
-    analysis (:mod:`repro.lint.flow`); without it project rules are
-    skipped even when the registry knows them, because they need every
-    file of the project in one pass.  Selecting a project rule by id
-    implies ``flow``.
-    """
+def run_lint(paths: Sequence[str], select: Optional[Iterable[str]] = None) -> LintReport:
+    """Lint ``paths`` with every registered rule (or just ``select``)."""
     if select is None:
         rules: List[Rule] = all_rules()
     else:
         rules = [get_rule(rid) for rid in select]
-    file_rules = [r for r in rules if r.scope == "file"]
-    project_rules = [r for r in rules if r.scope == "project"]
-    run_project = project_rules and (flow or select is not None)
-
     report = LintReport()
     try:
         files = collect_files(paths)
     except FileNotFoundError as exc:
         report.errors.append(LintError(path=str(paths), message=str(exc)))
         return report
-    contexts: List[FileContext] = []
     for f in files:
-        ctx = lint_file(f, file_rules, report)
-        if ctx is not None:
-            contexts.append(ctx)
-    if run_project and contexts:
-        project = ProjectContext(contexts)
-        by_display = {ctx.display_path: ctx for ctx in contexts}
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                ctx = by_display.get(finding.path)
-                if ctx is not None and ctx.is_suppressed(finding.rule, finding.line):
-                    report.suppressed += 1
-                else:
-                    report.findings.append(finding)
+        lint_file(f, rules, report)
     report.findings.sort(key=lambda fi: (fi.path, fi.line, fi.col, fi.rule))
     return report
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 #-inspection kernels the fast implementations are validated against.
 # Hot-path idioms (np.add.at, per-nnz loops) are the point here, not a bug,
 # and it is never traffic-counted.
-# lint: disable-file=hot-path,flow.traffic-conformance
+# lint: disable-file=hot-path
 
 from typing import Sequence
 

@@ -99,6 +99,10 @@ class SharedArena:
         """Coordinator-side view of a segment this arena owns."""
         return _as_ndarray(self._segments[token.name], token)
 
+    def release(self, token: ShmToken) -> None:
+        """Unlink and unmap one owned segment before the arena closes."""
+        _close_segments({token.name: self._segments.pop(token.name)})
+
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Unlink and unmap every owned segment (idempotent)."""

@@ -19,7 +19,10 @@ or ``running`` when the previous process died are re-enqueued with
 complete checkpoint instead of starting over, and its cumulative
 iteration count keeps climbing.  Journal writes use the same
 tmp + ``os.replace`` discipline as the checkpoints, so a journal is
-always a complete JSON document.
+always a complete JSON document.  A record that cannot be read all the
+same — a file cut short mid-JSON, or a spec with a field this version's
+:class:`JobSpec` no longer has — stays on disk and out of the queue, and
+``repro jobs --stats`` counts it as ``jobs.unreadable``.
 """
 
 from __future__ import annotations
@@ -122,6 +125,8 @@ class Spool:
         self.root = os.path.abspath(root)
         for sub in ("jobs", "checkpoints", "logs"):
             os.makedirs(os.path.join(self.root, sub), exist_ok=True)
+        #: Journal files the last :meth:`load_jobs` could not parse.
+        self.unreadable: List[str] = []
 
     # -- paths ---------------------------------------------------------
     def journal_path(self, job_id: str) -> str:
@@ -147,14 +152,20 @@ class Spool:
                 os.remove(tmp)
 
     def load_jobs(self) -> List[Job]:
-        """Every journaled job, oldest submission first."""
+        """Every readable journaled job, oldest submission first; the
+        files it cannot parse are left alone and listed in
+        :attr:`unreadable`."""
         jobs: List[Job] = []
+        self.unreadable = []
         jobs_dir = os.path.join(self.root, "jobs")
         for name in os.listdir(jobs_dir):
             if not name.endswith(".json"):
                 continue
-            with open(os.path.join(jobs_dir, name)) as fh:
-                jobs.append(Job.from_dict(json.load(fh)))
+            try:
+                with open(os.path.join(jobs_dir, name)) as fh:
+                    jobs.append(Job.from_dict(json.load(fh)))
+            except (ValueError, TypeError, KeyError):
+                self.unreadable.append(name)
         jobs.sort(key=lambda j: j.submitted_at)
         return jobs
 

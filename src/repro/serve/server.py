@@ -15,7 +15,8 @@ Lifecycle guarantees:
   point leaves a replayable record;
 * on :meth:`start`, journals of ``queued``/``running`` jobs from a dead
   process re-enter the queue (``force=True`` — they were admitted once)
-  and resume from their checkpoints;
+  and resume from their checkpoints; a journal that cannot be parsed
+  stays on disk and is counted as ``jobs.unreadable``;
 * ``wait`` is event-driven: each job has an ``asyncio.Event`` set on
   reaching a terminal state, so waiting clients cost nothing but a
   parked coroutine.
@@ -33,7 +34,8 @@ import os
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Dict, Optional
 
 from .cache import EngineCache
@@ -293,6 +295,7 @@ class DecompositionServer:
         out["jobs.completed"] = float(self.completed)
         out["jobs.failed"] = float(self.failed)
         out["jobs.total"] = float(len(self.jobs))
+        out["jobs.unreadable"] = float(len(self.spool.unreadable))
         out["workers"] = float(self.workers)
         for engine, stats in sorted(self._latency.items()):
             count = stats["count"] or 1.0
@@ -319,29 +322,37 @@ class ServerHandle:
 
 def start_in_thread(socket_path: str, spool_dir: str,
                     **kwargs: Any) -> ServerHandle:
-    """Boot a server on a daemon thread and wait for its socket."""
+    """Boot a server on a daemon thread and wait for its socket.  A boot
+    failure (an unusable socket path, say) is raised here as soon as the
+    loop thread dies of it."""
     server = DecompositionServer(socket_path, spool_dir, **kwargs)
     loop = asyncio.new_event_loop()
-    started = threading.Event()
+    booted: "Future[None]" = Future()
 
     def main() -> None:
         asyncio.set_event_loop(loop)
 
         async def run() -> None:
             await server.start()
-            started.set()
+            booted.set_result(None)
             assert server._stopping is not None
             await server._stopping.wait()
             await server.stop()
 
         try:
             loop.run_until_complete(run())
+        except Exception as exc:
+            if booted.done():
+                raise
+            booted.set_exception(exc)
         finally:
             loop.close()
 
     thread = threading.Thread(target=main, name="repro-serve-loop",
                               daemon=True)
     thread.start()
-    if not started.wait(timeout=30.0):
-        raise RuntimeError("serve loop failed to start within 30s")
+    try:
+        booted.result(timeout=30.0)
+    except FutureTimeout:
+        raise RuntimeError("serve loop failed to start within 30s") from None
     return ServerHandle(server, loop, thread)

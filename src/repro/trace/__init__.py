@@ -5,9 +5,7 @@ Opt-in observability: pass a :class:`Tracer` to
 (or ``repro decompose --trace out.jsonl`` on the CLI) and every ALS
 iteration, MTTKRP kernel, and per-thread task records a span with wall
 time, attributes, and exact :class:`TrafficCounter` category deltas.
-Export as JSONL run records, Chrome trace-event files, or a flat
-metrics dict (``scripts/bench_regress.py`` diffs those against the
-recorded bench trajectory).
+Export as JSONL run records or Chrome trace-event files.
 
 Off by default: the shared :data:`NULL_TRACER` makes every span a no-op.
 """
@@ -15,7 +13,6 @@ Off by default: the shared :data:`NULL_TRACER` makes every span a no-op.
 from .export import (
     chrome_trace_events,
     engine_run_meta,
-    flat_metrics,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -38,7 +35,6 @@ __all__ = [
     "Tracer",
     "chrome_trace_events",
     "engine_run_meta",
-    "flat_metrics",
     "read_jsonl",
     "write_chrome_trace",
     "write_jsonl",

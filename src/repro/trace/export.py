@@ -1,17 +1,15 @@
-"""Trace exporters: JSONL run records, Chrome trace-event files, metrics.
+"""Trace exporters: JSONL run records and Chrome trace-event files.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
 * :func:`write_jsonl` — an append-friendly machine-readable run record
   (one JSON object per line: a ``meta`` header, every span, and a
-  closing ``metrics`` summary).  These are what accumulates under
-  ``benchmarks/results/`` and what ``scripts/bench_regress.py`` diffs.
+  closing ``metrics`` summary), as ``repro decompose --trace`` and the
+  serve request logs write it.
 * :func:`write_chrome_trace` — the Chrome trace-event format
   (``chrome://tracing`` / Perfetto loadable): complete events (``ph:X``)
   in microseconds, one ``tid`` row per lane — the coordinator on its own
   row, one row per simulated/real thread.
-* :func:`flat_metrics` — the tracer's flat metrics dict plus run
-  metadata, for programmatic comparison.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from .tracer import MAIN_LANE, SpanRecord, Tracer
 
 __all__ = [
     "engine_run_meta",
-    "flat_metrics",
     "read_jsonl",
     "write_jsonl",
     "chrome_trace_events",
@@ -48,14 +45,6 @@ def engine_run_meta(engine: Any) -> Dict[str, Any]:
     }
 
 
-def flat_metrics(tracer: Tracer, **extra: Any) -> Dict[str, Any]:
-    """The tracer's flat metrics dict merged with its run metadata."""
-    out: Dict[str, Any] = dict(tracer.meta)
-    out.update(extra)
-    out.update(tracer.metrics())
-    return out
-
-
 # ----------------------------------------------------------------------
 # JSONL run records
 # ----------------------------------------------------------------------
@@ -72,7 +61,7 @@ def write_jsonl(tracer: Tracer, path: str, **extra_meta: Any) -> None:
 
 def read_jsonl(path: str) -> Dict[str, Any]:
     """Parse a run record back into ``{"meta":..., "spans":[...],
-    "metrics":...}`` (the shape ``bench_regress`` compares)."""
+    "metrics":...}``."""
     meta: Dict[str, Any] = {}
     metrics: Dict[str, Any] = {}
     spans: List[Dict[str, Any]] = []

@@ -262,7 +262,7 @@ class Tracer:
 
     def metrics(self) -> Dict[str, float]:
         """Flat metrics dict: per-span-name counts/seconds plus traffic
-        aggregates — the record :mod:`scripts.bench_regress` diffs."""
+        aggregates — the closing line of a JSONL run record."""
         out: Dict[str, float] = {}
         for rec in self.spans():
             out[f"{rec.name}.count"] = out.get(f"{rec.name}.count", 0.0) + 1.0

@@ -159,6 +159,22 @@ class TestTaco:
         b = TacoBackend(t, 4, num_threads=2, autotune=False)
         assert b.tuning_seconds == 0.0
 
+    def test_autotune_releases_the_probes_it_drops(self, workload):
+        """Under processes the tuner's unchosen chunk sizes leave no
+        segment behind: after one MTTKRP set a tuned engine holds as
+        many as an untuned one (a spec's segment count does not depend
+        on its chunk size)."""
+        t, _, factors = workload
+        segments = {}
+        for autotune in (True, False):
+            with TacoBackend(
+                t, 4, num_threads=3, exec_backend="processes",
+                autotune=autotune,
+            ) as b:
+                b.iteration_results(factors)
+                segments[autotune] = len(b._ctx.arena)
+        assert segments[True] == segments[False]
+
     def test_correct_for_every_chunk_size(self, workload):
         t, dense, factors = workload
         from repro.baselines.taco import CHUNK_GRID

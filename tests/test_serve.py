@@ -33,9 +33,11 @@ from repro.engines import create_engine
 from repro.parallel import MACHINES
 from repro.parallel.counters import TrafficCounter
 from repro.serve import (
+    Job,
     JobSpec,
     ServeClient,
     ServeError,
+    Spool,
     start_in_thread,
     wait_for_socket,
 )
@@ -108,40 +110,45 @@ class TestConcurrentCorrectness:
     def test_nine_concurrent_jobs_bit_identical_across_backends(
         self, server
     ):
-        """3 tensors x 3 exec backends, all in flight at once: every
-        served result equals its direct cp_als twin bit for bit, and the
-        per-job traffic deltas equal a fresh counter's totals exactly."""
+        """3 tensors x 3 exec backends, plus splatt-all on serial and
+        threads, all in flight at once: every served result equals its
+        direct cp_als twin bit for bit, and the per-job traffic deltas
+        equal a fresh counter's totals exactly."""
         sock, _, _ = server
         tensors = {
             seed: random_tensor((12, 9, 7), nnz=200, seed=seed)
             for seed in (1, 2, 3)
         }
+        jobs = [
+            (seed, make_spec(tensor, exec_backend=backend))
+            for seed, tensor in tensors.items()
+            for backend in BACKENDS
+        ] + [
+            (1, make_spec(tensors[1], engine="splatt-all", exec_backend=backend))
+            for backend in ("serial", "threads")
+        ]
         with ServeClient(sock) as client:
-            submitted = []
-            for seed, tensor in tensors.items():
-                for backend in BACKENDS:
-                    spec = make_spec(tensor, exec_backend=backend)
-                    response = client.submit(spec)
-                    submitted.append((response["job_id"], seed, backend))
-            assert len(submitted) == 9
-            for job_id, seed, backend in submitted:
+            submitted = [
+                (client.submit(spec)["job_id"], seed, spec)
+                for seed, spec in jobs
+            ]
+            assert len(submitted) == 11
+            for job_id, seed, spec in submitted:
                 job = client.wait(job_id, timeout=120)
                 assert job["state"] == "done", job["error"]
                 result = job["result"]
-                spec = make_spec(tensors[seed], exec_backend=backend)
+                label = (seed, spec.engine, spec.exec_backend)
                 direct, traffic = direct_run(tensors[seed], spec)
-                assert result["exec_backend"] == backend
-                assert result["iterations"] == direct.iterations
+                assert result["exec_backend"] == spec.exec_backend
+                assert result["iterations"] == direct.iterations, label
                 assert np.array_equal(
                     np.asarray(result["weights"]), direct.model.weights
-                ), (seed, backend)
+                ), label
                 for got, want in zip(
                     result["factors"], direct.model.factors
                 ):
-                    assert np.array_equal(np.asarray(got), want), (
-                        seed, backend,
-                    )
-                assert result["traffic"] == traffic, (seed, backend)
+                    assert np.array_equal(np.asarray(got), want), label
+                assert result["traffic"] == traffic, label
 
     def test_inline_and_by_name_submissions_share_fingerprint(
         self, server, tmp_path
@@ -285,22 +292,18 @@ class TestAdmissionControl:
             blocker = random_tensor((30, 25, 20), nnz=4000, seed=9)
             quick = random_tensor((8, 7, 6), nnz=80, seed=10)
             with ServeClient(sock) as client:
-                client.submit(make_spec(blocker, max_iters=150))
-                time.sleep(0.2)
-                low = client.submit(
-                    make_spec(quick, priority=20, seed=1)
-                )
-                high = client.submit(
-                    make_spec(quick, priority=1, seed=2)
-                )
+                # Over a second of ALS: both quick jobs queue behind it.
+                running = client.submit(make_spec(blocker, max_iters=1200))
+                wait_until_running(client, running["job_id"])
+                low = client.submit(make_spec(quick, priority=20, seed=1))
+                high = client.submit(make_spec(quick, priority=1, seed=2))
                 done_high = client.wait(high["job_id"], timeout=120)
-                low_state = client.status(low["job_id"])["state"]
-                # When the urgent job finished, the low-priority one
-                # submitted *earlier* had not been picked up before it.
-                assert done_high["state"] == "done"
+                done_low = client.wait(low["job_id"], timeout=120)
+                assert done_high["state"] == done_low["state"] == "done"
                 assert done_high["spec"]["priority"] == 1
-                client.wait(low["job_id"], timeout=120)
-                assert low_state in ("queued", "running", "done")
+                # Submitted second, the urgent job still started first.
+                assert done_high["started_at"] < done_low["started_at"]
+                client.wait(running["job_id"], timeout=120)
         finally:
             handle.stop()
 
@@ -329,6 +332,43 @@ class TestCancelAndStatus:
                 assert states[running["job_id"]] == "done"
         finally:
             handle.stop()
+
+
+class TestBoot:
+    def test_unreadable_journals_stay_out_of_the_queue(self, tmp_path):
+        """A record with a field the job spec no longer has and a record
+        cut short mid-JSON stay on disk and are counted; the valid job
+        beside them still runs."""
+        spool_dir = tmp_path / "spool"
+        jobs_dir = spool_dir / "jobs"
+        spool = Spool(str(spool_dir))
+        tensor = random_tensor((8, 7, 6), nnz=80, seed=13)
+        spool.write_journal(Job(job_id="job-valid", spec=make_spec(tensor)))
+        stale = Job(job_id="job-stale", spec=make_spec(tensor)).to_dict()
+        stale["spec"]["jit"] = None
+        (jobs_dir / "job-stale.json").write_text(json.dumps(stale))
+        record = json.dumps(Job(job_id="job-cut", spec=make_spec(tensor)).to_dict())
+        (jobs_dir / "job-cut.json").write_text(record[: len(record) // 2])
+        sock = str(tmp_path / "s.sock")
+        handle = start_in_thread(sock, str(spool_dir), workers=1)
+        wait_for_socket(sock)
+        try:
+            with ServeClient(sock) as client:
+                job = client.wait("job-valid", timeout=120)
+                assert job["state"] == "done", job["error"]
+                assert client.stats()["jobs.unreadable"] == 2
+                assert [r["job_id"] for r in client.jobs()] == ["job-valid"]
+        finally:
+            handle.stop()
+        assert json.loads((jobs_dir / "job-stale.json").read_text()) == stale
+        assert (jobs_dir / "job-cut.json").read_text() == record[: len(record) // 2]
+
+    def test_boot_failure_raises_at_once(self, tmp_path):
+        sock = str(tmp_path / "no-such-dir" / "s.sock")
+        t0 = time.monotonic()
+        with pytest.raises(OSError):
+            start_in_thread(sock, str(tmp_path / "spool"))
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestCrashRecovery:

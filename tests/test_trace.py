@@ -14,6 +14,7 @@ Pins the three properties the observability layer promises:
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -28,7 +29,6 @@ from repro.trace import (
     Tracer,
     chrome_trace_events,
     engine_run_meta,
-    flat_metrics,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -77,24 +77,25 @@ class TestTrafficDeltaTiling:
     def test_backends_agree_on_counted_work(self):
         """Traffic is counted, not measured: identical across backends.
         Every backend also dispatches the same task sequence — one task
-        body per kernel, whatever runs it."""
-        for method in ("stef", "taco", "alto"):
-            totals, dispatches = {}, {}
+        body per kernel, whatever runs it — and records the same spans.
+        dimtree walks its tree on the coordinator and dispatches none."""
+        for method in engine_names():
+            runs = {}
             for exec_backend in BACKENDS:
                 tracer, _ = traced_run(exec_backend, method=method)
-                totals[exec_backend] = tracer.traffic_totals()
-                dispatches[exec_backend] = [
-                    (rec.name, rec.attrs.get("task"))
-                    for rec in tracer.spans()
-                    if rec.name.startswith("executor.")
-                    and rec.name != "executor.task"
-                ]
-            assert totals["serial"] == totals["threads"] == totals["processes"], method
-            assert dispatches["serial"], method
-            assert (
-                dispatches["serial"] == dispatches["threads"]
-                == dispatches["processes"]
-            ), method
+                runs[exec_backend] = (
+                    tracer.traffic_totals(),
+                    [
+                        (rec.name, rec.attrs.get("task"))
+                        for rec in tracer.spans()
+                        if rec.name.startswith("executor.")
+                        and rec.name != "executor.task"
+                    ],
+                    Counter(rec.name for rec in tracer.spans()),
+                )
+            assert runs["serial"] == runs["threads"] == runs["processes"], method
+            dispatches = runs["serial"][1]
+            assert bool(dispatches) == (method != "dimtree"), method
 
     def test_iteration_spans_parent_kernels(self):
         tracer, _ = traced_run("serial")
@@ -188,14 +189,6 @@ class TestExports:
         for event in kernels:
             assert "traffic" in event["args"]
             assert event["args"]["traffic"].get("reads", 0) > 0
-
-    def test_flat_metrics_merges_meta(self):
-        tracer, _ = traced_run("serial")
-        metrics = flat_metrics(tracer, run_id=7)
-        assert metrics["method"] == "stef"
-        assert metrics["run_id"] == 7
-        assert metrics["als.iteration.count"] == 2.0
-        assert metrics["traffic.reads"] > 0
 
 
 class TestNullTracer:

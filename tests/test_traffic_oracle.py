@@ -1,10 +1,10 @@
-"""Counted traffic pinned to its closed forms (Section IV-C).
+"""Counted traffic pinned kernel by kernel, category by category.
 
 The other traffic checks compare the program with itself: backend with
-backend, span deltas with totals, a second run with the first.  A charge
-deleted from a kernel, or a wrong factor in one, passes all of them.
-These tests derive every kernel's reads, writes and flops per category
-by their own arithmetic, from
+backend, span deltas with totals.  A charge deleted from a kernel, or a
+wrong factor in one, passes all of them.  For ``stef`` these tests
+derive every kernel's reads, writes and flops per category by their own
+arithmetic (Section IV-C), from
 
 * the CSF's fiber counts ``m_i`` and level shapes ``I_i``;
 * the rank ``R`` and the thread count ``T``;
@@ -12,16 +12,21 @@ by their own arithmetic, from
 * the DM_factor cache rule: ``x`` row accesses to an ``N×R`` factor cost
   ``min(N·R, x·R)`` when ``N·R`` fits the cache ``C``, else ``x·R``,
 
-and compare them exactly with what ``stef`` counts, kernel by kernel.
-No expected value comes from the program's own charge helpers.
+and compare them exactly with what ``stef`` counts.  No expected value
+comes from the program's own charge helpers.  The other eight engines
+have no closed form here; their counts on the same inputs are pinned to
+a snapshot recorded from their kernels (``traffic_snapshot.json``).
 """
 
+import json
+from pathlib import Path
 from typing import Dict, List, Optional
 
 import pytest
 
+from repro.baselines.taco import CHUNK_GRID
 from repro.core import MemoPlan
-from repro.engines import create_engine
+from repro.engines import create_engine, engine_names
 from repro.parallel.counters import TrafficCounter
 from repro.tensor import random_tensor
 from tests.conftest import make_factors
@@ -142,6 +147,30 @@ def split(counts: Dict[str, float]) -> Dict[str, float]:
     return totals
 
 
+def count_kernels(engine, counter: TrafficCounter, factors) -> List[Dict[str, float]]:
+    """Each kernel's counts, level by level: the ``counter.by_category``
+    delta around one ``mttkrp_level`` call.  The counter's reads, writes
+    and flops must move by exactly the delta's totals."""
+    kernels = []
+    for level in range(len(engine.mode_order)):
+        before = dict(counter.by_category)
+        totals = (counter.reads, counter.writes, counter.flops)
+        engine.mttkrp_level(factors, level)
+        got = {
+            key: val - before.get(key, 0.0)
+            for key, val in counter.by_category.items()
+            if val != before.get(key, 0.0)
+        }
+        moved = {
+            "reads": counter.reads - totals[0],
+            "writes": counter.writes - totals[1],
+            "flops": counter.flops - totals[2],
+        }
+        assert moved == split(got), f"level {level}"
+        kernels.append(got)
+    return kernels
+
+
 @pytest.mark.parametrize("cache", [None, FACTOR_CACHE], ids=["no-cache", "cache"])
 @pytest.mark.parametrize("tensor_name,saved", CASES)
 def test_stef_kernels_count_their_closed_forms(tensor_name, saved, cache):
@@ -154,18 +183,57 @@ def test_stef_kernels_count_their_closed_forms(tensor_name, saved, cache):
     ) as engine:
         factors = make_factors(tensor.shape, RANK, seed=5)
         expected = expected_kernels(engine, plan, cache)
-        for level, want in enumerate(expected):
-            before = dict(counter.by_category)
-            totals = (counter.reads, counter.writes, counter.flops)
-            engine.mttkrp_level(factors, level)
-            got = {
-                key: val - before.get(key, 0.0)
-                for key, val in counter.by_category.items()
-                if val != before.get(key, 0.0)
-            }
-            assert got == want, f"level {level}"
-            want_totals = split(want)
-            assert counter.reads - totals[0] == want_totals["reads"], level
-            assert counter.writes - totals[1] == want_totals["writes"], level
-            assert counter.flops - totals[2] == want_totals["flops"], level
+        got = count_kernels(engine, counter, factors)
+    for level, want in enumerate(expected):
+        assert got[level] == want, f"level {level}"
 
+
+# ----------------------------------------------------------------------
+# The engines without a closed form, pinned to a recorded snapshot
+# ----------------------------------------------------------------------
+#: Per-kernel counts of every other engine on ``TENSORS`` at rank
+#: ``RANK``, ``THREADS`` threads and factor seed 5, without and with a
+#: factor cache: ``engine -> tensor -> cache id -> [kernel counts by
+#: level]``.  Nothing rewrites this file; a deliberate change to an
+#: engine's counted traffic is an edit to it, made by hand and reviewed.
+SNAPSHOT = json.loads(Path(__file__).with_name("traffic_snapshot.json").read_text())
+CACHES = {"no-cache": None, "cache": FACTOR_CACHE}
+
+
+def engine_kernels(
+    method, tensor_name, cache_id, chunk=None, **opts
+) -> List[Dict[str, float]]:
+    """``method``'s kernel counts on one snapshot input; ``chunk`` fixes
+    taco's chunk size after construction."""
+    tensor = random_tensor(**TENSORS[tensor_name])
+    counter = TrafficCounter(cache_elements=CACHES[cache_id])
+    with create_engine(
+        method, tensor, RANK, num_threads=THREADS, counter=counter, **opts
+    ) as engine:
+        if chunk is not None:
+            engine.chunk_slices = chunk
+        return count_kernels(engine, counter, make_factors(tensor.shape, RANK, seed=5))
+
+
+@pytest.mark.parametrize("cache_id", CACHES)
+@pytest.mark.parametrize("tensor_name", TENSORS)
+@pytest.mark.parametrize("method", sorted(SNAPSHOT))
+def test_engine_kernels_match_their_snapshot(method, tensor_name, cache_id):
+    got = engine_kernels(method, tensor_name, cache_id)
+    want = SNAPSHOT[method][tensor_name][cache_id]
+    assert got == want, f"observed {got}"
+
+
+def test_snapshot_covers_every_other_engine():
+    assert sorted(SNAPSHOT) == sorted(set(engine_names()) - {"stef"})
+
+
+@pytest.mark.parametrize("cache_id", CACHES)
+@pytest.mark.parametrize("tensor_name", TENSORS)
+def test_taco_counts_do_not_depend_on_the_chunk_size(tensor_name, cache_id):
+    """taco's tuner picks a chunk size by wall time, so the snapshot
+    holds only if every size it can pick counts the same."""
+    want = SNAPSHOT["taco"][tensor_name][cache_id]
+    for chunk in CHUNK_GRID:
+        got = engine_kernels("taco", tensor_name, cache_id, chunk, autotune=False)
+        assert got == want, f"chunk {chunk}: observed {got}"
