@@ -419,20 +419,21 @@ def _cmd_submit(args, out) -> int:
         seed=args.seed, priority=args.priority, client=args.client,
     )
     if args.by_name:
-        spec = JobSpec(tensor=args.tensor, nnz=args.nnz,
-                       tensor_seed=args.seed, **options)
+        source = dict(tensor=args.tensor, nnz=args.nnz, tensor_seed=args.seed)
     else:
         # Inline the non-zeros: the daemon never needs to see our files,
         # and the content fingerprint still matches a --by-name twin.
         tensor = load_tensor(args.tensor, args.nnz, args.seed)
-        spec = JobSpec(
-            coo={
-                "indices": tensor.indices.tolist(),
-                "values": tensor.values.tolist(),
-                "shape": list(tensor.shape),
-            },
-            **options,
-        )
+        source = dict(coo={
+            "indices": tensor.indices.tolist(),
+            "values": tensor.values.tolist(),
+            "shape": list(tensor.shape),
+        })
+    try:
+        spec = JobSpec(**source, **options)
+    except ValueError as exc:
+        print(f"refused: {exc} (bad-request)", file=out)
+        return 1
     try:
         with ServeClient(args.socket, connect_timeout=10.0) as client:
             if args.no_wait:

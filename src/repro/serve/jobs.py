@@ -19,10 +19,20 @@ or ``running`` when the previous process died are re-enqueued with
 complete checkpoint instead of starting over, and its cumulative
 iteration count keeps climbing.  Journal writes use the same
 tmp + ``os.replace`` discipline as the checkpoints, so a journal is
-always a complete JSON document.  A record that cannot be read all the
-same — a file cut short mid-JSON, or a spec with a field this version's
-:class:`JobSpec` no longer has — stays on disk and out of the queue, and
-``repro jobs --stats`` counts it as ``jobs.unreadable``.
+always a complete JSON document.
+
+A journal holds the job's *record* (:meth:`Job.to_dict`) as one line of
+compact JSON, the bytes a response carries.  :meth:`Job.record`
+assembles it from the spec and the result, each encoded once, and the
+small state fields, so no transition re-encodes the inline COO or the
+factors.  Once the terminal record is on disk, :meth:`Job.retire` drops
+those payloads from memory, and the server answers for the job with the
+journal's bytes.
+
+A record that cannot be read all the same — a file cut short mid-JSON,
+or a spec with a field this version's :class:`JobSpec` no longer has or
+a value it refuses — stays on disk and out of the queue, and ``repro
+jobs --stats`` counts it as ``jobs.unreadable``.
 """
 
 from __future__ import annotations
@@ -30,10 +40,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from .protocol import JobSpec
+from .protocol import JobSpec, compact
 
 __all__ = [
     "ACTIVE_STATES",
@@ -72,6 +82,9 @@ class Job:
     cache: Optional[str] = None      # "hit" | "miss" | "bypass"
     error: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
+    # The spec and the result as compact JSON, each encoded at most once.
+    _spec_json: Optional[str] = field(default=None, init=False, repr=False)
+    _result_json: Optional[str] = field(default=None, init=False, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -97,10 +110,8 @@ class Job:
             out["seconds"] = self.result.get("seconds")
         return out
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _state(self) -> Dict[str, Any]:
         return {
-            "job_id": self.job_id,
-            "spec": self.spec.to_dict(),
             "state": self.state,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -108,8 +119,46 @@ class Job:
             "attempts": self.attempts,
             "cache": self.cache,
             "error": self.error,
+        }
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "job_id": self.job_id,
+            "spec": self.spec.to_dict(),
+            **self._state(),
             "result": self.result,
         }
+
+    def encode_result(self) -> None:
+        """Encode the result, once.  The worker that produced it calls
+        this, so the event loop never encodes the factors."""
+        if self.result is not None and self._result_json is None:
+            self._result_json = compact(self.result)
+
+    def record(self) -> bytes:
+        """The record as one line of compact JSON, byte for byte what
+        ``protocol.encode(self.to_dict())`` writes, assembled from the
+        encoded spec and result plus the small state fields."""
+        if self._spec_json is None:
+            self._spec_json = compact(self.spec.to_dict())
+        self.encode_result()
+        return (
+            f'{{"job_id":{compact(self.job_id)},"spec":{self._spec_json},'
+            f'{compact(self._state())[1:-1]},'
+            f'"result":{self._result_json or "null"}}}\n'
+        ).encode()
+
+    def retire(self) -> None:
+        """Drop what a terminal job no longer needs in memory once its
+        journal holds the full record: the inline COO, the factors and
+        the encoded fragments.  What stays is what :meth:`summary`, the
+        queue and the server's counters read."""
+        if self.spec.coo is not None:
+            self.spec = replace(self.spec, coo=None, tensor="<inline>")
+        if self.result is not None:
+            self.result = {key: self.result[key]
+                           for key in ("iterations", "seconds")}
+        self._spec_json = self._result_json = None
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Job":
@@ -144,12 +193,17 @@ class Spool:
         path = self.journal_path(job.job_id)
         tmp = f"{path}.tmp-{os.getpid()}"
         try:
-            with open(tmp, "w") as fh:
-                json.dump(job.to_dict(), fh)
+            with open(tmp, "wb") as fh:
+                fh.write(job.record())
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+    def read_journal(self, job_id: str) -> bytes:
+        """A job's journaled record, as written: one line of JSON."""
+        with open(self.journal_path(job_id), "rb") as fh:
+            return fh.read()
 
     def load_jobs(self) -> List[Job]:
         """Every readable journaled job, oldest submission first; the

@@ -21,8 +21,9 @@
    from its last complete checkpoint, and the cumulative iteration count
    keeps climbing).  The checkpoint is deleted only on success;
 5. **record** — factors serialize as JSON lists (``repr`` round-trip ⇒
-   bit-identical on the client), and the job's trace is written as a
-   JSONL request log stamped with
+   bit-identical on the client), encoded here, once, off the event loop
+   (:meth:`~repro.serve.jobs.Job.encode_result`); the job's trace is
+   written as a JSONL request log stamped with
    :func:`~repro.trace.export.engine_run_meta`.
 """
 
@@ -165,6 +166,7 @@ def execute_job(job: Job, spool: Spool, cache: Optional[EngineCache]) -> Job:
         "fingerprint": fingerprint,
         **run_meta,
     }
+    job.encode_result()
     write_jsonl(
         tracer, spool.log_path(job.job_id),
         job_id=job.job_id, cache=status, fingerprint=fingerprint,

@@ -22,21 +22,30 @@ Two identities anchor the server's caching story:
 Floats survive the wire bit-exactly: ``json`` emits ``repr`` shortest
 round-trip representations, so factor matrices serialized as nested
 lists compare ``np.array_equal`` with the in-process result.
+
+A :class:`JobSpec` checks its options when it is built, so a spec the
+workers could not run is refused at ``submit`` (``bad-request``, with
+the reason) before it is queued or journaled.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
+
+from ..engines import engine_names
+from ..parallel import MACHINES
+from ..parallel.executor import EXEC_BACKENDS
 
 __all__ = [
     "MAX_LINE_BYTES",
     "JobSpec",
     "cache_key",
+    "compact",
     "decode_line",
     "encode",
     "tensor_fingerprint",
@@ -48,9 +57,14 @@ __all__ = [
 MAX_LINE_BYTES = 256 * 1024 * 1024
 
 
+def compact(obj: Any) -> str:
+    """Compact JSON, the one encoding of every message and journal."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def encode(obj: Dict[str, Any]) -> bytes:
     """One protocol message: compact JSON, newline-terminated."""
-    return json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    return compact(obj).encode() + b"\n"
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -117,6 +131,20 @@ class JobSpec:
     def __post_init__(self) -> None:
         if (self.tensor is None) == (self.coo is None):
             raise ValueError("exactly one of tensor= or coo= must be set")
+        for name, allowed in (("engine", engine_names()),
+                              ("machine", sorted(MACHINES)),
+                              ("exec_backend", EXEC_BACKENDS),
+                              ("init", ("random", "hosvd"))):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {list(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("rank", "max_iters", "checkpoint_every", "num_threads"):
+            value = getattr(self, name)
+            if name == "num_threads" and value is None:
+                continue  # the machine's thread count
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, "
+                                 f"got {value!r}")
 
     # ------------------------------------------------------------------
     def plan_options(self) -> Dict[str, Any]:
@@ -131,7 +159,8 @@ class JobSpec:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        """The fields as they are: the inline COO is shared, not copied."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":

@@ -17,9 +17,12 @@ Lifecycle guarantees:
   process re-enter the queue (``force=True`` — they were admitted once)
   and resume from their checkpoints; a journal that cannot be parsed
   stays on disk and is counted as ``jobs.unreadable``;
-* ``wait`` is event-driven: each job has an ``asyncio.Event`` set on
-  reaching a terminal state, so waiting clients cost nothing but a
-  parked coroutine.
+* ``wait`` is event-driven: a job that has waiters has an
+  ``asyncio.Event``, set (and dropped) when it reaches a terminal state,
+  so waiting clients cost nothing but a parked coroutine;
+* a terminal job keeps only its summary in memory (:meth:`Job.retire`);
+  every response that carries its record is its journal's bytes, so
+  what a client sees is exactly what the journal says.
 
 Protocol ops (one JSON object per line, one response line each):
 ``ping``, ``submit`` (optionally ``"wait": true``), ``wait``,
@@ -36,7 +39,7 @@ import time
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from .cache import EngineCache
 from .jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job, Spool
@@ -45,6 +48,10 @@ from .protocol import MAX_LINE_BYTES, JobSpec, decode_line, encode
 from .queue import ClientLimitExceeded, JobQueue, QueueFull
 
 __all__ = ["DecompositionServer", "ServerHandle", "start_in_thread"]
+
+
+#: What an op answers: a message to encode, or a line already encoded.
+Reply = Union[Dict[str, Any], bytes]
 
 
 class DecompositionServer:
@@ -159,9 +166,17 @@ class DecompositionServer:
             job.finished_at = time.time()
             self.spool.write_journal(job)
             self.queue.release(job)
-            self._event_for(job.job_id).set()
+            self._finish(job)
         finally:
             semaphore.release()
+
+    def _finish(self, job: Job) -> None:
+        """After the terminal journal write: slim the job and wake its
+        waiters, who answer from the journal."""
+        job.retire()
+        event = self._events.pop(job.job_id, None)
+        if event is not None:
+            event.set()
 
     def _record_latency(self, job: Job) -> None:
         assert job.result is not None
@@ -197,7 +212,8 @@ class DecompositionServer:
                         "error": f"{type(exc).__name__}: {exc}",
                         "reason": "bad-request",
                     }
-                writer.write(encode(response))
+                writer.write(response if isinstance(response, bytes)
+                             else encode(response))
                 await writer.drain()
         finally:
             try:
@@ -205,7 +221,7 @@ class DecompositionServer:
             except RuntimeError:
                 pass  # loop already torn down under us (shutdown race)
 
-    async def _dispatch_op(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _dispatch_op(self, message: Dict[str, Any]) -> Reply:
         op = message.get("op")
         if op == "ping":
             return {"ok": True, "op": "ping"}
@@ -230,7 +246,7 @@ class DecompositionServer:
         return {"ok": False, "error": f"unknown op {op!r}",
                 "reason": "bad-request"}
 
-    async def _op_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_submit(self, message: Dict[str, Any]) -> Reply:
         spec = JobSpec.from_dict(message["spec"])
         job_id = f"job-{next(self._seq):06d}-{uuid.uuid4().hex[:8]}"
         job = Job(job_id=job_id, spec=spec)
@@ -245,31 +261,41 @@ class DecompositionServer:
         self.jobs[job_id] = job
         self.spool.write_journal(job)
         if message.get("wait"):
-            await self._event_for(job_id).wait()
-            return {"ok": True, "job": job.to_dict()}
+            return await self._terminal_response(job)
         return {"ok": True, "job_id": job_id, "state": job.state}
 
-    async def _op_wait(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_wait(self, message: Dict[str, Any]) -> Reply:
         job = self.jobs.get(message.get("job_id", ""))
         if job is None:
             return {"ok": False, "error": "no such job", "reason": "not-found"}
-        if not job.terminal:
-            timeout = message.get("timeout")
-            try:
-                await asyncio.wait_for(
-                    self._event_for(job.job_id).wait(), timeout,
-                )
-            except asyncio.TimeoutError:
-                return {"ok": False, "error": "timed out waiting",
-                        "reason": "timeout", "retry": True}
-        return {"ok": True, "job": job.to_dict()}
+        try:
+            return await self._terminal_response(job, message.get("timeout"))
+        except asyncio.TimeoutError:
+            return {"ok": False, "error": "timed out waiting",
+                    "reason": "timeout", "retry": True}
 
-    def _op_status(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _terminal_response(self, job: Job,
+                                 timeout: Optional[float] = None) -> bytes:
+        """Wait for ``job`` to finish, then answer with its record.  A job
+        already terminal is answered at once: its event is gone, and a
+        fresh one would never be set."""
+        if not job.terminal:
+            await asyncio.wait_for(self._event_for(job.job_id).wait(), timeout)
+        return self._record_response(job)
+
+    def _record_response(self, job: Job) -> bytes:
+        """``{"ok": true, "job": <record>}``.  A terminal job's record is
+        its journal; a live job's is assembled from its fragments."""
+        record = (self.spool.read_journal(job.job_id) if job.terminal
+                  else job.record())
+        return b'{"ok":true,"job":' + record.rstrip(b"\n") + b"}\n"
+
+    def _op_status(self, message: Dict[str, Any]) -> Reply:
         job = self.jobs.get(message.get("job_id", ""))
         if job is None:
             return {"ok": False, "error": "no such job", "reason": "not-found"}
         if message.get("result"):
-            return {"ok": True, "job": job.to_dict()}
+            return self._record_response(job)
         return {"ok": True, "job": job.summary()}
 
     def _op_cancel(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -283,7 +309,7 @@ class DecompositionServer:
         job.state = CANCELLED
         job.finished_at = time.time()
         self.spool.write_journal(job)
-        self._event_for(job.job_id).set()
+        self._finish(job)
         return {"ok": True, "job_id": job.job_id, "state": job.state}
 
     # ------------------------------------------------------------------

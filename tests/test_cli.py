@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import io
+import json
+import os
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, load_tensor, main
+from repro.cpd import cp_als
+from repro.engines import create_engine
+from repro.parallel import MACHINES
+from repro.serve import start_in_thread, wait_for_socket
 from repro.tensor import random_tensor, write_tns
 
 
@@ -117,3 +124,52 @@ class TestCommands:
         )
         assert code == 0
         assert "final fit" in text
+
+    def test_submit_save_is_bit_identical_and_jobs_lists_it(self, tmp_path):
+        """`repro submit --save` writes the served record's factors, equal
+        bit for bit to a direct run; `repro jobs` then lists the finished
+        job's iterations and seconds from its summary."""
+        sock = str(tmp_path / "s.sock")
+        spool = str(tmp_path / "spool")
+        saved = str(tmp_path / "factors.npz")
+        handle = start_in_thread(sock, spool, workers=1)
+        wait_for_socket(sock)
+        try:
+            code, text = self._run(
+                ["submit", "uber", "--nnz", "300", "--rank", "4",
+                 "--iters", "3", "--tol", "0", "--socket", sock,
+                 "--save", saved]
+            )
+            assert code == 0, text
+            job_id = text.split(":")[0]
+            code, listing = self._run(["jobs", "--socket", sock])
+            assert code == 0, listing
+        finally:
+            handle.stop()
+
+        tensor = load_tensor("uber", nnz=300, seed=0)
+        with create_engine("stef", tensor, 4,
+                           machine=MACHINES["intel-clx-18"],
+                           exec_backend="serial") as engine:
+            direct = cp_als(tensor, 4, engine=engine, max_iters=3, tol=0.0,
+                            init="random", seed=0)
+        with np.load(saved) as data:
+            assert np.array_equal(data["weights"], direct.model.weights)
+            for mode, factor in enumerate(direct.model.factors):
+                assert np.array_equal(data[f"factor_{mode}"], factor)
+
+        with open(os.path.join(spool, "jobs", f"{job_id}.json")) as fh:
+            seconds = json.load(fh)["result"]["seconds"]
+        row = next(line.split() for line in listing.splitlines()
+                   if line.startswith(job_id))
+        assert row == [job_id, "done", "stef", "serial", "miss", "3",
+                       f"{seconds:.3f}"]
+
+    def test_submit_refuses_a_bad_spec_locally(self, tmp_path):
+        code, text = self._run(
+            ["submit", "uber", "--nnz", "300", "--rank", "0",
+             "--socket", str(tmp_path / "no-daemon.sock")]
+        )
+        assert code == 1
+        assert text == ("refused: rank must be an integer >= 1, got 0 "
+                        "(bad-request)\n")

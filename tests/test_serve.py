@@ -9,8 +9,14 @@ server:
 * **cache semantics** — a resubmitted identical job hits the engine
   cache, and its JSONL request log carries **no** ``serve.plan`` span
   (the miss's log does);
-* **bad input** — a job whose tensor holds a NaN fails with the reason,
-  and the daemon goes on serving;
+* **bad input** — a spec the workers could not run is refused at
+  ``submit`` as ``bad-request``, unqueued and unjournaled; a job whose
+  tensor holds a NaN fails with the reason, and the daemon goes on
+  serving;
+* **one encoding, one record** — a job's spec is encoded once and its
+  result once, in the worker; every answer for a finished job is its
+  journal's bytes, equal to ``Job.to_dict()``, and the job table keeps
+  no COO, factors or event of a finished job;
 * **admission control** — per-client limits and queue backpressure
   refuse with retryable errors instead of buffering without bound;
 * **crash recovery** — a server process SIGKILLed mid-job resumes the
@@ -21,8 +27,10 @@ server:
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -41,6 +49,8 @@ from repro.serve import (
     start_in_thread,
     wait_for_socket,
 )
+from repro.serve import jobs as jobs_module
+from repro.serve.protocol import encode
 from repro.tensor import random_tensor
 from repro.trace import read_jsonl
 
@@ -233,6 +243,174 @@ class TestBadInput:
         assert good["state"] == "done", good["error"]
 
 
+BAD_FIELDS = [
+    ("engine", "nope"),
+    ("machine", "nope"),
+    ("exec_backend", "gpu"),
+    ("init", "svd"),
+    ("rank", 0),
+    ("max_iters", -1),
+    ("checkpoint_every", 0),
+    ("num_threads", 0),
+]
+
+
+class TestAdmissionValidation:
+    @pytest.mark.parametrize("field,value", BAD_FIELDS)
+    def test_bad_spec_refused_before_queue_and_journal(self, server, field,
+                                                       value):
+        """A spec the workers could not run is refused at submit with the
+        reason: nothing is queued or journaled, and the client refuses it
+        locally too.  A valid job after it still runs."""
+        sock, spool, _ = server
+        tensor = random_tensor((8, 7, 6), nnz=80, seed=14)
+        with pytest.raises(ValueError, match=field):
+            make_spec(tensor, **{field: value})
+        bad = dict(make_spec(tensor).to_dict(), **{field: value})
+        with ServeClient(sock) as client:
+            total = client.stats()["jobs.total"]
+            with pytest.raises(ServeError) as excinfo:
+                client.request({"op": "submit", "spec": bad, "wait": True})
+            assert excinfo.value.reason == "bad-request"
+            assert field in str(excinfo.value)
+            assert os.listdir(os.path.join(spool, "jobs")) == []
+            assert client.stats()["jobs.total"] == total
+            good = client.submit(make_spec(tensor), wait=True)
+        assert good["state"] == "done", good["error"]
+
+
+def raw_request(sock_path, message) -> bytes:
+    """One request, and the response line exactly as the server sent it."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.connect(sock_path)
+        conn.sendall(encode(message))
+        with conn.makefile("rb") as reader:
+            return reader.readline()
+
+
+class TestRecordEncoding:
+    def test_record_is_encoded_to_dict_in_every_state(self, tmp_path):
+        """The record assembled from the encoded fragments is byte for
+        byte the encoding of Job.to_dict(), in every state, and so is
+        the journal."""
+        spool = Spool(str(tmp_path / "spool"))
+        tensor = random_tensor((8, 7, 6), nnz=80, seed=15)
+        job = Job(job_id="job-x", spec=make_spec(tensor))
+        steps = [
+            {},
+            {"state": "running", "started_at": 2.5, "attempts": 1},
+            {"state": "done", "finished_at": 3.25, "cache": "miss",
+             "result": {"weights": [1.5, float("nan")],
+                        "factors": [[[0.1, 2e-300]]], "fits": [],
+                        "iterations": 3, "seconds": 0.125}},
+            {"state": "failed", "error": 'ValueError: "quoted"\nline'},
+        ]
+        for step in steps:
+            for name, value in step.items():
+                setattr(job, name, value)
+            assert job.record() == encode(job.to_dict())
+            spool.write_journal(job)
+            assert spool.read_journal(job.job_id) == encode(job.to_dict())
+
+    def test_spec_and_result_encoded_once(self, server, monkeypatch):
+        """Between admission and its response the server encodes a job's
+        spec once, and its result once, in the worker thread."""
+        sock, _, _ = server
+        spec_calls, result_calls = [], []
+        to_dict, compact = JobSpec.to_dict, jobs_module.compact
+
+        def counting_to_dict(self):
+            spec_calls.append(threading.current_thread().name)
+            return to_dict(self)
+
+        def counting_compact(obj):
+            if isinstance(obj, dict) and "factors" in obj:
+                result_calls.append(threading.current_thread().name)
+            return compact(obj)
+
+        monkeypatch.setattr(JobSpec, "to_dict", counting_to_dict)
+        monkeypatch.setattr(jobs_module, "compact", counting_compact)
+        tensor = random_tensor((10, 8, 6), nnz=150, seed=16)
+        message = {"op": "submit", "spec": make_spec(tensor).to_dict(),
+                   "wait": True}
+        spec_calls.clear()
+        response = json.loads(raw_request(sock, message))
+        assert response["job"]["state"] == "done"
+        server_side = [n for n in spec_calls
+                       if n != threading.current_thread().name]
+        assert len(server_side) == 1, spec_calls
+        assert len(result_calls) == 1, result_calls
+        assert result_calls[0].startswith("repro-serve_")  # a worker
+
+    def test_finished_job_answers_are_its_journal(self, server, monkeypatch):
+        """submit-with-wait, wait and status-with-result all answer a done
+        job with its journal's bytes, equal to Job.to_dict() as it stood
+        at the terminal write."""
+        sock, spool, handle = server
+        final = {}
+        retire = Job.retire
+
+        def snapshot_retire(self):
+            final[self.job_id] = json.loads(json.dumps(self.to_dict()))
+            retire(self)
+
+        monkeypatch.setattr(Job, "retire", snapshot_retire)
+        tensor = random_tensor((10, 8, 6), nnz=150, seed=17)
+        spec = make_spec(tensor).to_dict()
+        submitted = raw_request(sock, {"op": "submit", "spec": spec,
+                                       "wait": True})
+        job_id = json.loads(submitted)["job"]["job_id"]
+        waited = raw_request(sock, {"op": "wait", "job_id": job_id})
+        status = raw_request(sock, {"op": "status", "job_id": job_id,
+                                    "result": True})
+        journal = Spool(spool).read_journal(job_id)
+        expected = b'{"ok":true,"job":' + journal.rstrip(b"\n") + b"}\n"
+        assert submitted == waited == status == expected
+        assert json.loads(journal) == final[job_id]
+        assert final[job_id]["state"] == "done"
+        assert final[job_id]["result"]["factors"]
+
+    def test_finished_jobs_keep_no_payload_in_memory(self, server):
+        """Once jobs are done or failed, the job table holds no COO
+        lists, factor lists, encoded fragments or events, and
+        status(result=True) still returns the factors bit for bit."""
+        sock, _, handle = server
+        tensor = random_tensor((10, 8, 6), nnz=150, seed=18)
+        bad = inline_coo(tensor)
+        bad["values"][0] = float("inf")
+        spec = make_spec(tensor)
+        with ServeClient(sock) as client:
+            done = client.submit(spec, wait=True)
+            failed = client.submit(make_spec(tensor, coo=bad), wait=True)
+            waited = [client.submit(make_spec(tensor, seed=s))["job_id"]
+                      for s in (1, 2)]
+            for job_id in waited:
+                client.wait(job_id, timeout=120)
+            rows = {r["job_id"]: r for r in client.jobs()}
+            fetched = client.status(done["job_id"], result=True)
+        assert failed["state"] == "failed"
+        server = handle.server
+        assert server._events == {}
+        for job in server.jobs.values():
+            assert job.terminal
+            assert job.spec.coo is None
+            assert job.result is None or set(job.result) == {
+                "iterations", "seconds"}
+            assert job._spec_json is None and job._result_json is None
+        assert fetched == done
+        direct, traffic = direct_run(tensor, spec)
+        assert np.array_equal(np.asarray(fetched["result"]["weights"]),
+                              direct.model.weights)
+        for got, want in zip(fetched["result"]["factors"],
+                             direct.model.factors):
+            assert np.array_equal(np.asarray(got), want)
+        assert fetched["result"]["traffic"] == traffic
+        row = rows[done["job_id"]]
+        assert row["tensor"] == "<inline>"
+        assert row["iterations"] == done["result"]["iterations"]
+        assert row["seconds"] == done["result"]["seconds"]
+
+
 class TestAdmissionControl:
     def test_per_client_limit_refuses_with_retryable_error(self, tmp_path):
         sock = str(tmp_path / "s.sock")
@@ -270,10 +448,10 @@ class TestAdmissionControl:
         try:
             tensor = random_tensor((30, 25, 20), nnz=4000, seed=8)
             with ServeClient(sock) as client:
-                running = client.submit(
-                    make_spec(tensor, max_iters=200)
-                )  # occupies the worker
-                time.sleep(0.2)  # let the dispatcher pop it off the queue
+                # Over a second of ALS: it occupies the only worker while
+                # the next job fills the one-deep queue.
+                running = client.submit(make_spec(tensor, max_iters=1200))
+                wait_until_running(client, running["job_id"])
                 queued = client.submit(make_spec(tensor, max_iters=1))
                 with pytest.raises(ServeError) as excinfo:
                     client.submit(make_spec(tensor, max_iters=1))
@@ -325,6 +503,10 @@ class TestCancelAndStatus:
                 assert cancelled["state"] == "cancelled"
                 job = client.wait(victim["job_id"], timeout=10)
                 assert job["state"] == "cancelled"
+                assert job["spec"]["coo"] == inline_coo(quick)
+                retired = handle.server.jobs[victim["job_id"]]
+                assert retired.spec.coo is None
+                assert victim["job_id"] not in handle.server._events
                 client.wait(running["job_id"], timeout=120)
                 rows = client.jobs()
                 states = {r["job_id"]: r["state"] for r in rows}
