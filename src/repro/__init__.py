@@ -57,7 +57,7 @@ from .parallel import (
     TrafficCounter,
 )
 from .baselines import ALL_BACKENDS
-from .engines import MttkrpEngine, create_engine, engine_names, register_engine
+from .engines import create_engine, engine_names
 from .trace import NULL_TRACER, NullTracer, Tracer
 
 __version__ = "1.0.0"
@@ -100,10 +100,8 @@ __all__ = [
     "MachineSpec",
     "TrafficCounter",
     "ALL_BACKENDS",
-    "MttkrpEngine",
     "create_engine",
     "engine_names",
-    "register_engine",
     "NULL_TRACER",
     "NullTracer",
     "Tracer",

@@ -19,13 +19,12 @@ or memoizing decisions" whenever FLOPs and traffic disagree.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.memoization import MemoPlan, enumerate_plans
-from ..core.mttkrp import MemoizedMttkrp
-from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
+from ..core.stef import CsfEngine
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.machine import MachineSpec
 from ..tensor.coo import CooTensor
@@ -86,7 +85,7 @@ def flop_minimal_plan(fiber_counts: Sequence[int], rank: int) -> MemoPlan:
     return best[1]
 
 
-class AdaTm(EngineBase):
+class AdaTm(CsfEngine):
     """Op-count-driven memoized MTTKRP backend (AdaTM policy)."""
 
     name = "adatm"
@@ -102,49 +101,19 @@ class AdaTm(EngineBase):
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        self.tensor = tensor
-        self.rank = rank
-        self.tracer = tracer
-        self.exec_backend = resolve_exec_backend(exec_backend)
-        threads = resolve_num_threads(machine, num_threads)
-        self.csf = CsfTensor.from_coo(tensor, default_mode_order(tensor.shape))
-        self.plan = flop_minimal_plan(self.csf.fiber_counts, rank)
-        self.engine = MemoizedMttkrp(
-            self.csf,
+        csf = CsfTensor.from_coo(tensor, default_mode_order(tensor.shape))
+        self.plan = flop_minimal_plan(csf.fiber_counts, rank)
+        super().__init__(
+            tensor,
             rank,
-            plan=self.plan,
-            num_threads=threads,
+            [(csf, self.plan)],
+            machine=machine,
+            num_threads=num_threads,
             partition="slice",
-            exec_backend=self.exec_backend,
+            exec_backend=exec_backend,
             counter=counter,
             tracer=tracer,
         )
-        self.mode_order: Tuple[int, ...] = self.csf.mode_order
-
-    def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:
-        """MTTKRP at ``level`` with AdaTM's memoization plan."""
-        if level == 0:
-            return self.engine.mode0(factors)
-        return self.engine.mode_level(factors, level)
-
-    def memo_bytes(self) -> int:
-        """Footprint of the stored intermediates."""
-        return self.engine.memo_bytes()
-
-    def level_load_factor(self, level: int) -> float:
-        """Imbalance stretch of the slice schedule (level-independent)."""
-        return self.engine.partition.max_over_mean
-
-    @property
-    def num_threads(self) -> int:
-        return self.engine.num_threads
-
-    def per_thread_traffic(self) -> List[float]:
-        return self.engine.shards.per_thread_totals()
-
-    def close(self) -> None:
-        """Release the inner engine's resources (shm under processes)."""
-        self.engine.close()
 
     def describe(self) -> str:
         return f"{self.name}: save={list(self.plan.save_levels)} (FLOP-minimal)"

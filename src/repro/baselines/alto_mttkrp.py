@@ -148,22 +148,7 @@ class AltoBackend(EngineBase):
     def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:
         """From-scratch MTTKRP for mode ``level`` over equal-nnz chunks."""
         mode = self.mode_order[level]
-        attrs = dict(
-            level=level,
-            mode=int(mode),
-            nnz=int(self.tensor.nnz),
-            threads=self.num_threads,
-        )
-        if level == 0:
-            span = self.tracer.span(
-                "mttkrp.mode0", counter=self.counter, **attrs
-            )
-        else:
-            span = self.tracer.span(
-                "mttkrp.mode_level", counter=self.counter, source="recompute",
-                **attrs,
-            )
-        with span:
+        with self.kernel_span(level, mode, self.tensor.nnz, "recompute"):
             return self._mttkrp_level_impl(factors, mode)
 
     def _mttkrp_level_impl(

@@ -162,22 +162,7 @@ class DimTreeBackend(EngineBase):
     def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:
         """MTTKRP for mode ``level`` via the leaf's ancestor chain."""
         mode = self.mode_order[level]
-        attrs = dict(
-            level=level,
-            mode=int(mode),
-            nnz=int(self.tensor.nnz),
-            threads=self.num_threads,
-        )
-        if level == 0:
-            span = self.tracer.span(
-                "mttkrp.mode0", counter=self.counter, **attrs
-            )
-        else:
-            span = self.tracer.span(
-                "mttkrp.mode_level", counter=self.counter, source="dimtree",
-                **attrs,
-            )
-        with span:
+        with self.kernel_span(level, mode, self.tensor.nnz, "dimtree"):
             return self._mttkrp_level_impl(factors, mode)
 
     def _mttkrp_level_impl(

@@ -46,7 +46,7 @@ from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCoun
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
 from ..tensor.coo import CooTensor
-from ..tensor.csf import CsfTensor
+from ..tensor.csf import CsfTensor, root_order
 from ..trace import NULL_TRACER, Tracer
 
 __all__ = ["TacoBackend"]
@@ -132,13 +132,9 @@ class TacoBackend(EngineBase):
         self.exec_backend = resolve_exec_backend(exec_backend)
         self.pool = SimulatedPool(threads, self.exec_backend, tracer=tracer)
         self.shards = ShardedTrafficCounter.like(counter, threads)
-        self.csfs: List[CsfTensor] = []
-        for mode in range(d):
-            rest = sorted(
-                (m for m in range(d) if m != mode),
-                key=lambda m: (tensor.shape[m], m),
-            )
-            self.csfs.append(CsfTensor.from_coo(tensor, (mode, *rest)))
+        self.csfs = [
+            CsfTensor.from_coo(tensor, root_order(tensor.shape, m)) for m in range(d)
+        ]
         self.chunk_slices = CHUNK_GRID[-1]
         self.tuning_seconds = 0.0
         # Task operands (see repro.core.proc_tasks): under processes the
@@ -266,22 +262,7 @@ class TacoBackend(EngineBase):
     def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:
         """Mode-``level`` MTTKRP on its dedicated CSF with tuned chunks."""
         mode = self.mode_order[level]
-        attrs = dict(
-            level=level,
-            mode=int(mode),
-            nnz=int(self.tensor.nnz),
-            threads=self.pool.num_threads,
-        )
-        if level == 0:
-            span = self.tracer.span(
-                "mttkrp.mode0", counter=self.counter, **attrs
-            )
-        else:
-            span = self.tracer.span(
-                "mttkrp.mode_level", counter=self.counter, source="recompute",
-                **attrs,
-            )
-        with span:
+        with self.kernel_span(level, mode, self.tensor.nnz, "recompute"):
             return self._sweep_mode(mode, factors)
 
     def level_load_factor(self, level: int) -> float:

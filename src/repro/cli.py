@@ -29,6 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from .analysis import format_table, relative_performance, run_comparison
+from .baselines import ALL_BACKENDS
 from .core import plan_decomposition
 from .cpd import cp_als
 from .engines import create_engine, engine_names
@@ -91,12 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_method_args(p: argparse.ArgumentParser) -> None:
         """The shared method/execution selectors (one definition — the
         ``decompose`` and ``profile`` copies previously drifted apart)."""
-        infos = engine_names(detail=True)
+        names = engine_names()
+        memoizing = [n for n in names if ALL_BACKENDS[n].memoize_capable]
         p.add_argument(
-            "--engine", "--backend", choices=[i.name for i in infos],
+            "--engine", "--backend", choices=names,
             default="stef", dest="engine",
-            help="MTTKRP engine (default stef). Capabilities: "
-            + "; ".join(i.summary() for i in infos),
+            help="MTTKRP engine (default stef); memoize-capable: "
+            + ", ".join(memoizing) + "; every engine runs on "
+            + "/".join(EXEC_BACKENDS),
         )
         p.add_argument(
             "--exec-backend", choices=list(EXEC_BACKENDS), default="serial",

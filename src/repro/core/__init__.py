@@ -20,7 +20,7 @@ from .modeorder import (
 from .mttkrp import MemoizedMttkrp
 from .planner import Configuration, PlanDecision, plan_decomposition
 from .schedule import WorkSchedule, build_schedule
-from .stef import Stef
+from .stef import CsfEngine, Stef
 from .stef2 import Stef2
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "plan_decomposition",
     "WorkSchedule",
     "build_schedule",
+    "CsfEngine",
     "Stef",
     "Stef2",
 ]

@@ -1,13 +1,25 @@
-"""STeF — the Sparse Tensor Factorization facade.
+"""The CSF engine family and STeF, the Sparse Tensor Factorization facade.
 
-Ties the paper's pieces together in the order Section III-B describes:
+Section VI-B describes every CSF comparator by three choices: how many
+CSF copies it keeps, which partial results it memoizes, and whether it
+deals work by root slices or by equal non-zeros.  :class:`CsfEngine` is
+that description as code: a list of *trees* (a CSF layout with its
+:class:`~repro.core.memoization.MemoPlan`, each run by its own
+:class:`~repro.core.mttkrp.MemoizedMttkrp`) under one partition
+strategy, and one routing rule — update position ``level`` runs on the
+tree that holds ``mode_order[level]`` at the shallowest CSF level (the
+first such tree on a tie).  STeF, STeF2, splatt-1/2/all and AdaTM are
+constructors that pick those trees.
+
+:class:`Stef` ties the paper's pieces together in the order Section III-B
+describes:
 
 1. build the base CSF with the increasing-mode-length heuristic;
 2. run Algorithm 9 + the Section IV model to pick the configuration
    (swap the last two modes? which ``P^(i)`` to memoize?);
 3. rebuild the CSF if the swap won;
-4. construct the memoized MTTKRP engine with Algorithm 3's fine-grained
-   load-balanced partition.
+4. run it as one tree under Algorithm 3's fine-grained load-balanced
+   partition.
 
 The object is then a drop-in MTTKRP backend for the CP-ALS driver
 (:mod:`repro.cpd.als`) and the benchmark harness.
@@ -30,10 +42,125 @@ from .memoization import MemoPlan
 from .mttkrp import MemoizedMttkrp
 from .planner import PlanDecision, plan_decomposition
 
-__all__ = ["Stef"]
+__all__ = ["CsfEngine", "Stef"]
 
 
-class Stef(EngineBase):
+class CsfEngine(EngineBase):
+    """MTTKRP over one or more CSF copies of a tensor (see module docstring).
+
+    Parameters
+    ----------
+    tensor:
+        Input in COO form.
+    rank:
+        Decomposition rank ``R``.
+    trees:
+        ``(CsfTensor, MemoPlan)`` pairs, one per CSF copy.
+    machine, num_threads:
+        Thread count source (:func:`~repro.engines.base.resolve_num_threads`).
+    partition:
+        ``"nnz"`` (Algorithm 3) or ``"slice"`` (prior work), for every tree.
+    exec_backend, counter, tracer:
+        Passed to every tree's :class:`MemoizedMttkrp`.
+    mode_order:
+        Update position → original mode; the first tree's CSF order by
+        default.
+
+    Attributes
+    ----------
+    trees:
+        One :class:`MemoizedMttkrp` per CSF copy, in the order given.
+    """
+
+    def __init__(
+        self,
+        tensor: CooTensor,
+        rank: int,
+        trees: Sequence[Tuple[CsfTensor, MemoPlan]],
+        *,
+        machine: Optional[MachineSpec] = None,
+        num_threads: Optional[int] = None,
+        partition: str = "nnz",
+        exec_backend: Optional[str] = None,
+        counter: TrafficCounter = NULL_COUNTER,
+        tracer: Tracer = NULL_TRACER,
+        mode_order: Optional[Sequence[int]] = None,
+    ) -> None:
+        self.tensor = tensor
+        self.rank = rank
+        self.tracer = tracer
+        #: Normalized pool-execution mode (``"serial"`` when defaulted).
+        self.exec_backend = resolve_exec_backend(exec_backend)
+        threads = resolve_num_threads(machine, num_threads)
+        self.trees: List[MemoizedMttkrp] = [
+            MemoizedMttkrp(
+                csf,
+                rank,
+                plan=plan,
+                num_threads=threads,
+                partition=partition,
+                exec_backend=self.exec_backend,
+                counter=counter,
+                tracer=tracer,
+            )
+            for csf, plan in trees
+        ]
+        self.mode_order: Tuple[int, ...] = tuple(
+            self.trees[0].csf.mode_order if mode_order is None else mode_order
+        )
+        self._last_tree = self.trees[0]
+
+    def route(self, level: int) -> Tuple[MemoizedMttkrp, int]:
+        """The tree that runs update position ``level`` and the CSF level
+        it runs at: the shallowest holder of ``mode_order[level]``, the
+        first such tree on a tie."""
+        if not 0 <= level < len(self.mode_order):
+            raise ValueError(f"level {level} out of range")
+        mode = self.mode_order[level]
+        depth, index = min(
+            (tree.csf.mode_order.index(mode), i) for i, tree in enumerate(self.trees)
+        )
+        return self.trees[index], depth
+
+    @property
+    def num_threads(self) -> int:
+        return self.trees[0].num_threads
+
+    def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:
+        """MTTKRP for update position ``level`` on its routed tree (CSF
+        level 0 runs the sweep that refreshes that tree's memos)."""
+        tree, depth = self.route(level)
+        self._last_tree = tree
+        return tree.mode_level(factors, depth)
+
+    def level_load_factor(self, level: int) -> float:
+        """Load-imbalance stretch of the schedule executing ``level``'s
+        MTTKRP (used by the simulated-time harness): the routed tree's
+        partition at the level actually dealing that kernel's work."""
+        tree, depth = self.route(level)
+        return tree.level_load_factor(depth)
+
+    def per_thread_traffic(self) -> List[float]:
+        """Per-thread traffic totals of the most recent kernel (the tree
+        that ran last; the first tree before any has run)."""
+        return self._last_tree.shards.per_thread_totals()
+
+    def memo_bytes(self) -> int:
+        """Footprint of the saved partial results (Table II)."""
+        return sum(tree.memo_bytes() for tree in self.trees)
+
+    def tensor_bytes(self) -> int:
+        """Tensor storage footprint (every CSF copy)."""
+        return sum(tree.csf.total_bytes() for tree in self.trees)
+
+    def close(self) -> None:
+        """Release every tree's resources (shared memory under
+        ``processes``); later kernel calls raise."""
+        for tree in self.trees:
+            tree.close()
+
+
+class Stef(CsfEngine):
     """Model-driven memoized MTTKRP backend (the paper's STeF).
 
     Parameters
@@ -75,6 +202,8 @@ class Stef(EngineBase):
     preprocessing_seconds:
         Wall time spent on planning (Algorithm 9 + model search) — the
         quantity Fig. 5 compares against one MTTKRP-set execution.
+    csf:
+        The planned CSF layout (the first tree's).
     """
 
     name = "stef"
@@ -94,11 +223,6 @@ class Stef(EngineBase):
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        self.tensor = tensor
-        self.rank = rank
-        self.machine = machine
-        self.tracer = tracer
-        threads = resolve_num_threads(machine, num_threads)
         base_order = default_mode_order(tensor.shape)
         base_csf = CsfTensor.from_coo(tensor, base_order)
 
@@ -129,64 +253,21 @@ class Stef(EngineBase):
         self.csf = base_csf.swapped_last_two() if swap else base_csf
         self.swap_last_two = swap
         self.plan = chosen_plan
-        #: Normalized pool-execution mode (``"serial"`` when defaulted).
-        self.exec_backend = resolve_exec_backend(exec_backend)
-        self.partition = partition
-        self.engine = MemoizedMttkrp(
-            self.csf,
+        super().__init__(
+            tensor,
             rank,
-            plan=chosen_plan,
-            num_threads=threads,
+            self._trees(tensor),
+            machine=machine,
+            num_threads=num_threads,
             partition=partition,
-            exec_backend=self.exec_backend,
+            exec_backend=exec_backend,
             counter=counter,
             tracer=tracer,
         )
 
-    # ------------------------------------------------------------------
-    @property
-    def mode_order(self) -> Tuple[int, ...]:
-        """The CSF level -> original mode mapping actually in use."""
-        return self.csf.mode_order
-
-    @property
-    def num_threads(self) -> int:
-        return self.engine.num_threads
-
-    def mttkrp_level(self, factors: Sequence[np.ndarray], level: int) -> np.ndarray:
-        """MTTKRP for CSF ``level`` (level 0 refreshes the memos)."""
-        if level == 0:
-            return self.engine.mode0(factors)
-        return self.engine.mode_level(factors, level)
-
-    def iteration_results(
-        self, factors: Sequence[np.ndarray]
-    ) -> List[Tuple[int, np.ndarray]]:
-        """One CPD iteration's worth of MTTKRPs (no factor updates)."""
-        return self.engine.iteration_results(factors)
-
-    def memo_bytes(self) -> int:
-        """Footprint of the saved partial results (Table II)."""
-        return self.engine.memo_bytes()
-
-    def level_load_factor(self, level: int) -> float:
-        """Load-imbalance stretch factor of the schedule executing
-        ``level``'s MTTKRP (used by the simulated-time harness).
-
-        Delegates to the engine, which picks the partition level actually
-        dealing that kernel's work: leaf counts for leaf-driven sweeps,
-        source-level node ranges for memo-fed modes.
-        """
-        return self.engine.level_load_factor(level)
-
-    def per_thread_traffic(self) -> List[float]:
-        """Most recent kernel's per-thread traffic totals (the sharded
-        counter's observability channel)."""
-        return self.engine.shards.per_thread_totals()
-
-    def close(self) -> None:
-        """Release engine resources (shared memory under ``processes``)."""
-        self.engine.close()
+    def _trees(self, tensor: CooTensor) -> List[Tuple[CsfTensor, MemoPlan]]:
+        """The CSF copies to run: STeF's one planned layout."""
+        return [(self.csf, self.plan)]
 
     def decompose(self, **als_kwargs):
         """Run CPD-ALS with this backend (convenience wrapper around

@@ -1,7 +1,7 @@
 """EngineBase — shared lifecycle and protocol defaults for MTTKRP engines.
 
-Every engine (STeF, STeF2, and the baselines) mixes this in to satisfy
-the :class:`~repro.engines.MttkrpEngine` protocol uniformly:
+Every engine (STeF, STeF2, and the baselines) inherits this base, so
+``cp_als``, the harness and the CLI see one surface:
 
 * **context management** — ``with create_engine(...) as eng:`` releases
   shared-memory segments even when the body raises; ``__exit__`` calls
@@ -9,22 +9,18 @@ the :class:`~repro.engines.MttkrpEngine` protocol uniformly:
   backend's shm arenas) override.  Bare ``close()`` keeps working — the
   context-manager form just makes the release exception-safe.
 * **iteration_results** — the generic "all ``d`` MTTKRPs in level order"
-  loop over :meth:`mttkrp_level` (engines with a cheaper fused path
-  override it).
+  loop over :meth:`mttkrp_level`.
 * **per_thread_traffic** — the sharded counter's per-thread totals when
   the engine has shards, else one empty lane per thread.
+* **kernel_span** — the one ``mttkrp.mode0`` / ``mttkrp.mode_level``
+  span every kernel call opens.
 * **describe** — a one-line configuration summary, defaulting to the
   engine's registry name.
-
-:func:`~repro.engines.register_engine` raises ``TypeError`` for any
-class that does not inherit from this base (directly or transitively),
-so the protocol can never be satisfied by accident on one engine and
-missed on another.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +55,8 @@ class EngineBase:
     #: every engine sets it in ``__init__``; stamped into run metadata.
     exec_backend: str
 
-    # -- capability metadata (read by create_engine / engine_names) ----
-    #: Pool-execution modes the engine accepts.
-    exec_backends: Tuple[str, ...] = ("serial", "threads", "processes")
     #: Whether the engine memoizes partial results (accepts ``plan=`` /
-    #: the factory's ``memoize=`` knob).
+    #: the factory's ``memoize=`` knob; read by create_engine).
     memoize_capable: bool = False
 
     # -- lifecycle -----------------------------------------------------
@@ -137,6 +130,19 @@ class EngineBase:
         if shards is not None:
             return shards.per_thread_totals()
         return [0.0] * getattr(self, "num_threads", 1)
+
+    def kernel_span(self, level: int, mode: int, nnz: int, source: Any = None):
+        """The span of one MTTKRP kernel call on the engine's ``tracer``:
+        ``mttkrp.mode0`` at level 0, else ``mttkrp.mode_level`` tagged with
+        the kernel's ``source``.  It carries the exact deltas of the
+        engine's ``counter`` (the only span level that passes
+        ``counter=``; see :mod:`repro.trace`)."""
+        attrs: Dict[str, Any] = {"level": level}
+        if level:
+            attrs["source"] = source
+        attrs.update(mode=int(mode), nnz=int(nnz), threads=self.num_threads)
+        name = "mttkrp.mode_level" if level else "mttkrp.mode0"
+        return self.tracer.span(name, counter=self.counter, **attrs)
 
     def describe(self) -> str:
         """One-line configuration summary for harness output."""

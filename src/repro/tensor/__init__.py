@@ -1,7 +1,7 @@
 """Sparse tensor storage substrate: COO, CSF, ALTO, HiCOO, I/O, generators."""
 
 from .coo import CooTensor
-from .csf import CsfTensor, default_mode_order
+from .csf import CsfTensor, default_mode_order, root_order
 from .alto import AltoMask, AltoTensor, bits_for_mode
 from .hicoo import HicooTensor
 from .io import read_tns, write_tns
@@ -38,6 +38,7 @@ __all__ = [
     "CooTensor",
     "CsfTensor",
     "default_mode_order",
+    "root_order",
     "AltoMask",
     "AltoTensor",
     "bits_for_mode",

@@ -40,7 +40,7 @@ import numpy as np
 
 from .coo import CooTensor
 
-__all__ = ["CsfTensor", "default_mode_order"]
+__all__ = ["CsfTensor", "default_mode_order", "root_order"]
 
 
 def default_mode_order(shape: Sequence[int]) -> Tuple[int, ...]:
@@ -51,6 +51,13 @@ def default_mode_order(shape: Sequence[int]) -> Tuple[int, ...]:
     whether to swap the *last two* modes (Section II-E).
     """
     return tuple(sorted(range(len(shape)), key=lambda m: (shape[m], m)))
+
+
+def root_order(shape: Sequence[int], root: int) -> Tuple[int, ...]:
+    """The CSF order rooted at mode ``root``, the other modes by
+    increasing length (ties by mode number) so the tree below the root
+    compresses as much as the heuristic allows."""
+    return (root, *(m for m in default_mode_order(shape) if m != root))
 
 
 @dataclass(frozen=True)

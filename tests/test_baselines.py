@@ -59,9 +59,10 @@ class TestRegistry:
     def test_machine_default_threads(self, workload, name):
         t, _, _ = workload
         b = ALL_BACKENDS[name](t, 2, machine=INTEL_CLX_18)
-        # Backends with engines should have picked up 18 threads.
-        if hasattr(b, "engine"):
-            assert b.engine.num_threads == 18
+        assert b.num_threads == 18
+        # CSF engines run every tree with the machine's threads.
+        for tree in getattr(b, "trees", ()):
+            assert tree.num_threads == 18
 
 
 class TestSplattVariants:
@@ -75,22 +76,24 @@ class TestSplattVariants:
     def test_splatt2_two_copies(self, workload):
         t, _, _ = workload
         b2 = Splatt2(t, 4)
-        assert b2.csf_a.mode_order != b2.csf_b.mode_order
-        assert b2.csf_b.mode_order[0] == b2.csf_a.mode_order[-1]
+        a, b = (tree.csf.mode_order for tree in b2.trees)
+        assert a != b
+        assert b[0] == a[-1]
 
     def test_splatt2_dispatch_prefers_shallow(self, workload):
         t, _, _ = workload
         b2 = Splatt2(t, 4)
-        for mode, (engine, lvl) in b2._dispatch.items():
-            other = b2.engine_b if engine is b2.engine_a else b2.engine_a
-            other_lvl = other.csf.mode_order.index(mode)
-            assert lvl <= other_lvl
+        for level, mode in enumerate(b2.mode_order):
+            tree, lvl = b2.route(level)
+            assert tree.csf.mode_order[lvl] == mode
+            for other in b2.trees:
+                assert lvl <= other.csf.mode_order.index(mode)
 
     def test_no_memoization(self, workload):
         t, _, factors = workload
         b1 = Splatt1(t, 4)
         b1.mttkrp_level(factors, 0)
-        assert b1.engine.memo == {}
+        assert b1.trees[0].memo == {}
 
 
 class TestAdaTm:
@@ -118,7 +121,7 @@ class TestAdaTm:
     def test_uses_slice_partition(self, workload):
         t, _, _ = workload
         adatm = AdaTm(t, 4, num_threads=3)
-        assert adatm.engine.partition.strategy == "slice"
+        assert adatm.trees[0].partition.strategy == "slice"
 
 
 class TestAlto:

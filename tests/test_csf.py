@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.tensor import CooTensor, CsfTensor, default_mode_order, random_tensor
+from repro.tensor import (
+    CooTensor,
+    CsfTensor,
+    default_mode_order,
+    random_tensor,
+    root_order,
+)
 
 
 class TestDefaultModeOrder:
@@ -12,6 +18,10 @@ class TestDefaultModeOrder:
 
     def test_ties_break_by_mode_number(self):
         assert default_mode_order((4, 4, 4)) == (0, 1, 2)
+
+    def test_root_order_keeps_the_rest_by_length(self):
+        assert root_order((5, 3, 9, 3), 2) == (2, 1, 3, 0)
+        assert root_order((5, 3, 9, 3), 1) == (1, 3, 0, 2)
 
 
 class TestConstruction:

@@ -1,4 +1,4 @@
-"""Tests for the unified engine registry (:mod:`repro.engines`).
+"""Tests for the engine factory (:mod:`repro.engines`).
 
 Three contracts:
 
@@ -8,9 +8,8 @@ Three contracts:
 * **context-manager lifecycle** — every engine is a context manager
   whose ``__exit__`` releases resources even when the body raises
   (``/dev/shm`` segments under the ``processes`` backend must not leak);
-* **protocol conformance** — every registered engine satisfies the
-  :class:`~repro.engines.MttkrpEngine` protocol, and ``register_engine``
-  rejects classes that don't.
+* **protocol conformance** — every engine inherits
+  :class:`~repro.engines.base.EngineBase` and answers its surface.
 """
 
 import glob
@@ -20,13 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import ALL_BACKENDS
-from repro.engines import (
-    EngineBase,
-    MttkrpEngine,
-    create_engine,
-    engine_names,
-    register_engine,
-)
+from repro.engines import EngineBase, create_engine, engine_names
 from repro.tensor import random_tensor
 from tests.conftest import make_factors
 
@@ -64,7 +57,6 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(ALL_BACKENDS))
     def test_protocol_conformance(self, name, tensor3, factors3):
         with create_engine(name, tensor3, 4, num_threads=2) as eng:
-            assert isinstance(eng, MttkrpEngine)
             assert isinstance(eng, EngineBase)
             assert isinstance(eng.mode_order, tuple)
             assert eng.name == name
@@ -72,35 +64,6 @@ class TestRegistry:
             eng.mttkrp_level(factors3, 0)
             traffic = eng.per_thread_traffic()
             assert isinstance(traffic, list)
-
-    def test_register_rejects_non_enginebase(self):
-        class Bare:
-            name = "bare"
-
-            def mttkrp_level(self, factors, level):
-                return None
-
-        with pytest.raises(TypeError, match="EngineBase"):
-            register_engine("bare", Bare)
-
-    def test_register_accepts_enginebase_subclass(self, tensor3):
-        class Custom(EngineBase):
-            name = "custom-test-engine"
-
-            def __init__(self, tensor, rank, **opts):
-                self.mode_order = tuple(range(tensor.ndim))
-
-            def mttkrp_level(self, factors, level):
-                return np.zeros((1, 1))
-
-        from repro.engines import ENGINES
-
-        try:
-            register_engine("custom-test-engine", Custom)
-            eng = create_engine("custom-test-engine", tensor3, 4)
-            assert isinstance(eng, Custom)
-        finally:
-            ENGINES.pop("custom-test-engine", None)
 
 
 class TestContextManager:
@@ -203,17 +166,7 @@ class TestRetiredKwargs:
 
 
 class TestTypedFactory:
-    """create_engine's named knobs are validated against capability
-    metadata before construction."""
-
-    def test_engine_names_detail(self):
-        infos = engine_names(detail=True)
-        assert [i.name for i in infos] == engine_names()
-        by_name = {i.name: i for i in infos}
-        assert by_name["stef"].memoize_capable
-        assert not by_name["alto"].memoize_capable
-        assert by_name["stef"].summary() == "stef [memoize, serial/threads/processes]"
-        assert by_name["alto"].summary() == "alto [serial/threads/processes]"
+    """create_engine's named knobs are validated before construction."""
 
     def test_bad_exec_backend_is_valueerror(self, tensor3):
         with pytest.raises(ValueError, match="exec_backend"):

@@ -128,10 +128,9 @@ class TestCounterCorruptionDetection:
             return 1.0
 
     def test_negative_category_delta_raises(self, nell2, monkeypatch):
-        from repro.engines import ENGINES, engine_names
+        from repro.baselines import ALL_BACKENDS
 
-        engine_names()  # force registry seeding before patching
-        monkeypatch.setitem(ENGINES, "corrupt", self._CorruptingBackend)
+        monkeypatch.setitem(ALL_BACKENDS, "corrupt", self._CorruptingBackend)
         with pytest.raises(RuntimeError, match="counter corruption"):
             profile_method("corrupt", nell2, 4, INTEL_CLX_18, num_threads=2)
 

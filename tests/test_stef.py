@@ -1,13 +1,31 @@
-"""Tests for the STeF and STeF2 facades."""
+"""Tests for the CSF engines: the STeF and STeF2 facades and the one
+routing rule every CSF comparator shares."""
 
 import numpy as np
 import pytest
 
-from repro.core import MemoPlan, SAVE_NONE, Stef, Stef2
+from repro.baselines import ALL_BACKENDS, AdaTm
+from repro.core import CsfEngine, MemoPlan, SAVE_NONE, Stef, Stef2
+from repro.engines import create_engine
 from repro.ops import mttkrp_dense
 from repro.parallel import AMD_TR_64, INTEL_CLX_18, TrafficCounter
-from repro.tensor import TABLE1_SPECS, generate, random_tensor
+from repro.tensor import TABLE1_SPECS, CooTensor, generate, random_tensor
+from repro.trace import Tracer
 from tests.conftest import make_factors
+
+#: Every engine that is a list of CSF trees behind one routing rule.
+CSF_ENGINES = sorted(
+    name for name, cls in ALL_BACKENDS.items() if issubclass(cls, CsfEngine)
+)
+
+
+def running_tree(engine, level):
+    """The tree that must run update position ``level``, and its CSF
+    level: the shallowest holder of the mode, the first on a tie."""
+    mode = engine.mode_order[level]
+    depths = [tree.csf.mode_order.index(mode) for tree in engine.trees]
+    first = depths.index(min(depths))
+    return engine.trees[first], depths[first]
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +124,7 @@ class TestStef2:
     def test_second_csf_rooted_at_leaf_mode(self, workload):
         t, _, _ = workload
         s = Stef2(t, 4)
-        assert s.csf2.mode_order[0] == s.csf.mode_order[-1]
+        assert s.trees[1].csf.mode_order[0] == s.csf.mode_order[-1]
 
     def test_full_iteration_matches_oracle(self, workload):
         t, dense, factors = workload
@@ -168,13 +186,11 @@ class TestLevelLoadFactor:
     """Regression: ``level_load_factor(level)`` used to ignore ``level``
     and always return the leaf-count stretch."""
 
-    def _skewed_engine(self):
+    @staticmethod
+    def _skewed_coo():
         # Thread 0's half of the leaves sits in ONE level-1 fiber while
         # thread 1's half spreads over 50: leaf balance is perfect (1.0)
         # but the level-1 node deal is maximally skewed.
-        from repro.core import MemoizedMttkrp
-        from repro.tensor import CooTensor, CsfTensor
-
         n = 50
         idx = np.concatenate(
             [
@@ -183,8 +199,13 @@ class TestLevelLoadFactor:
             ],
             axis=1,
         ).astype(np.int64)
-        coo = CooTensor.from_arrays(idx, np.ones(2 * n), (2, n, n))
-        csf = CsfTensor.from_coo(coo, (0, 1, 2))
+        return CooTensor.from_arrays(idx, np.ones(2 * n), (2, n, n))
+
+    def _skewed_engine(self):
+        from repro.core import MemoizedMttkrp
+        from repro.tensor import CsfTensor
+
+        csf = CsfTensor.from_coo(self._skewed_coo(), (0, 1, 2))
         return MemoizedMttkrp(csf, 4, plan=MemoPlan((1,)), num_threads=2)
 
     def test_memo_fed_level_uses_source_level_balance(self):
@@ -200,16 +221,17 @@ class TestLevelLoadFactor:
     def test_out_of_range_level_raises(self, workload):
         tensor, _, _ = workload
         s = Stef(tensor, 4, machine=INTEL_CLX_18, num_threads=2)
-        with pytest.raises(ValueError):
-            s.engine.level_load_factor(tensor.ndim)
-        with pytest.raises(ValueError):
-            s.engine.level_load_factor(-1)
+        for level in (tensor.ndim, -1):
+            with pytest.raises(ValueError):
+                s.trees[0].level_load_factor(level)
+            with pytest.raises(ValueError):
+                s.level_load_factor(level)
 
     def test_stef_delegates_to_engine(self, workload):
         tensor, _, _ = workload
         s = Stef(tensor, 4, machine=INTEL_CLX_18, num_threads=3)
         for level in range(tensor.ndim):
-            assert s.level_load_factor(level) == s.engine.level_load_factor(
+            assert s.level_load_factor(level) == s.trees[0].level_load_factor(
                 level
             )
 
@@ -217,8 +239,108 @@ class TestLevelLoadFactor:
         tensor, _, _ = workload
         s2 = Stef2(tensor, 4, machine=INTEL_CLX_18, num_threads=3)
         d = tensor.ndim
-        assert s2.level_load_factor(d - 1) == s2.engine2.level_load_factor(0)
+        assert s2.level_load_factor(d - 1) == s2.trees[1].level_load_factor(0)
         for level in range(d - 1):
-            assert s2.level_load_factor(level) == s2.engine.level_load_factor(
+            assert s2.level_load_factor(level) == s2.trees[0].level_load_factor(
                 level
             )
+
+    @pytest.mark.parametrize("name", CSF_ENGINES)
+    def test_csf_engines_report_the_running_trees_stretch(self, name, workload):
+        tensor, _, _ = workload
+        with create_engine(
+            name, tensor, 4, machine=INTEL_CLX_18, num_threads=3
+        ) as engine:
+            for level in range(tensor.ndim):
+                tree, depth = running_tree(engine, level)
+                assert engine.level_load_factor(level) == tree.level_load_factor(
+                    depth
+                )
+
+    def test_adatm_memo_fed_level_uses_source_level_balance(self):
+        """adatm used to report the leaf stretch at every level.  Its
+        FLOP-minimal plan saves P^(1) here, and the slice deal gives one
+        thread 1 level-1 node and the other 50."""
+        adatm = AdaTm(self._skewed_coo(), 4, num_threads=2)
+        assert adatm.plan == MemoPlan((1,))
+        assert adatm.level_load_factor(0) == pytest.approx(1.0)
+        assert adatm.level_load_factor(1) == pytest.approx(50 / 25.5)
+        assert adatm.level_load_factor(2) == pytest.approx(1.0)
+
+
+class TestCsfEngineRouting:
+    """Every CSF engine runs each update position on one tree: the
+    shallowest holder of its mode, the first such tree on a tie."""
+
+    @pytest.fixture(scope="class")
+    def workload3(self):
+        t = random_tensor((30, 20, 10), nnz=500, seed=0)
+        return t, make_factors(t.shape, 4, seed=1)
+
+    def test_the_six_csf_engines(self):
+        assert CSF_ENGINES == [
+            "adatm", "splatt-1", "splatt-2", "splatt-all", "stef", "stef2",
+        ]
+
+    @pytest.mark.parametrize("name", CSF_ENGINES)
+    def test_route_is_the_shallowest_tree(self, name, workload3):
+        t, _ = workload3
+        with create_engine(name, t, 4, num_threads=3) as engine:
+            for level in range(t.ndim):
+                tree, depth = engine.route(level)
+                assert (tree, depth) == running_tree(engine, level)
+                assert tree.csf.mode_order[depth] == engine.mode_order[level]
+            with pytest.raises(ValueError, match="out of range"):
+                engine.route(t.ndim)
+
+    def test_stef2_runs_the_leaf_mode_on_the_second_tree(self, workload3):
+        t, _ = workload3
+        with create_engine("stef2", t, 4, num_threads=3) as engine:
+            assert engine.route(t.ndim - 1) == (engine.trees[1], 0)
+            for level in range(t.ndim - 1):
+                assert engine.route(level) == (engine.trees[0], level)
+
+    @pytest.mark.parametrize("name", CSF_ENGINES)
+    def test_iteration_results_is_the_level_loop(self, name, workload3):
+        """stef2's iteration_results used to run its leaf mode on the
+        base CSF: other traffic, and no second ``mttkrp.mode0``."""
+        t, factors = workload3
+        runs = []
+        for whole_iteration in (False, True):
+            counter, tracer = TrafficCounter(), Tracer()
+            with create_engine(
+                name, t, 4, num_threads=3, counter=counter, tracer=tracer
+            ) as engine:
+                if whole_iteration:
+                    results = engine.iteration_results(factors)
+                else:
+                    results = [
+                        (engine.mode_order[level], engine.mttkrp_level(factors, level))
+                        for level in range(t.ndim)
+                    ]
+            kernels = [
+                (rec.name, rec.attrs) for rec in tracer.spans()
+                if rec.name.startswith("mttkrp.")
+            ]
+            runs.append((results, dict(counter.by_category), kernels))
+        (loop, loop_traffic, loop_spans), (it, it_traffic, it_spans) = runs
+        assert it_traffic == loop_traffic
+        assert it_spans == loop_spans
+        for (mode_a, res_a), (mode_b, res_b) in zip(loop, it):
+            assert mode_a == mode_b
+            assert np.array_equal(res_a, res_b)
+
+    @pytest.mark.parametrize("name", CSF_ENGINES)
+    def test_per_thread_traffic_is_the_running_trees(self, name, workload3):
+        """stef2's per_thread_traffic used to report the base tree's
+        shards after its leaf mode ran on the second tree."""
+        t, factors = workload3
+        with create_engine(
+            name, t, 4, num_threads=3, counter=TrafficCounter()
+        ) as engine:
+            for level in range(t.ndim):
+                engine.mttkrp_level(factors, level)
+                tree, _ = running_tree(engine, level)
+                lanes = engine.per_thread_traffic()
+                assert lanes == tree.shards.per_thread_totals()
+                assert sum(lanes) > 0
