@@ -8,12 +8,11 @@ tensors and asserts, for every MTTKRP of every combination:
   execution backend and the backend under test (``threads`` or
   ``processes``; not ``allclose``: the replicated scatter scheme fixes
   the reduction order, so equality must be exact);
-* **exactly equal traffic** — the merged per-thread counter shards
-  produce the same snapshot (reads / writes / flops / every category)
-  as the deterministic serial run.
+* **exactly equal traffic** — the counter snapshot (reads / writes /
+  flops / every category) equals the deterministic serial run's.
 
-Any drift means a data race, a lost counter update, or (under
-``processes``) a stale shared-memory slot.  Runs the same invariants as
+Any drift means a data race, a charge that depends on the schedule, or
+(under ``processes``) a stale shared-memory slot.  Runs the same invariants as
 ``tests/test_threads_stress.py`` but at configurable scale — CI uses
 ``--seeds 5 --threads 2 4 8 --nnz 2000`` once per backend::
 

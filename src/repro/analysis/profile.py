@@ -85,46 +85,6 @@ class MethodProfile:
         )
         return "\n".join(lines)
 
-    @classmethod
-    def from_trace(
-        cls,
-        tracer: Tracer,
-        *,
-        method: str = "?",
-        tensor_name: str = "?",
-        rank: int = 0,
-        machine: str = "trace",
-    ) -> "MethodProfile":
-        """Reconstruct a per-level profile from a recorded trace.
-
-        Every kernel span (``mttkrp.mode0`` / ``mttkrp.mode_level``)
-        becomes one :class:`LevelProfile` row, in execution order, with
-        the span's traffic delta supplying the category breakdown.  A
-        trace has no roofline model, so ``seconds`` is the span's wall
-        time and ``load_factor`` is 1.0; the traffic/flops/category
-        columns are exact (the deltas tile the counter totals).
-        """
-        profile = cls(
-            method=method, tensor_name=tensor_name, rank=rank, machine=machine
-        )
-        for rec in tracer.kernel_spans():
-            traffic = rec.traffic or {}
-            cats = dict(traffic.get("by_category", {}))
-            profile.levels.append(
-                LevelProfile(
-                    level=int(rec.attrs.get("level", len(profile.levels))),
-                    mode=int(rec.attrs.get("mode", -1)),
-                    categories=cats,
-                    traffic=float(traffic.get("reads", 0.0))
-                    + float(traffic.get("writes", 0.0)),
-                    flops=float(traffic.get("flops", 0.0)),
-                    load_factor=1.0,
-                    seconds=rec.seconds,
-                    wall_seconds=rec.seconds,
-                )
-            )
-        return profile
-
 
 def profile_method(
     method: str,
@@ -141,8 +101,9 @@ def profile_method(
     """Run one MTTKRP set and capture per-level category breakdowns.
 
     ``exec_backend`` selects the simulated pool's execution mode
-    (``"serial"``, ``"threads"``, or ``"processes"``); the per-thread
-    counter sharding makes the profile identical across all three.
+    (``"serial"``, ``"threads"``, or ``"processes"``); the engines charge
+    traffic on the coordinator, so the profile is identical across all
+    three.
     ``tracer`` records the set's kernel and per-thread spans (the CLI's
     ``profile --trace-chrome`` path).
     """

@@ -29,12 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.csf_kernels import scatter_add_rows
-from ..core.proc_tasks import (
-    ProcessEngineContext,
-    emit_contrib,
-    local_counter,
-    resolve,
-)
+from ..core.proc_tasks import ProcessEngineContext, emit_contrib, resolve
 from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..kernels import (
     ScatterOperator,
@@ -43,7 +38,7 @@ from ..kernels import (
     scatter_operator,
     value_gather_rows,
 )
-from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
+from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
 from ..tensor.alto import AltoTensor
@@ -53,19 +48,7 @@ from ..trace import NULL_TRACER, Tracer
 __all__ = ["AltoBackend"]
 
 
-def _charge_alto_chunk(
-    counter: TrafficCounter, n: int, d: int, rank: int, index_words: int,
-    decode_bits: int,
-) -> None:
-    """Per-thread legs of one ALTO partition: index decode, values stream
-    and the recompute arithmetic."""
-    counter.read(n * index_words, "structure")
-    counter.read(n, "values")
-    counter.flop(2.0 * (d - 1) * n * rank, "recompute")
-    counter.flop(2.0 * decode_bits * n, "decode")
-
-
-def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
+def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
     """One ALTO partition's mode-``ctx["mode"]`` MTTKRP: gather the
     non-target factor rows of the partition's non-zeros, scale by the
     values and multiply through; the rows go back via :func:`emit_contrib`
@@ -75,19 +58,12 @@ def _alto_mode_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
     vals = resolve(ctx["values"])
     coords = [resolve(c) for c in ctx["coords"]]
     factors = [resolve(f) for f in ctx["factors"]]
-    counter = local_counter(ctx)
     lo, hi = ctx["partitions"][th]
-    d = len(coords)
-    # Per-thread legs: the linearized-index decode, the values stream and
-    # the recompute arithmetic of this partition.
-    _charge_alto_chunk(
-        counter, hi - lo, d, ctx["rank"], ctx["index_words"], ctx["decode_bits"]
-    )
-    other = [m for m in range(d) if m != mode]
+    other = [m for m in range(len(coords)) if m != mode]
     acc = value_gather_rows(vals, factors[other[0]], coords[other[0]], lo, hi)
     for m in other[1:]:
         acc = gather_multiply_rows(acc, factors[m], coords[m], lo, hi)
-    return emit_contrib(ctx["scratch"][th], acc, counter)
+    return emit_contrib(ctx["scratch"][th], acc)
 
 
 class AltoBackend(EngineBase):
@@ -114,7 +90,6 @@ class AltoBackend(EngineBase):
         self.alto = AltoTensor.from_coo(tensor)
         self.exec_backend = resolve_exec_backend(exec_backend)
         self.pool = SimulatedPool(threads, self.exec_backend, tracer=tracer)
-        self.shards = ShardedTrafficCounter.like(counter, threads)
         self.partitions = self.alto.partitions(threads)
         self.mode_order: Tuple[int, ...] = tuple(range(tensor.ndim))
         # Decoded per-mode coordinates are cached: ALTO decodes with a few
@@ -126,9 +101,7 @@ class AltoBackend(EngineBase):
         # Task operands (see repro.core.proc_tasks): under processes the
         # linearized values/coordinates are shared once and factor slots
         # are refreshed before every dispatch; otherwise the engine's arrays.
-        self._ctx = ProcessEngineContext(
-            counter, shared=self.pool.backend == "processes"
-        )
+        self._ctx = ProcessEngineContext(shared=self.pool.backend == "processes")
         self._values = self._ctx.share(self.alto.values)
         self._coord_handles = [self._ctx.share(c) for c in self._coords]
         width = max((hi - lo for lo, hi in self.partitions), default=0)
@@ -157,7 +130,6 @@ class AltoBackend(EngineBase):
         if self._scatter_ops is None:
             raise RuntimeError("engine is closed")
         out = np.zeros((self.tensor.shape[mode], self.rank))
-        self.shards.reset()
         payloads = self._ctx.payloads(
             self.num_threads,
             mode=mode,
@@ -166,19 +138,11 @@ class AltoBackend(EngineBase):
             factors=self._ctx.refresh_factors(factors),
             scratch=self._scratch,
             partitions=self.partitions,
-            rank=self.rank,
-            index_words=self.alto.index_bits // 64,
-            decode_bits=self.alto.mask.total_bits,
         )
         results = self.pool.run_tasks(_alto_mode_task, payloads)
         for th, (result, op) in enumerate(zip(results, self._scatter_ops[mode])):
-            acc = self._ctx.contribution(
-                self._scratch[th], result, self.shards.shard(th)
-            )
-            scatter_add_rows(out, op, acc)
-
-        self.shards.merge_into(self.counter)
-        self._charge(mode, factors)
+            scatter_add_rows(out, op, self._ctx.contribution(self._scratch[th], result))
+        self._charge(mode)
         return out
 
     def close(self) -> None:
@@ -187,11 +151,17 @@ class AltoBackend(EngineBase):
         self._scatter_ops = None
         self._ctx.close()
 
-    def _charge(self, mode: int, factors: Sequence[np.ndarray]) -> None:
-        """Kernel-level legs (per-thread legs are charged by the tasks):
-        the cache-rule factor gathers and the output scatter."""
+    def _charge(self, mode: int) -> None:
+        """One mode's legs over all ``nnz`` non-zeros (the partitions tile
+        them): the linearized-index decode, the recompute arithmetic, the
+        index and values streams, the cache-rule factor gathers and the
+        output scatter."""
         nnz = self.tensor.nnz
         d = self.tensor.ndim
+        self.counter.flop(2.0 * self.alto.mask.total_bits * nnz, "decode")
+        self.counter.flop(2.0 * (d - 1) * nnz * self.rank, "recompute")
+        self.counter.read(nnz * (self.alto.index_bits // 64), "structure")
+        self.counter.read(nnz, "values")
         for m in range(d):
             if m == mode:
                 continue

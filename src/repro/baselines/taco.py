@@ -30,19 +30,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.csf_kernels import sweep_operators, thread_upward_sweep
+from ..core.mttkrp import charge_sweep
 from ..core.proc_tasks import (
     OperatorSpec,
     ProcessEngineContext,
-    counter_state,
-    local_counter,
-    merge_counter_state,
     resolve,
     resolve_csf,
     resolve_operators,
 )
 from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..kernels import operator_basis
-from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
+from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
 from ..tensor.coo import CooTensor
@@ -55,24 +53,6 @@ __all__ = ["TacoBackend"]
 CHUNK_GRID = (8, 64, 512, 4096)
 
 
-def _charge_chunk(
-    shard: TrafficCounter, csf: CsfTensor, s_lo: int, s_hi: int, rank: int
-) -> None:
-    """Per-thread legs of one slice chunk: structure walk and contraction
-    arithmetic of the chunk's subtree.  Chunk boundaries are
-    slice-aligned, so the per-level node spans tile every level exactly
-    and the merged totals match the single-counter tallies."""
-    a, b = s_lo, s_hi
-    nodes = b - a
-    children = 0
-    for j in range(csf.ndim - 1):
-        a, b = int(csf.ptr[j][a]), int(csf.ptr[j][b])
-        nodes += b - a
-        children += b - a
-    shard.read(2.0 * nodes, "structure")
-    shard.flop(2.0 * rank * children, "sweep")
-
-
 def _chunk_leaves(csf: CsfTensor, s_lo: int, s_hi: int) -> Tuple[int, int]:
     """Leaf range of the root slices ``[s_lo, s_hi)`` (``(0, 0)`` when
     the chunk is empty)."""
@@ -81,28 +61,22 @@ def _chunk_leaves(csf: CsfTensor, s_lo: int, s_hi: int) -> Tuple[int, int]:
     return csf.leaf_span(0, s_lo)[0], csf.leaf_span(0, s_hi - 1)[1]
 
 
-def _taco_sweep_task(
-    payload: Dict[str, Any]
-) -> Tuple[List[Tuple[int, np.ndarray]], tuple]:
+def _taco_sweep_task(payload: Dict[str, Any]) -> List[Tuple[int, np.ndarray]]:
     """One thread's round-robin chunk deal: the chunk partials in deal
-    order (the coordinator accumulates them in thread-id order) and the
-    thread's traffic.  Dealing chunks round-robin is the dynamic-ish
-    schedule that buys TACO its balance edge over a static deal."""
+    order (the coordinator accumulates them in thread-id order).  Dealing
+    chunks round-robin is the dynamic-ish schedule that buys TACO its
+    balance edge over a static deal."""
     ctx, th = payload["ctx"], payload["th"]
     csf = resolve_csf(ctx["csf"])
     lf = [resolve(ctx["factors"][m]) for m in csf.mode_order]
-    counter = local_counter(ctx)
     tasks, pool_t = ctx["tasks"], ctx["pool_t"]
     results: List[Tuple[int, np.ndarray]] = []
     for ti in range(th, len(tasks), pool_t):
-        s_lo, s_hi = tasks[ti]
-        leaf_lo, leaf_hi = _chunk_leaves(csf, s_lo, s_hi)
-        if ctx["charge"]:
-            _charge_chunk(counter, csf, s_lo, s_hi, ctx["rank"])
+        leaf_lo, leaf_hi = _chunk_leaves(csf, *tasks[ti])
         ops = resolve_operators(ctx["ops"], ti)
         res = thread_upward_sweep(csf, lf, leaf_lo, leaf_hi, stop_level=0, ops=ops)
         results.append(res[0])
-    return results, counter_state(counter)
+    return results
 
 
 class TacoBackend(EngineBase):
@@ -131,7 +105,6 @@ class TacoBackend(EngineBase):
         self.mode_order: Tuple[int, ...] = tuple(range(d))
         self.exec_backend = resolve_exec_backend(exec_backend)
         self.pool = SimulatedPool(threads, self.exec_backend, tracer=tracer)
-        self.shards = ShardedTrafficCounter.like(counter, threads)
         self.csfs = [
             CsfTensor.from_coo(tensor, root_order(tensor.shape, m)) for m in range(d)
         ]
@@ -140,9 +113,7 @@ class TacoBackend(EngineBase):
         # Task operands (see repro.core.proc_tasks): under processes the
         # per-mode CSFs are shared once here and the factor slots are
         # refreshed before every dispatch; otherwise the engine's arrays.
-        self._ctx = ProcessEngineContext(
-            counter, shared=self.pool.backend == "processes"
-        )
+        self._ctx = ProcessEngineContext(shared=self.pool.backend == "processes")
         self._csf_specs = [self._ctx.share_csf(c) for c in self.csfs]
         #: Chunk sweeps' segment operators, keyed by (mode, chunk size).
         self._ops: Optional[Dict[Tuple[int, int], OperatorSpec]] = {}
@@ -170,7 +141,7 @@ class TacoBackend(EngineBase):
             self.chunk_slices = chunk
             self._operators(0)  # index work stays out of the probe's time
             t1 = time.perf_counter()
-            self._sweep_mode(0, probe, charge=False)
+            self._sweep_mode(0, probe)
             dt = time.perf_counter() - t1
             balance = max(self.level_load_factor(lvl) for lvl in self.mode_order)
             score = (round(balance, 3), dt)
@@ -209,18 +180,13 @@ class TacoBackend(EngineBase):
             self._ops[key] = spec
         return spec
 
-    def _sweep_mode(
-        self, mode: int, factors: Sequence[np.ndarray], *, charge: bool = True
-    ) -> np.ndarray:
+    def _sweep_mode(self, mode: int, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """Mode ``mode``'s root sweep over its tuned chunks, uncharged."""
         ops = self._operators(mode)
         csf = self.csfs[mode]
-        rank = self.rank
-        out = np.zeros((csf.level_shape(0), rank))
+        out = np.zeros((csf.level_shape(0), self.rank))
         tasks = self._task_bounds(csf)
         pool_t = self.pool.num_threads
-        if charge:
-            self.shards.reset()
-
         # Factor slots are keyed by *original* mode number; tasks reorder
         # to CSF levels via the CSF's mode_order.
         payloads = self._ctx.payloads(
@@ -230,27 +196,21 @@ class TacoBackend(EngineBase):
             tasks=tasks,
             ops=ops,
             pool_t=pool_t,
-            rank=rank,
-            charge=charge,
         )
-        results = self.pool.run_tasks(_taco_sweep_task, payloads)
-        for th, (chunk_results, traffic) in enumerate(results):
-            if charge:
-                merge_counter_state(self.shards.shard(th), traffic)
+        for chunk_results in self.pool.run_tasks(_taco_sweep_task, payloads):
             for nlo, tp in chunk_results:
                 out[csf.idx[0][nlo : nlo + tp.shape[0]]] += tp
-
-        if charge:
-            # Kernel-level legs on the coordinator: cache-rule factor
-            # gathers and the dense output write.
-            self.shards.merge_into(self.counter)
-            m = csf.fiber_counts
-            for j in range(1, csf.ndim):
-                self.counter.read_factor_rows(
-                    m[j], csf.level_shape(j), rank, "factor"
-                )
-            self.counter.write(csf.level_shape(0) * rank, "output")
         return out
+
+    def _charge(self, csf: CsfTensor) -> None:
+        """One root sweep of ``csf``: the tree walk over every level (the
+        chunks tile it), the cache-rule factor gathers and the dense
+        output write."""
+        m, rank = csf.fiber_counts, self.rank
+        charge_sweep(self.counter, m, rank)
+        for j in range(1, csf.ndim):
+            self.counter.read_factor_rows(m[j], csf.level_shape(j), rank, "factor")
+        self.counter.write(csf.level_shape(0) * rank, "output")
 
     def close(self) -> None:
         """Release the segment operators and the processes backend's
@@ -263,7 +223,9 @@ class TacoBackend(EngineBase):
         """Mode-``level`` MTTKRP on its dedicated CSF with tuned chunks."""
         mode = self.mode_order[level]
         with self.kernel_span(level, mode, self.tensor.nnz, "recompute"):
-            return self._sweep_mode(mode, factors)
+            out = self._sweep_mode(mode, factors)
+            self._charge(self.csfs[mode])
+            return out
 
     def level_load_factor(self, level: int) -> float:
         """Imbalance stretch of the chunked round-robin schedule for

@@ -36,8 +36,8 @@ the thread's range, so engines build the operators once
 (:func:`sweep_operators`) and pass them to every call.  The inner loops
 themselves — gathers, multiplies, expansions and the sparse products —
 are the flat-array kernel ABI (:mod:`repro.kernels`), called here by
-name.  Traffic stays charged in these wrappers, never inside the ABI
-functions.
+name.  Nothing here charges traffic: the engines charge each kernel
+once, from the tensor's level counts.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from ..kernels import (
 # bound here because perfbench/layers.py wraps every ABI_NAMES entry
 # under this module's name.
 from ..kernels import value_gather_rows as value_gather_rows
-from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..tensor.csf import CsfTensor
 
 __all__ = [
@@ -390,26 +389,15 @@ def serial_upward_sweep(
     stop_level: int = 0,
     start_level: Optional[int] = None,
     init: Optional[np.ndarray] = None,
-    counter: TrafficCounter = NULL_COUNTER,
 ) -> Dict[int, np.ndarray]:
     """Single-threaded full sweep: complete ``t`` arrays per level.
 
     A thin wrapper over :func:`thread_upward_sweep` with one thread owning
-    everything — used by tests and by the serial reference path.  Pass a
-    ``counter`` to charge the same structure/sweep legs the threaded path
-    charges (:func:`repro.core.mttkrp.charge_sweep` with one thread
-    owning every node); the default ``NULL_COUNTER`` discards them.
+    everything — used by tests and by the serial reference path.
     """
-    d = csf.ndim
     if start_level is None:
-        start_level = d - 1
-    rank = int(np.asarray(level_factors[0]).shape[1])
-    owned = np.zeros(d, dtype=np.int64)
-    for level in range(stop_level, start_level + 1):
-        owned[level] = csf.nnz if level == d - 1 else csf.fiber_counts[level]
-    counter.read(2.0 * int(owned.sum()), "structure")
-    counter.flop(2.0 * rank * int(owned[1:].sum()), "sweep")
-    n_children = csf.nnz if start_level == d - 1 else csf.fiber_counts[start_level]
+        start_level = csf.ndim - 1
+    n_children = csf.fiber_counts[start_level]
     parts = thread_upward_sweep(
         csf,
         level_factors,

@@ -35,32 +35,24 @@ run identical arithmetic by construction.  Tasks only *compute*
 shared outputs happen on the coordinating thread in thread-id order, so
 every backend is bit-identical to ``serial``.
 
-Both reductions are plan-time operators (:mod:`repro.kernels`) the
-engine builds once and owns: a segment operator per (sweep, thread,
-level) that the tasks receive through ``ctx["sweeps"]`` — at level
-``d-2`` of the leaf sweep, the leaf TTM operator that multiplies in the
-tensor values — and a scatter operator per (level ``u``, thread)
-contribution that the coordinator applies — for the leaf mode, the leaf
-scatter operator, again value-weighted.  :meth:`MemoizedMttkrp.close`
-releases them.
+Both reductions are operators (:mod:`repro.kernels`) the engine builds
+once and owns: a segment operator per (sweep, thread, level), built
+with the engine, that the tasks receive through ``ctx["sweeps"]`` — at
+level ``d-2`` of the leaf sweep, the leaf TTM operator that multiplies
+in the tensor values — and a scatter operator per (level ``u``, thread)
+contribution, built when level ``u`` first runs, that the coordinator
+applies — for the leaf mode, the leaf scatter operator, again
+value-weighted.  :meth:`MemoizedMttkrp.close` releases them.
 
-Every call charges its semantic read/write volumes at the same
+Every kernel charges its semantic read/write volumes at the same
 granularity as the Section IV model, giving the measured channel the
-Fig. 3/4 harness reports.  Accounting is split in two:
-
-* **per-thread legs** (structure walk, memo reads, contraction
-  arithmetic) are charged by each task to a task-local counter
-  (:func:`charge_sweep`, :func:`charge_mode_u`) using the thread's
-  *owned* node counts (a disjoint tiling of every level, so the merged
-  totals are independent of the thread count); the coordinator folds
-  the returned state into that thread's
-  :class:`~repro.parallel.counters.ShardedTrafficCounter` shard;
-* **kernel-level legs** (the DM_factor cache-rule gathers, output/memo
-  writes, the conflicted scatter) are whole-kernel model quantities and
-  are charged once on the coordinator after the shards merge.
-
-The shard merge is vectorized and runs in fixed thread-id order, so all
-backends report bit-identical tallies.
+Fig. 3/4 harness reports.  The tasks only compute; the coordinator
+charges each kernel once, inside its kernel span, from the CSF's level
+counts: the structure walk, the memo reads and the contraction
+arithmetic (:func:`charge_sweep`, :func:`charge_mode_u`), then the
+DM_factor cache-rule gathers, the output and memo writes and the
+conflicted scatter.  No charge depends on which thread did the work, so
+every backend reports the same tallies.
 """
 
 from __future__ import annotations
@@ -82,7 +74,7 @@ from ..kernels import (
 # kept bound here because perfbench/layers.py wraps it next to its
 # ABI_NAMES entries under this module's name.
 from ..kernels import scale_rows_by_values as scale_rows_by_values
-from ..parallel.counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
+from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.executor import ReplicatedArray, SimulatedPool
 from ..parallel.partition import ThreadPartition, nnz_partition, slice_partition
 from ..tensor.csf import CsfTensor
@@ -99,10 +91,7 @@ from .memoization import SAVE_NONE, MemoPlan
 from .proc_tasks import (
     Handle,
     ProcessEngineContext,
-    counter_state,
     emit_contrib,
-    local_counter,
-    merge_counter_state,
     resolve,
     resolve_csf,
     resolve_operators,
@@ -120,57 +109,40 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# per-thread traffic legs
+# traffic legs from the level counts
 # ----------------------------------------------------------------------
-def charge_sweep(counter: TrafficCounter, owned: np.ndarray, rank: int) -> None:
-    """Per-thread legs of the mode-0 sweep: structure reads over the
-    thread's owned nodes at every level and one fused multiply-add per
-    owned child fiber per rank column.  Owned counts tile each level
-    exactly, so merged totals match the serial tallies at any T."""
-    counter.read(2.0 * int(owned.sum()), "structure")
-    counter.flop(2.0 * rank * int(owned[1:].sum()), "sweep")
+def charge_sweep(counter: TrafficCounter, counts: Sequence[int], rank: int) -> None:
+    """The tree-walk legs of a mode-0 sweep over nodes ``counts[i]`` at
+    each level ``i``: one fused multiply-add per child fiber per rank
+    column and the structure reads of every node."""
+    counter.flop(2.0 * rank * sum(counts[1:]), "sweep")
+    counter.read(2.0 * sum(counts), "structure")
 
 
 def charge_mode_u(
-    counter: TrafficCounter,
-    owned: np.ndarray,
-    u: int,
-    source: int,
-    d: int,
-    rank: int,
+    counter: TrafficCounter, counts: Sequence[int], u: int, source: int, rank: int
 ) -> None:
-    """Per-thread legs of a mode-``u`` kernel: the structure walk down to
-    the source data, the memo reads of the thread's node range, and the
-    downward-``k`` / recompute / Hadamard arithmetic."""
-    flops = rank * int(owned[1 : u + 1].sum())
-    if source == d - 1:
-        counter.read(2.0 * int(owned.sum()), "structure")
-        flops += 2 * rank * int(owned[u + 1 : d].sum())
+    """The tree-walk legs of a mode-``u`` kernel fed from level
+    ``source`` (the leaves: the tensor) over nodes ``counts[i]`` at each
+    level ``i``: the downward-``k`` / recompute / Hadamard arithmetic,
+    the memo reads and the structure walk down to the source data."""
+    counter.flop(
+        rank * sum(counts[1 : u + 1]) + 2 * rank * sum(counts[u : source + 1]),
+        "mode-u",
+    )
+    if source == len(counts) - 1:
+        counter.read(2.0 * sum(counts), "structure")
     else:
-        counter.read(2.0 * int(owned[:source].sum()), "structure")
-        counter.read(float(int(owned[source]) * rank), "memo")
-        flops += 2 * rank * int(owned[u + 1 : source + 1].sum())
-    flops += 2 * rank * int(owned[u])
-    counter.flop(flops, "mode-u")
+        counter.read(float(counts[source] * rank), "memo")
+        counter.read(2.0 * sum(counts[:source]), "structure")
 
 
 # ----------------------------------------------------------------------
 # the task bodies (one per kernel shape, every backend)
 # ----------------------------------------------------------------------
-def _task_operands(
-    ctx: Dict[str, Any]
-) -> Tuple[CsfTensor, List[np.ndarray], TrafficCounter]:
-    """The CSF, level-ordered factors and a fresh local counter."""
-    return (
-        resolve_csf(ctx["csf"]),
-        [resolve(f) for f in ctx["factors"]],
-        local_counter(ctx),
-    )
-
-
-def _owned(ctx: Dict[str, Any], th: int) -> np.ndarray:
-    starts = ctx["starts"]
-    return (starts[th + 1] - starts[th]).astype(np.int64)
+def _task_operands(ctx: Dict[str, Any]) -> Tuple[CsfTensor, List[np.ndarray]]:
+    """The CSF and the level-ordered factors."""
+    return resolve_csf(ctx["csf"]), [resolve(f) for f in ctx["factors"]]
 
 
 def _range(ctx: Dict[str, Any], th: int, level: int) -> Tuple[int, int]:
@@ -179,13 +151,12 @@ def _range(ctx: Dict[str, Any], th: int, level: int) -> Tuple[int, int]:
     return int(starts[th, level]), int(starts[th + 1, level])
 
 
-def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
+def mode0_task(payload: Dict[str, Any]) -> Dict[int, Tuple[int, int]]:
     """Mode-0 upward sweep for one thread: accumulates the kept partials
     into this thread's ReplicatedArray stripes (``ctx["rep"]``) and
-    returns their node ranges and its traffic."""
+    returns their node ranges."""
     ctx, th = payload["ctx"], payload["th"]
-    csf, lf, counter = _task_operands(ctx)
-    charge_sweep(counter, _owned(ctx, th), ctx["rank"])
+    csf, lf = _task_operands(ctx)
     leaf = csf.ndim - 1
     lo, hi = _range(ctx, th, leaf)
     ops = resolve_operators(ctx["sweeps"][leaf], th)
@@ -196,22 +167,21 @@ def mode0_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         ranges[lvl] = (nlo, tp.shape[0])
         if tp.shape[0]:
             resolve(rep)[nlo + th : nlo + tp.shape[0] + th] += tp
-    return {"ranges": ranges, "traffic": counter_state(counter)}
+    return ranges
 
 
-def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
+def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
     """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over this thread's node ownership."""
     ctx, th = payload["ctx"], payload["th"]
     u = ctx["u"]
-    csf, lf, counter = _task_operands(ctx)
-    charge_mode_u(counter, _owned(ctx, th), u, u, csf.ndim, ctx["rank"])
+    csf, lf = _task_operands(ctx)
     a, b = _range(ctx, th, u)
     k = thread_downward_k(csf, lf, u, a, b)
     memo = resolve(ctx["memo"][u])
-    return emit_contrib(ctx["scratch"][th], k * memo[a:b], counter)
+    return emit_contrib(ctx["scratch"][th], k * memo[a:b])
 
 
-def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
+def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
     """Fig. 1c/1d: rebuild ``t_u`` from ``P^(source)`` (or the tensor when
     ``source == d-1``) and fuse with the downward ``k`` sweep.
 
@@ -220,9 +190,8 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
     thread's ``k ⊙ t_partial`` sums to the exact result."""
     ctx, th = payload["ctx"], payload["th"]
     u, source = ctx["u"], ctx["source"]
-    csf, lf, counter = _task_operands(ctx)
+    csf, lf = _task_operands(ctx)
     d = csf.ndim
-    charge_mode_u(counter, _owned(ctx, th), u, source, d, ctx["rank"])
     lo, hi = _range(ctx, th, source)
     ops = resolve_operators(ctx["sweeps"][source], th)
     if source == d - 1:
@@ -240,25 +209,24 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
         )
     nlo, tp = res[u]
     k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0])
-    return emit_contrib(ctx["scratch"][th], k * tp, counter)
+    return emit_contrib(ctx["scratch"][th], k * tp)
 
 
-def leaf_task(payload: Dict[str, Any]) -> Tuple[str, Any, tuple]:
+def leaf_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
     """Leaf-mode kernel: ``k_{d-2}`` over the thread's level-``d-2``
     window (the parents of its leaves).  The coordinator's leaf scatter
     operator adds each leaf's value times its parent's row into the
     leaf's output row."""
     ctx, th = payload["ctx"], payload["th"]
-    csf, lf, counter = _task_operands(ctx)
+    csf, lf = _task_operands(ctx)
     d = csf.ndim
-    charge_mode_u(counter, _owned(ctx, th), d - 1, d - 1, d, ctx["rank"])
     lo, hi = _range(ctx, th, d - 1)
     windows = ancestor_windows(csf, d - 1, lo, hi)
     w = windows[d - 2]
     k = thread_downward_k(
         csf, lf, d - 2, w.lo, w.hi, multiply_last=True, windows=windows
     )
-    return emit_contrib(ctx["scratch"][th], k, counter)
+    return emit_contrib(ctx["scratch"][th], k)
 
 
 class MemoizedMttkrp(EngineBase):
@@ -320,10 +288,6 @@ class MemoizedMttkrp(EngineBase):
             self.partition = slice_partition(csf, num_threads)
         else:
             raise ValueError(f"unknown partition strategy {partition!r}")
-        #: Per-thread counter shards; the coordinator folds each task's
-        #: local tallies into its thread's shard and merges after every
-        #: kernel (race-free).
-        self.shards = ShardedTrafficCounter.like(counter, self.pool.num_threads)
         #: Saved partial results, keyed by level; refreshed by mode0().
         self.memo: Dict[int, np.ndarray] = {}
         # Boundary-replicated accumulation buffers, allocated once per
@@ -334,7 +298,7 @@ class MemoizedMttkrp(EngineBase):
         # arrays under serial/threads; under processes the CSF is shared
         # once here and factor/memo slots are refreshed before dispatch.
         self._proc: Optional[ProcessEngineContext] = ProcessEngineContext(
-            counter, shared=backend == "processes"
+            shared=backend == "processes"
         )
         self._csf_spec = self._proc.share_csf(csf)
         self._rep_handles: Dict[int, Handle] = {}
@@ -388,23 +352,23 @@ class MemoizedMttkrp(EngineBase):
     # plan-time reduction operators
     # ------------------------------------------------------------------
     def _build_operators(self, width: int) -> None:
-        """Build every reduction operator the plan's kernels apply.
+        """Build the segment operators every plan's sweep applies.
 
-        Segment operators (``self._sweep_ops``, keyed by the sweep's
-        start level): per thread and level, for the leaf sweep of mode 0
-        (which recompute-from-tensor kernels share) and for the sweep up
-        from each saved ``P^(s)`` that feeds a recompute.  Scatter
-        operators (``self._scatter_ops``, keyed by level ``u``): per
-        thread, over the rows its mode-``u`` task emits.  The leaf
-        sweep's level-``d-2`` operator and the leaf mode's scatter
-        operator carry the tensor values instead of the basis.  All of it
-        depends only on the CSF, the partition and the plan, so it runs
-        once, here, and the operators view one basis ``width`` rows wide.
+        ``self._sweep_ops``, keyed by the sweep's start level, holds per
+        thread and level the operators of the leaf sweep of mode 0
+        (which recompute-from-tensor kernels share) and of the sweep up
+        from each saved ``P^(s)`` that feeds a recompute; the leaf
+        sweep's level-``d-2`` operator carries the tensor values instead
+        of the basis.  They depend only on the CSF, the partition and the
+        plan, so they are built once, here, and view one basis ``width``
+        rows wide.  The scatter operators of a level are built the first
+        time it runs (:meth:`_scatter_operators`): an engine that holds
+        several trees runs only some levels on each.
         """
         csf, d = self.csf, self.csf.ndim
         threads = range(self.num_threads)
         starts = self.partition.starts
-        basis = operator_basis(width)
+        basis = self._basis = operator_basis(width)
         # Each sweep runs from its start level up to the shallowest level
         # it feeds: the root for the leaf sweep, the first recomputed
         # level for a sweep up from a saved P^(s).
@@ -431,10 +395,19 @@ class MemoizedMttkrp(EngineBase):
             )
             for start, stop in stops.items()
         }
-        self._scatter_ops = {
-            u: [self._scatter_operator(u, th, basis) for th in threads]
-            for u in range(1, d)
-        }
+        self._scatter_ops: Dict[int, List[ScatterOperator]] = {}
+
+    def _scatter_operators(self, u: int) -> List[ScatterOperator]:
+        """Level ``u``'s scatter operators, one per thread, over the rows
+        its mode-``u`` task emits; built on the level's first run."""
+        ops = self._scatter_ops.get(u)
+        if ops is None:
+            ops = [
+                self._scatter_operator(u, th, self._basis)
+                for th in range(self.num_threads)
+            ]
+            self._scatter_ops[u] = ops
+        return ops
 
     def _scatter_operator(
         self, u: int, th: int, basis: OperatorBasis
@@ -476,7 +449,6 @@ class MemoizedMttkrp(EngineBase):
             self.num_threads,
             csf=self._csf_spec,
             starts=self.partition.starts,
-            rank=self.rank,
             factors=proc.refresh_factors(lf),
             memo=dict(self._memo_handles),
             scratch=self._scratch,
@@ -508,7 +480,6 @@ class MemoizedMttkrp(EngineBase):
         lf = self._level_factors(factors)
         self.memo.clear()
         self._memo_handles.clear()
-        self.shards.reset()
 
         keep_levels = sorted(set(self.plan.save_levels) | {0})
         reps = self._replicated_buffers(keep_levels)
@@ -517,10 +488,9 @@ class MemoizedMttkrp(EngineBase):
         # The tasks already accumulated into their slot-disjoint stripes;
         # recording the ranges in thread-id order (lifecycle + sanitizer
         # checks) fixes the order merge() folds them in.
-        for th, res in enumerate(results):
-            merge_counter_state(self.shards.shard(th), res["traffic"])
+        for th, ranges in enumerate(results):
             for lvl in keep_levels:
-                nlo, nrows = res["ranges"][lvl]
+                nlo, nrows = ranges[lvl]
                 reps[lvl].view(th, nlo, nlo + nrows)
 
         proc = self._context()
@@ -531,10 +501,9 @@ class MemoizedMttkrp(EngineBase):
         out = np.zeros((csf.level_shape(0), rank))
         out[csf.idx[0]] = t0
 
-        # Accounting: per-thread traversal/sweep legs merged from the
-        # shards, then the kernel-level factor gathers and output + memo
-        # writes (the boundary-replication rows are the +T).
-        self.shards.merge_into(self.counter)
+        # Accounting: the tree walk, the factor gathers and the output +
+        # memo writes (the boundary-replication rows are the +T).
+        charge_sweep(self.counter, csf.fiber_counts, rank)
         self._charge_factor_reads(range(1, d))
         self.counter.write(csf.level_shape(0) * rank, "output")
         for lvl in self.plan.save_levels:
@@ -601,8 +570,6 @@ class MemoizedMttkrp(EngineBase):
     ) -> np.ndarray:
         csf, d, rank = self.csf, self.csf.ndim, self.rank
         out = np.zeros((csf.level_shape(u), rank))
-        self.shards.reset()
-
         payloads = self._payloads(lf, u=u, source=source)
         if u == d - 1:
             results = self.pool.run_tasks(leaf_task, payloads)
@@ -611,23 +578,18 @@ class MemoizedMttkrp(EngineBase):
         else:
             results = self.pool.run_tasks(recompute_task, payloads)
         proc = self._context()
-        for th, (result, op) in enumerate(zip(results, self._scatter_ops[u])):
-            contrib = proc.contribution(
-                self._scratch[th], result, self.shards.shard(th)
-            )
-            scatter_add_rows(out, op, contrib)
-
-        self.shards.merge_into(self.counter)
+        for th, (result, op) in enumerate(zip(results, self._scatter_operators(u))):
+            scatter_add_rows(out, op, proc.contribution(self._scratch[th], result))
         self._charge_mode_u(u, source)
         return out
 
     def _charge_mode_u(self, u: int, source: int) -> None:
-        """Kernel-level legs of a mode-``u`` charge (the per-thread legs
-        live in :func:`charge_mode_u`): the DM_factor cache-rule gathers
-        and the conflicted output scatter are whole-kernel model
-        quantities, charged once on the coordinator."""
+        """A mode-``u`` kernel's legs: the tree walk
+        (:func:`charge_mode_u`), the DM_factor cache-rule gathers and the
+        conflicted output scatter."""
         csf, d, rank = self.csf, self.csf.ndim, self.rank
         m = csf.fiber_counts
+        charge_mode_u(self.counter, m, u, source, rank)
         if source == d - 1:
             # Every contracted factor is gathered while recomputing.
             self._charge_factor_reads([j for j in range(d) if j != u])

@@ -23,11 +23,9 @@ this module supplies both ends of that contract:
   shared once, which the task wraps as operators again.  A leaf TTM
   operator also packs its int32 columns per level; its ``data`` view the
   CSF values segment the engine already shares.
-* A task charges its per-thread traffic legs to a :func:`local_counter`
-  and returns its :func:`counter_state`; the coordinator folds it into
-  that thread's :class:`~repro.parallel.counters.ShardedTrafficCounter`
-  shard with :func:`merge_counter_state`, so per-thread totals are exact
-  on every backend.
+* A task only computes: it creates, charges and returns no traffic
+  counter.  Its coordinator charges the whole kernel once, from the
+  tensor's level counts.
 * :func:`emit_contrib` hands a per-thread contribution back: through the
   thread's scratch segment across the process boundary, as the array
   itself in-process.
@@ -41,7 +39,6 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from ..kernels import INDEX_DTYPE, OperatorBasis, leaf_ttm_operator, segment_operator
-from ..parallel.counters import TrafficCounter
 from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.csf import CsfTensor
 
@@ -52,15 +49,11 @@ __all__ = [
     "resolve",
     "resolve_csf",
     "resolve_operators",
-    "local_counter",
-    "counter_state",
-    "merge_counter_state",
     "emit_contrib",
 ]
 
 #: A task operand: the array itself in-process, a token across processes.
 Handle = Union[np.ndarray, ShmToken]
-CounterState = Tuple[float, float, float, Dict[str, float]]
 #: Per-task segment operators, ``level -> operator`` for each task.
 TaskOperators = Sequence[Dict[int, csr_array]]
 #: Their task-side spec: the operators in-process, tokens across processes.
@@ -139,36 +132,7 @@ def resolve_operators(spec: OperatorSpec, task: int) -> Dict[int, csr_array]:
     return ops
 
 
-def local_counter(ctx: Dict[str, Any]) -> TrafficCounter:
-    """A task-private counter configured like the engine's."""
-    return TrafficCounter(
-        cache_elements=ctx["cache_elements"], enabled=ctx["enabled"]
-    )
-
-
-def counter_state(counter: TrafficCounter) -> CounterState:
-    """Picklable snapshot of a task-local counter's tallies."""
-    return counter.reads, counter.writes, counter.flops, dict(counter.by_category)
-
-
-def merge_counter_state(shard: TrafficCounter, state: CounterState) -> None:
-    """Fold a task's returned tallies into the coordinator-side shard.
-
-    The shard was reset at kernel start, so adding the task's exact
-    charges reproduces a direct charge of the shard bit-for-bit."""
-    reads, writes, flops, by_category = state
-    shard.reads += reads
-    shard.writes += writes
-    shard.flops += flops
-    for key, val in by_category.items():
-        shard.by_category[key] = shard.by_category.get(key, 0.0) + val
-
-
-def emit_contrib(
-    scratch: Optional[Handle],
-    contrib: np.ndarray,
-    counter: TrafficCounter,
-) -> Tuple[str, Any, CounterState]:
+def emit_contrib(scratch: Optional[Handle], contrib: np.ndarray) -> Tuple[str, Any]:
     """Hand a per-thread contribution back to the coordinator.
 
     In-process (no scratch) the array itself travels back.  Across the
@@ -181,8 +145,8 @@ def emit_contrib(
         n = contrib.shape[0]
         if contrib.dtype == buf.dtype and n <= buf.shape[0]:
             buf[:n] = contrib
-            return ("shm", n, counter_state(counter))
-    return ("obj", contrib, counter_state(counter))
+            return ("shm", n)
+    return ("obj", contrib)
 
 
 # ----------------------------------------------------------------------
@@ -204,12 +168,8 @@ class ProcessEngineContext:
     the same calls either way, so one task body serves every backend.
     """
 
-    def __init__(self, counter: TrafficCounter, *, shared: bool) -> None:
+    def __init__(self, *, shared: bool) -> None:
         self.arena: Optional[SharedArena] = SharedArena() if shared else None
-        self._counter_config = {
-            "cache_elements": counter.cache_elements,
-            "enabled": counter.enabled,
-        }
         self._factor_tokens: Optional[List[ShmToken]] = None
         self._memo_tokens: Dict[int, ShmToken] = {}
         self._basis: Optional[OperatorBasis] = None
@@ -319,15 +279,10 @@ class ProcessEngineContext:
         return [self.zeros((n_rows, rank)) for _ in range(num_threads)]
 
     def contribution(
-        self,
-        scratch: Optional[Handle],
-        result: Tuple[str, Any, CounterState],
-        shard: TrafficCounter,
+        self, scratch: Optional[Handle], result: Tuple[str, Any]
     ) -> np.ndarray:
-        """Fold one :func:`emit_contrib` result: its traffic into the
-        thread's ``shard``; returns its rows."""
-        kind, val, traffic = result
-        merge_counter_state(shard, traffic)
+        """The rows of one :func:`emit_contrib` result."""
+        kind, val = result
         if kind == "shm":
             return self.array(scratch)[:val]
         return val
@@ -365,9 +320,7 @@ class ProcessEngineContext:
         return token
 
     def payloads(self, num_threads: int, **ctx: Any) -> List[Dict[str, Any]]:
-        """One ``{"ctx", "th"}`` payload per thread; ``ctx`` also carries
-        the engine counter's configuration for :func:`local_counter`."""
-        ctx.update(self._counter_config)
+        """One ``{"ctx", "th"}`` payload per thread, all sharing ``ctx``."""
         return [{"ctx": ctx, "th": th} for th in range(num_threads)]
 
     def close(self) -> None:

@@ -108,7 +108,6 @@ class CsfEngine(EngineBase):
         self.mode_order: Tuple[int, ...] = tuple(
             self.trees[0].csf.mode_order if mode_order is None else mode_order
         )
-        self._last_tree = self.trees[0]
 
     def route(self, level: int) -> Tuple[MemoizedMttkrp, int]:
         """The tree that runs update position ``level`` and the CSF level
@@ -130,7 +129,6 @@ class CsfEngine(EngineBase):
         """MTTKRP for update position ``level`` on its routed tree (CSF
         level 0 runs the sweep that refreshes that tree's memos)."""
         tree, depth = self.route(level)
-        self._last_tree = tree
         return tree.mode_level(factors, depth)
 
     def level_load_factor(self, level: int) -> float:
@@ -139,11 +137,6 @@ class CsfEngine(EngineBase):
         partition at the level actually dealing that kernel's work."""
         tree, depth = self.route(level)
         return tree.level_load_factor(depth)
-
-    def per_thread_traffic(self) -> List[float]:
-        """Per-thread traffic totals of the most recent kernel (the tree
-        that ran last; the first tree before any has run)."""
-        return self._last_tree.shards.per_thread_totals()
 
     def memo_bytes(self) -> int:
         """Footprint of the saved partial results (Table II)."""

@@ -10,8 +10,6 @@ Every engine (STeF, STeF2, and the baselines) inherits this base, so
   context-manager form just makes the release exception-safe.
 * **iteration_results** — the generic "all ``d`` MTTKRPs in level order"
   loop over :meth:`mttkrp_level`.
-* **per_thread_traffic** — the sharded counter's per-thread totals when
-  the engine has shards, else one empty lane per thread.
 * **kernel_span** — the one ``mttkrp.mode0`` / ``mttkrp.mode_level``
   span every kernel call opens.
 * **describe** — a one-line configuration summary, defaulting to the
@@ -121,15 +119,6 @@ class EngineBase:
             (self.mode_order[level], self.mttkrp_level(factors, level))
             for level in range(len(self.mode_order))
         ]
-
-    def per_thread_traffic(self) -> List[float]:
-        """Most recent kernel's per-thread traffic totals — the sharded
-        counter's observability channel (empty lanes when the engine does
-        not shard its accounting)."""
-        shards = getattr(self, "shards", None)
-        if shards is not None:
-            return shards.per_thread_totals()
-        return [0.0] * getattr(self, "num_threads", 1)
 
     def kernel_span(self, level: int, mode: int, nnz: int, source: Any = None):
         """The span of one MTTKRP kernel call on the engine's ``tracer``:

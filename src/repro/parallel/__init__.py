@@ -1,7 +1,7 @@
 """Simulated shared-memory machine: specs, partitions, executor, counters."""
 
 from .machine import AMD_TR_64, INTEL_CLX_18, MACHINES, MachineSpec
-from .counters import NULL_COUNTER, ShardedTrafficCounter, TrafficCounter
+from .counters import NULL_COUNTER, TrafficCounter
 from .partition import ThreadPartition, nnz_partition, slice_partition
 from .executor import (
     EXEC_BACKENDS,
@@ -18,7 +18,6 @@ __all__ = [
     "AMD_TR_64",
     "MACHINES",
     "TrafficCounter",
-    "ShardedTrafficCounter",
     "NULL_COUNTER",
     "ThreadPartition",
     "nnz_partition",

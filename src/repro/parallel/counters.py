@@ -18,13 +18,10 @@ the counter observes, and :mod:`repro.analysis.traffic` compares the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, Optional
 
 __all__ = [
     "TrafficCounter",
-    "ShardedTrafficCounter",
     "NULL_COUNTER",
     "SCATTER_FLOPS_PER_UPDATE",
 ]
@@ -184,117 +181,6 @@ class TrafficCounter:
         }
         out.update(self.by_category)
         return out
-
-
-class ShardedTrafficCounter:
-    """Per-thread :class:`TrafficCounter` shards with a deterministic merge.
-
-    A single shared counter cannot be charged from concurrently running
-    kernels: its ``+=`` updates are read-modify-write sequences that lose
-    increments once NumPy releases the GIL.  The sharded counter gives
-    every simulated thread its *own* shard — the coordinator folds each
-    kernel task's local tallies into ``shard(th)``, so no task touches
-    shared mutable state — and folds the shards back with
-    :meth:`merge_into`, which sums in fixed thread-id order over a sorted
-    category key set.  The merged result is therefore independent of
-    thread completion order: every backend produces bit-identical
-    tallies.
-
-    Parameters
-    ----------
-    num_threads:
-        Number of shards (one per simulated thread).
-    cache_elements:
-        Cache capacity forwarded to every shard (DM_factor rule).
-    enabled:
-        ``False`` makes every shard a no-op (hot paths).
-    """
-
-    def __init__(
-        self,
-        num_threads: int,
-        cache_elements: Optional[int] = None,
-        enabled: bool = True,
-    ) -> None:
-        if num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
-        self.num_threads = num_threads
-        self.shards: List[TrafficCounter] = [
-            TrafficCounter(cache_elements=cache_elements, enabled=enabled)
-            for _ in range(num_threads)
-        ]
-
-    @classmethod
-    def like(cls, counter: TrafficCounter, num_threads: int) -> "ShardedTrafficCounter":
-        """Shards inheriting ``counter``'s cache capacity and enablement."""
-        return cls(
-            num_threads,
-            cache_elements=counter.cache_elements,
-            enabled=counter.enabled,
-        )
-
-    @property
-    def enabled(self) -> bool:
-        """True when the shards record charges."""
-        return self.shards[0].enabled
-
-    def shard(self, th: int) -> TrafficCounter:
-        """The private counter of simulated thread ``th``."""
-        if not 0 <= th < self.num_threads:
-            raise ValueError(f"thread id {th} out of range")
-        return self.shards[th]
-
-    def reset(self) -> None:
-        """Zero every shard (start of a kernel invocation)."""
-        for shard in self.shards:
-            shard.reset()
-
-    def merge(self) -> TrafficCounter:
-        """Fresh counter holding the summed shard tallies."""
-        out = TrafficCounter(cache_elements=self.shards[0].cache_elements)
-        return self.merge_into(out)
-
-    def merge_into(self, target: TrafficCounter) -> TrafficCounter:
-        """Fold all shards into ``target``, vectorized and order-independent.
-
-        Scalar tallies are summed with one :func:`numpy.sum` per field over
-        the shards in thread-id order; categories are materialized as a
-        ``(T, K)`` matrix over the *sorted* union of keys and column-summed.
-        Nothing depends on which thread finished first, so repeated runs —
-        serial or threaded — merge to exactly the same numbers.
-        """
-        target.reads += float(np.sum([s.reads for s in self.shards]))
-        target.writes += float(np.sum([s.writes for s in self.shards]))
-        target.flops += float(np.sum([s.flops for s in self.shards]))
-        keys = sorted(set().union(*(s.by_category for s in self.shards)))
-        if keys:
-            mat = np.array(
-                [[s.by_category.get(k, 0.0) for k in keys] for s in self.shards]
-            )
-            for k, v in zip(keys, mat.sum(axis=0)):
-                target.by_category[k] = target.by_category.get(k, 0.0) + float(v)
-        return target
-
-    # ------------------------------------------------------------------
-    @property
-    def total(self) -> float:
-        """Total elements moved across all shards (reads + writes)."""
-        return float(np.sum([s.total for s in self.shards]))
-
-    def per_thread_totals(self) -> List[float]:
-        """Each shard's traffic total — the observability hook for
-        diagnosing load imbalance from the measured channel."""
-        return [s.total for s in self.shards]
-
-    def snapshot(self) -> Dict[str, float]:
-        """Merged plain-dict view (reports)."""
-        return self.merge().snapshot()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ShardedTrafficCounter(num_threads={self.num_threads}, "
-            f"total={self.total:.0f})"
-        )
 
 
 class _NullCounter(TrafficCounter):

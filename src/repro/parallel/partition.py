@@ -125,14 +125,6 @@ class ThreadPartition:
             raise ValueError(f"level {level} out of range")
         return np.diff(self.starts[:, level])
 
-    def owned_counts(self, th: int) -> np.ndarray:
-        """Per-level owned node counts for thread ``th`` — the disjoint
-        decomposition used by per-thread traffic accounting (summing over
-        threads recovers the fiber counts at every level exactly)."""
-        if not 0 <= th < self.num_threads:
-            raise ValueError(f"thread id {th} out of range")
-        return (self.starts[th + 1] - self.starts[th]).astype(np.int64)
-
     def load_factor(self, level: int) -> float:
         """``max load / mean load`` of the per-thread owned node counts at
         ``level`` — the stretch factor of a kernel whose work is dealt by

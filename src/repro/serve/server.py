@@ -22,7 +22,11 @@ Lifecycle guarantees:
   so waiting clients cost nothing but a parked coroutine;
 * a terminal job keeps only its summary in memory (:meth:`Job.retire`);
   every response that carries its record is its journal's bytes, so
-  what a client sees is exactly what the journal says.
+  what a client sees is exactly what the journal says;
+* a journal write that fails (a full disk, say) fails the job with the
+  reason ``journal-failed`` and still frees its slot and wakes its
+  waiters; the journal keeps its last state, so the next start re-queues
+  the job, as after a killed daemon.
 
 Protocol ops (one JSON object per line, one response line each):
 ``ping``, ``submit`` (optionally ``"wait": true``), ``wait``,
@@ -77,6 +81,8 @@ class DecompositionServer:
         self._events: Dict[str, asyncio.Event] = {}
         self._seq = itertools.count(1)
         self._latency: Dict[str, Dict[str, float]] = {}
+        # The jobs whose journal write failed, and the error.
+        self._journal_errors: Dict[str, str] = {}
         self.completed = 0
         self.failed = 0
         self._server: Optional[asyncio.AbstractServer] = None
@@ -147,32 +153,46 @@ class DecompositionServer:
 
     async def _run_job(self, job: Job, semaphore: asyncio.Semaphore) -> None:
         try:
-            job.state = RUNNING
-            job.started_at = time.time()
-            job.attempts += 1
-            self.spool.write_journal(job)
-            loop = asyncio.get_running_loop()
             try:
-                await loop.run_in_executor(
-                    self._executor, execute_job, job, self.spool, self.cache,
-                )
-                job.state = DONE
+                await self._execute(job)
+            except Exception as exc:  # a journal write failed
+                job.state = FAILED
+                job.finished_at = time.time()
+                job.error = f"journal write failed: {type(exc).__name__}: {exc}"
+                self._journal_errors[job.job_id] = job.error
+            if job.state == DONE:
                 self.completed += 1
                 self._record_latency(job)
-            except Exception as exc:  # worker errors fail the job, not us
-                job.state = FAILED
-                job.error = f"{type(exc).__name__}: {exc}"
+            else:
                 self.failed += 1
-            job.finished_at = time.time()
-            self.spool.write_journal(job)
             self.queue.release(job)
             self._finish(job)
         finally:
             semaphore.release()
 
+    async def _execute(self, job: Job) -> None:
+        """Run ``job`` on a worker, journaling its start and its end.  A
+        worker error fails the job; only a journal write raises."""
+        job.state = RUNNING
+        job.started_at = time.time()
+        job.attempts += 1
+        self.spool.write_journal(job)
+        loop = asyncio.get_running_loop()
+        try:
+            await loop.run_in_executor(
+                self._executor, execute_job, job, self.spool, self.cache,
+            )
+            job.state = DONE
+        except Exception as exc:  # worker errors fail the job, not us
+            job.state = FAILED
+            job.error = f"{type(exc).__name__}: {exc}"
+        job.finished_at = time.time()
+        self.spool.write_journal(job)
+
     def _finish(self, job: Job) -> None:
         """After the terminal journal write: slim the job and wake its
-        waiters, who answer from the journal."""
+        waiters, who answer from the journal (or, when the write failed,
+        with the failure)."""
         job.retire()
         event = self._events.pop(job.job_id, None)
         if event is not None:
@@ -275,7 +295,7 @@ class DecompositionServer:
                     "reason": "timeout", "retry": True}
 
     async def _terminal_response(self, job: Job,
-                                 timeout: Optional[float] = None) -> bytes:
+                                 timeout: Optional[float] = None) -> Reply:
         """Wait for ``job`` to finish, then answer with its record.  A job
         already terminal is answered at once: its event is gone, and a
         fresh one would never be set."""
@@ -283,9 +303,13 @@ class DecompositionServer:
             await asyncio.wait_for(self._event_for(job.job_id).wait(), timeout)
         return self._record_response(job)
 
-    def _record_response(self, job: Job) -> bytes:
+    def _record_response(self, job: Job) -> Reply:
         """``{"ok": true, "job": <record>}``.  A terminal job's record is
-        its journal; a live job's is assembled from its fragments."""
+        its journal; a live job's is assembled from its fragments.  A job
+        whose journal write failed has no record to answer with."""
+        error = self._journal_errors.get(job.job_id)
+        if error is not None:
+            return {"ok": False, "error": error, "reason": "journal-failed"}
         record = (self.spool.read_journal(job.job_id) if job.terminal
                   else job.record())
         return b'{"ok":true,"job":' + record.rstrip(b"\n") + b"}\n"

@@ -1,7 +1,5 @@
 """Unit tests for traffic counters (incl. the DM_factor cache rule)."""
 
-import pytest
-
 from repro.parallel import NULL_COUNTER, TrafficCounter
 
 
@@ -90,86 +88,3 @@ class TestNullCounter:
         NULL_COUNTER.write(10)
         NULL_COUNTER.read_factor_rows(10, 10, 10)
         assert NULL_COUNTER.total == 0
-
-
-class TestShardedTrafficCounter:
-    def _make(self, threads=4):
-        from repro.parallel import ShardedTrafficCounter
-
-        return ShardedTrafficCounter(threads, cache_elements=64)
-
-    def test_like_inherits_settings(self):
-        from repro.parallel import ShardedTrafficCounter
-
-        base = TrafficCounter(cache_elements=77)
-        sh = ShardedTrafficCounter.like(base, 3)
-        assert sh.num_threads == 3
-        assert all(s.cache_elements == 77 for s in sh.shards)
-        assert sh.enabled
-
-    def test_like_null_counter_disabled(self):
-        from repro.parallel import ShardedTrafficCounter
-
-        sh = ShardedTrafficCounter.like(NULL_COUNTER, 3)
-        assert not sh.enabled
-        sh.shard(0).read(100, "structure")
-        assert sh.total == 0.0
-
-    def test_shards_are_isolated(self):
-        sh = self._make()
-        sh.shard(0).read(10, "a")
-        sh.shard(2).read(5, "a")
-        assert sh.shard(1).reads == 0
-        assert sh.per_thread_totals() == [10.0, 0.0, 5.0, 0.0]
-
-    def test_shard_bounds_checked(self):
-        sh = self._make(2)
-        with pytest.raises(ValueError):
-            sh.shard(2)
-        with pytest.raises(ValueError):
-            sh.shard(-1)
-
-    def test_merge_matches_single_counter(self):
-        # The same charge sequence split across shards must merge to the
-        # exact tallies a single counter would accumulate.
-        single = TrafficCounter(cache_elements=64)
-        sh = self._make()
-        charges = [
-            (0, "read", 3.0, "structure"),
-            (1, "read", 7.0, "memo"),
-            (2, "write", 4.0, "output"),
-            (3, "flop", 11.0, "sweep"),
-            (0, "flop", 2.0, "sweep"),
-        ]
-        for th, op, amount, cat in charges:
-            getattr(single, op)(amount, cat)
-            getattr(sh.shard(th), op)(amount, cat)
-        merged = sh.merge()
-        assert merged.snapshot() == single.snapshot()
-
-    def test_merge_is_order_independent(self):
-        # Same charges, different thread attribution -> identical merge.
-        a, b = self._make(3), self._make(3)
-        for th in range(3):
-            a.shard(th).read(float(th + 1), "structure")
-            b.shard(2 - th).read(float(th + 1), "structure")
-        assert a.merge().snapshot() == b.merge().snapshot()
-
-    def test_merge_into_accumulates(self):
-        target = TrafficCounter()
-        target.read(100, "structure")
-        sh = self._make(2)
-        sh.shard(0).read(1, "structure")
-        sh.shard(1).write(2, "output")
-        sh.merge_into(target)
-        assert target.reads == 101
-        assert target.writes == 2
-        assert target.by_category["r:structure"] == 101
-
-    def test_reset_clears_all_shards(self):
-        sh = self._make(2)
-        sh.shard(0).read(10, "a")
-        sh.shard(1).flop(4, "b")
-        sh.reset()
-        assert sh.total == 0.0
-        assert sh.merge().snapshot()["total"] == 0.0

@@ -157,29 +157,6 @@ class TestUpwardSweep:
         )
         assert set(res) == {2}
 
-    def test_serial_sweep_charges_like_threaded_path(self, coo4, factors4):
-        """Regression: ``serial_upward_sweep(counter=...)`` charges the
-        same structure/sweep legs ``mttkrp.charge_sweep`` does with a
-        single thread owning every node (the serial path used to be
-        unaccountable)."""
-        from repro.parallel import TrafficCounter
-
-        csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
-        counter = TrafficCounter()
-        result = serial_upward_sweep(
-            csf, level_factors(csf, factors4), counter=counter
-        )
-        owned = [csf.fiber_counts[lvl] for lvl in range(csf.ndim - 1)]
-        owned.append(csf.nnz)
-        assert counter.reads == 2.0 * sum(owned)
-        assert counter.flops == 2.0 * 4 * sum(owned[1:])
-        assert counter.writes == 0
-        assert set(counter.by_category) == {"r:structure", "f:sweep"}
-        # The accounting must not perturb the arithmetic.
-        silent = serial_upward_sweep(csf, level_factors(csf, factors4))
-        for lvl in silent:
-            assert np.allclose(result[lvl], silent[lvl])
-
 
 class TestDownwardK:
     @pytest.mark.parametrize("level", [1, 2, 3])

@@ -280,7 +280,7 @@ class TestPlanTimeOperators:
             first = np.searchsorted(ptr, lo, side="right") - 1
             parents = np.searchsorted(ptr, np.arange(lo, hi), side="right") - 1 - first
             cut += ptr[first] < lo
-            op = engine._scatter_ops[d - 1][th]
+            op = engine._scatter_operators(d - 1)[th]
             x = rng.standard_normal((int(parents[-1]) + 1, 4))
             assert op.matrix.shape == (op.targets.size, x.shape[0])
             got = np.zeros((n, 4))

@@ -21,9 +21,13 @@ server:
   refuse with retryable errors instead of buffering without bound;
 * **crash recovery** — a server process SIGKILLed mid-job resumes the
   job from its checkpoint after restart, with the cumulative iteration
-  count intact.
+  count intact;
+* **journal faults** — a terminal journal write that fails (a full disk)
+  fails the job with the reason instead of hanging its waiters or
+  holding its client's slot, and the next start re-queues it.
 """
 
+import errno
 import json
 import os
 import signal
@@ -551,6 +555,63 @@ class TestBoot:
         with pytest.raises(OSError):
             start_in_thread(sock, str(tmp_path / "spool"))
         assert time.monotonic() - t0 < 1.0
+
+
+class TestJournalFailure:
+    def test_failed_terminal_write_fails_the_job_and_frees_it(
+        self, tmp_path, monkeypatch
+    ):
+        """The ``done`` journal write raises ENOSPC: the waiter, ``wait``
+        and ``status`` with ``result`` get ``journal-failed``, the
+        client's slot is free, ``repro jobs`` lists the job ``failed``,
+        and its journal, still ``running``, is re-queued at the next
+        start."""
+        write_journal = Spool.write_journal
+
+        def full_disk_at_done(spool, job):
+            if job.state == "done":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_journal(spool, job)
+
+        monkeypatch.setattr(Spool, "write_journal", full_disk_at_done)
+        sock = str(tmp_path / "s.sock")
+        spool_dir = tmp_path / "spool"
+        tensor = random_tensor((8, 7, 6), nnz=80, seed=13)
+        handle = start_in_thread(sock, str(spool_dir), workers=1)
+        wait_for_socket(sock)
+        try:
+            with ServeClient(sock, timeout=30.0) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit(make_spec(tensor, client="c"), wait=True)
+                error = str(excinfo.value)
+                assert excinfo.value.reason == "journal-failed"
+                assert os.strerror(errno.ENOSPC) in error
+                [row] = client.jobs()
+                job_id = row["job_id"]
+                assert (row["state"], row["error"]) == ("failed", error)
+                for answer in (lambda: client.wait(job_id),
+                               lambda: client.status(job_id, result=True)):
+                    with pytest.raises(ServeError) as again:
+                        answer()
+                    assert (again.value.reason, str(again.value)) == (
+                        "journal-failed", error)
+                stats = client.stats()
+                assert (stats["jobs.completed"], stats["jobs.failed"]) == (0, 1)
+                assert handle.server.queue.in_flight("c") == 0
+        finally:
+            handle.stop()
+        journal = spool_dir / "jobs" / f"{job_id}.json"
+        assert json.loads(journal.read_text())["state"] == "running"
+
+        monkeypatch.setattr(Spool, "write_journal", write_journal)
+        handle = start_in_thread(sock, str(spool_dir), workers=1)
+        wait_for_socket(sock)
+        try:
+            with ServeClient(sock, timeout=120.0) as client:
+                job = client.wait(job_id)
+        finally:
+            handle.stop()
+        assert (job["state"], job["attempts"]) == ("done", 2), job["error"]
 
 
 class TestCrashRecovery:

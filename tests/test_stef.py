@@ -331,16 +331,33 @@ class TestCsfEngineRouting:
             assert np.array_equal(res_a, res_b)
 
     @pytest.mark.parametrize("name", CSF_ENGINES)
-    def test_per_thread_traffic_is_the_running_trees(self, name, workload3):
-        """stef2's per_thread_traffic used to report the base tree's
-        shards after its leaf mode ran on the second tree."""
+    def test_trees_build_the_scatter_operators_of_their_routed_levels(
+        self, name, workload3, monkeypatch
+    ):
+        """A tree builds level ``u``'s scatter operators, one per thread,
+        when ``u > 0`` is routed to it, and no others (splatt-all used to
+        build them for every level of every tree and run none); a closed
+        engine builds nothing."""
+        from repro.core import mttkrp
+
         t, factors = workload3
-        with create_engine(
-            name, t, 4, num_threads=3, counter=TrafficCounter()
-        ) as engine:
-            for level in range(t.ndim):
-                engine.mttkrp_level(factors, level)
-                tree, _ = running_tree(engine, level)
-                lanes = engine.per_thread_traffic()
-                assert lanes == tree.shards.per_thread_totals()
-                assert sum(lanes) > 0
+        built = {}
+        build = mttkrp.MemoizedMttkrp._scatter_operator
+
+        def counted(tree, u, th, basis):
+            built[id(tree), u] = built.get((id(tree), u), 0) + 1
+            return build(tree, u, th, basis)
+
+        monkeypatch.setattr(mttkrp.MemoizedMttkrp, "_scatter_operator", counted)
+        closed = create_engine(name, t, 4, num_threads=3)
+        closed.close()
+        for level in range(t.ndim):
+            with pytest.raises(RuntimeError):
+                closed.mttkrp_level(factors, level)
+        assert built == {}
+        with create_engine(name, t, 4, num_threads=3) as engine:
+            engine.iteration_results(factors)
+            routed = [engine.route(level) for level in range(t.ndim)]
+            assert built == {
+                (id(tree), depth): 3 for tree, depth in routed if depth > 0
+            }

@@ -3,8 +3,8 @@
 The paper's conflict-free scheme only earns its name if real concurrency
 changes *nothing*: every MTTKRP output must be bit-identical between the
 ``serial`` backend and both concurrent backends (``threads`` and the
-shared-memory ``processes`` pool), and the merged per-thread traffic
-shards must equal the serial counter's tallies exactly — not approximately.
+shared-memory ``processes`` pool), and the counted traffic must equal the
+serial counter's tallies exactly — not approximately.
 This module sweeps (seed, thread-count) combinations (the CI acceptance
 floor is 20), hits the boundary-sharing edge cases at every CSF level, and
 exercises the :class:`ReplicatedArray` lifecycle across repeated kernel
@@ -19,28 +19,12 @@ import pytest
 
 from repro.core import MemoPlan, MemoizedMttkrp, SAVE_NONE, enumerate_plans
 from repro.ops import mttkrp_dense
-from repro.parallel import (
-    ReplicatedArray,
-    ShardedTrafficCounter,
-    SimulatedPool,
-    TrafficCounter,
-    nnz_partition,
-)
+from repro.parallel import ReplicatedArray, TrafficCounter, nnz_partition
 from repro.tensor import CooTensor, CsfTensor, random_tensor
 from tests.conftest import make_factors
 
 SEEDS = range(5)
 THREAD_COUNTS = (2, 3, 5, 8)
-
-
-def _charge_shard_task(payload):
-    """Module-level task: many tiny charges to this thread's own shard."""
-    th, shard, per_thread = payload
-    for _ in range(per_thread):
-        shard.read(1.0, "structure")
-        shard.write(1.0, "output")
-        shard.flop(2.0, "sweep")
-    return th
 
 
 def _run(csf, factors, rank, threads, backend, plan, iters=1):
@@ -213,24 +197,6 @@ class TestDegenerateSchedules:
             assert np.allclose(a, mttkrp_dense(dense, factors, mode))
         assert snap_s == snap_t
 
-    def test_empty_thread_ranges_charge_nothing(self):
-        tensor = random_tensor((6, 5, 4), nnz=5, seed=6)
-        csf = CsfTensor.from_coo(tensor)
-        factors = make_factors(tensor.shape, 2, seed=6)
-        counter = TrafficCounter()
-        engine = MemoizedMttkrp(
-            csf, 2, num_threads=12, exec_backend="threads", counter=counter
-        )
-        engine.mode0(factors)
-        totals = engine.shards.per_thread_totals()
-        empty = [
-            th for th in range(12)
-            if engine.partition.per_thread_leaf_counts()[th] == 0
-        ]
-        assert empty  # the schedule really is starved
-        for th in empty:
-            assert totals[th] == 0.0
-
 
 class TestRaceSanitizer:
     """REPRO_SANITIZE=1: view() rejects cross-thread overlapping buffer
@@ -311,22 +277,7 @@ class TestRaceSanitizer:
             engine.close()
 
 
-class TestShardedCounterUnderRealThreads:
-    def test_concurrent_shard_charging_is_exact(self):
-        """Many tiny concurrent charges — the pattern that loses updates
-        on a single shared counter — must merge to the exact total when
-        each thread owns a shard."""
-        threads, per_thread = 8, 500
-        sharded = ShardedTrafficCounter(threads)
-        pool = SimulatedPool(threads, "threads")
-        payloads = [(th, sharded.shard(th), per_thread) for th in range(threads)]
-        assert pool.run_tasks(_charge_shard_task, payloads) == list(range(threads))
-        merged = sharded.merge()
-        assert merged.reads == threads * per_thread
-        assert merged.writes == threads * per_thread
-        assert merged.flops == 2 * threads * per_thread
-        assert merged.by_category["r:structure"] == threads * per_thread
-
+class TestAllPlansConcurrently:
     @pytest.mark.parametrize("backend", ["threads", "processes"])
     def test_all_plans_all_partitions_smoke(self, backend):
         """Cross product of plans × partitions under each concurrent
