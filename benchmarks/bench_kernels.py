@@ -16,12 +16,14 @@ from common import bench_tensor
 from repro.core import (
     MemoPlan,
     MemoizedMttkrp,
+    ancestor_windows,
+    block_downward_k,
+    block_plan,
+    block_upward_sweep,
     count_swapped_fibers,
     plan_decomposition,
-    thread_downward_k,
-    thread_upward_sweep,
 )
-from repro.core.csf_kernels import scatter_add_rows, sweep_operators
+from repro.core.csf_kernels import scatter_add_rows
 from repro.cpd import random_init
 from repro.kernels import leaf_scatter_operator
 from repro.parallel import nnz_partition, slice_partition
@@ -40,6 +42,13 @@ def setup():
     return tensor, csf, factors, lf
 
 
+def whole_plan(csf):
+    """The plan of one execution block owning every leaf, built outside
+    the timed calls as engines build theirs at construction."""
+    d = csf.ndim
+    return block_plan(csf, [ancestor_windows(csf, d - 1, 0, csf.nnz)], stop_level=0)
+
+
 def test_csf_construction(benchmark, setup):
     tensor, _, _, _ = setup
     benchmark(CsfTensor.from_coo, tensor)
@@ -49,19 +58,18 @@ def test_upward_sweep(benchmark, setup):
     """The leaf sweep up to the root over operators built outside the
     timed call, as engines build theirs at construction."""
     _, csf, _, lf = setup
-    ops = sweep_operators(csf, 0, csf.nnz)
-    benchmark(thread_upward_sweep, csf, lf, 0, csf.nnz, ops=ops)
+    d = csf.ndim
+    benchmark(
+        block_upward_sweep, whole_plan(csf), lf, start_level=d - 1, stop_level=0,
+        keep=(0,),
+    )
 
 
 def test_downward_k_full(benchmark, setup):
     """``k_{d-2}`` with level d-2's own factor rows folded in, over every
     level-(d-2) node: what the leaf-mode kernel computes."""
     _, csf, _, lf = setup
-    level = csf.ndim - 2
-    benchmark(
-        thread_downward_k, csf, lf, level, 0, csf.fiber_counts[level],
-        multiply_last=True,
-    )
+    benchmark(block_downward_k, whole_plan(csf), lf, csf.ndim - 2, multiply_last=True)
 
 
 def test_scatter_add(benchmark, setup):
@@ -71,7 +79,7 @@ def test_scatter_add(benchmark, setup):
     _, csf, _, lf = setup
     d = csf.ndim
     m = csf.fiber_counts[d - 2]
-    k = thread_downward_k(csf, lf, d - 2, 0, m, multiply_last=True)
+    k = block_downward_k(whole_plan(csf), lf, d - 2, multiply_last=True)
     parents = np.repeat(np.arange(m), np.diff(csf.ptr[d - 2]))
     op = leaf_scatter_operator(csf.idx[d - 1], csf.values, parents, m)
     n = csf.level_shape(d - 1)

@@ -105,7 +105,7 @@ class AltoBackend(EngineBase):
         self._values = self._ctx.share(self.alto.values)
         self._coord_handles = [self._ctx.share(c) for c in self._coords]
         width = max((hi - lo for lo, hi in self.partitions), default=0)
-        self._scratch = self._ctx.scratch(threads, max(1, width), rank)
+        self._scratch = self._ctx.scratch([max(1, width)] * threads, rank)
         # The coordinator's scatter of partition th into mode m's output
         # always targets the same coordinates: sort them once, here.
         basis = operator_basis(width)

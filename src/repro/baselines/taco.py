@@ -32,11 +32,10 @@ import numpy as np
 from ..core.csf_kernels import sweep_operators, thread_upward_sweep
 from ..core.mttkrp import charge_sweep
 from ..core.proc_tasks import (
-    OperatorSpec,
     ProcessEngineContext,
     resolve,
     resolve_csf,
-    resolve_operators,
+    resolve_plan,
 )
 from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
 from ..kernels import operator_basis
@@ -73,7 +72,7 @@ def _taco_sweep_task(payload: Dict[str, Any]) -> List[Tuple[int, np.ndarray]]:
     results: List[Tuple[int, np.ndarray]] = []
     for ti in range(th, len(tasks), pool_t):
         leaf_lo, leaf_hi = _chunk_leaves(csf, *tasks[ti])
-        ops = resolve_operators(ctx["ops"], ti)
+        ops = resolve_plan(ctx["ops"][ti])
         res = thread_upward_sweep(csf, lf, leaf_lo, leaf_hi, stop_level=0, ops=ops)
         results.append(res[0])
     return results
@@ -116,7 +115,7 @@ class TacoBackend(EngineBase):
         self._ctx = ProcessEngineContext(shared=self.pool.backend == "processes")
         self._csf_specs = [self._ctx.share_csf(c) for c in self.csfs]
         #: Chunk sweeps' segment operators, keyed by (mode, chunk size).
-        self._ops: Optional[Dict[Tuple[int, int], OperatorSpec]] = {}
+        self._ops: Optional[Dict[Tuple[int, int], List[Any]]] = {}
         self._basis = operator_basis(tensor.nnz)
         if autotune:
             self.autotune()
@@ -150,7 +149,7 @@ class TacoBackend(EngineBase):
         self.chunk_slices = best[1]
         ops = self._ops or {}
         for key in [k for k in ops if k[1] != self.chunk_slices]:
-            self._ctx.release_operators(ops.pop(key))
+            self._ctx.release_plans(ops.pop(key))
         self.tuning_seconds = time.perf_counter() - t0
         return self.chunk_slices
 
@@ -161,7 +160,7 @@ class TacoBackend(EngineBase):
         edges = list(range(0, n_slices, self.chunk_slices)) + [n_slices]
         return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
-    def _operators(self, mode: int) -> OperatorSpec:
+    def _operators(self, mode: int) -> List[Any]:
         """The segment operators of ``mode``'s chunk sweeps at the current
         chunk size, built on first use and kept by the engine."""
         if self._ops is None:
@@ -170,7 +169,7 @@ class TacoBackend(EngineBase):
         spec = self._ops.get(key)
         if spec is None:
             csf = self.csfs[mode]
-            spec = self._ctx.share_operators(
+            spec = self._ctx.share_plans(
                 [
                     sweep_operators(csf, *_chunk_leaves(csf, *task), basis=self._basis)
                     for task in self._task_bounds(csf)

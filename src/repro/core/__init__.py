@@ -3,11 +3,10 @@
 from .csf_kernels import (
     LevelSlice,
     ancestor_windows,
-    expand_rows,
+    block_downward_k,
+    block_plan,
+    block_upward_sweep,
     scatter_add_rows,
-    serial_upward_sweep,
-    thread_downward_k,
-    thread_level_ranges,
     thread_upward_sweep,
 )
 from .memoization import SAVE_ALL, SAVE_NONE, MemoPlan, enumerate_plans
@@ -26,11 +25,10 @@ from .stef2 import Stef2
 __all__ = [
     "LevelSlice",
     "ancestor_windows",
-    "expand_rows",
+    "block_downward_k",
+    "block_plan",
+    "block_upward_sweep",
     "scatter_add_rows",
-    "serial_upward_sweep",
-    "thread_downward_k",
-    "thread_level_ranges",
     "thread_upward_sweep",
     "MemoPlan",
     "enumerate_plans",

@@ -1,4 +1,4 @@
-"""Vectorized per-thread CSF sweep primitives.
+"""Vectorized CSF sweep primitives over execution blocks.
 
 Algorithms 4-8 of the paper are recursive pointer-chasing loops over the
 CSF tree.  A pure-Python transcription would spend all its time in the
@@ -6,15 +6,13 @@ interpreter, so this module re-expresses each loop as a *level-by-level
 vectorized sweep* — identical arithmetic, identical access pattern, one
 NumPy call per tree level instead of one Python iteration per node:
 
-* **upward sweep** (:func:`thread_upward_sweep`) — the TTM + chain of
+* **upward sweep** (:func:`block_upward_sweep`) — the TTM + chain of
   mTTV contractions that produce the partial results ``t_i`` /
-  ``P^(i)``.  The TTM is one product of the leaf factor with the
-  thread's leaf TTM operator, whose ``data`` are the tensor values and
-  whose columns are the leaf indices; above it, per level, one gather of
-  factor rows, one elementwise multiply and one segmented sum — a
-  product with the thread's segment operator for that level
-  (:func:`sweep_operators` builds both kinds).
-* **downward sweep** (:func:`thread_downward_k`) — the ``k_i`` rows of
+  ``P^(i)``.  The TTM is one product of the leaf factor with the leaf
+  TTM operator, whose ``data`` are the tensor values and whose columns
+  are the leaf indices; above it, per level, one gather-multiply by
+  factor rows and one segmented sum — a product with a segment operator.
+* **downward sweep** (:func:`block_downward_k`) — the ``k_i`` rows of
   Algorithm 5 (row-wise KRP of ``A^(0..i)`` along each tree path): per
   level, one ``np.repeat`` expansion by child counts and one gather-
   multiply.  Nothing expands to the leaves: the leaf-mode kernel stops
@@ -24,26 +22,29 @@ NumPy call per tree level instead of one Python iteration per node:
   with a scatter operator whose stable sort by target row was done when
   the operator was built.
 
-Thread decomposition follows Algorithm 3: every primitive takes a
-*half-open child range* owned by the calling thread and clips segment
-boundaries to it.  Boundary tree nodes are therefore computed *partially*
-by each adjacent thread; because every contraction is linear in ``t``,
-partial contributions merge correctly at any level (this is exactly the
-property STeF's boundary-replication scheme exploits).
+Thread decomposition follows Algorithm 3: each simulated thread owns a
+*half-open position range* and its sweep clips segment boundaries to it.
+Boundary tree nodes are therefore computed *partially* by each adjacent
+thread; because every contraction is linear in ``t``, partial
+contributions merge correctly at any level (this is exactly the property
+STeF's boundary-replication scheme exploits).  An *execution block* runs
+consecutive threads as one task: its rows at each level are its threads'
+window rows laid end to end, and its operators are theirs along the
+diagonal, so every thread's rows carry the bits its own sweep would.
 
-The segment boundaries of a thread's sweep depend only on the CSF and
-the thread's range, so engines build the operators once
-(:func:`sweep_operators`) and pass them to every call.  The inner loops
-themselves — gathers, multiplies, expansions and the sparse products —
-are the flat-array kernel ABI (:mod:`repro.kernels`), called here by
-name.  Nothing here charges traffic: the engines charge each kernel
-once, from the tensor's level counts.
+The index work of a block's sweeps — gather indices, ``np.repeat``
+counts and the reduction operators — depends only on the CSF and the
+threads' ranges, so engines build it once (:func:`block_plan`) and pass
+it to every call.  The inner loops themselves — gathers, multiplies,
+expansions and the sparse products — are the flat-array kernel ABI
+(:mod:`repro.kernels`), called here by name.  Nothing here charges
+traffic: the engines charge each kernel once, from the tensor's level
+counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -70,11 +71,13 @@ from ..tensor.csf import CsfTensor
 __all__ = [
     "scatter_add_rows",
     "LevelSlice",
-    "thread_level_ranges",
+    "ancestor_windows",
+    "child_counts",
+    "block_plan",
+    "block_upward_sweep",
+    "block_downward_k",
     "sweep_operators",
     "thread_upward_sweep",
-    "thread_downward_k",
-    "serial_upward_sweep",
 ]
 
 
@@ -91,8 +94,7 @@ def scatter_add_rows(out: np.ndarray, op: ScatterOperator, rows: np.ndarray) -> 
     scatter_rows_add(out, op, rows)
 
 
-@dataclass(frozen=True)
-class LevelSlice:
+class LevelSlice(NamedTuple):
     """A thread's node window at one CSF level.
 
     ``lo`` is the first touched node; ``hi`` is one past the last touched
@@ -130,14 +132,6 @@ def ancestor_windows(
     return out
 
 
-def thread_level_ranges(
-    csf: CsfTensor, leaf_lo: int, leaf_hi: int
-) -> List[LevelSlice]:
-    """Node windows at every level for the thread owning leaves
-    ``[leaf_lo, leaf_hi)`` — the ancestors of those leaves."""
-    return ancestor_windows(csf, csf.ndim - 1, leaf_lo, leaf_hi)
-
-
 def _child_bounds(
     csf: CsfTensor, level: int, window: LevelSlice, child_window: LevelSlice
 ) -> np.ndarray:
@@ -164,24 +158,62 @@ def child_counts(
     return np.diff(_child_bounds(csf, level, window, child_window))
 
 
-def _sweep_operator(
+def block_plan(
     csf: CsfTensor,
-    level: int,
-    w: Sequence[LevelSlice],
-    basis: Optional[OperatorBasis],
-) -> csr_array:
-    """The operator that sums a sweep's rows at ``level + 1`` into its
-    window ``w[level]``: a segment operator, or at the leaves the leaf
-    TTM operator, which views the leaf values and multiplies them in."""
-    child = w[level + 1]
-    bounds = (_child_bounds(csf, level, w[level], child) - child.lo).astype(INDEX_DTYPE)
-    leaf = csf.ndim - 1
-    if level + 1 < leaf:
-        return segment_operator(bounds, basis)
-    lo, hi = w[leaf].lo, w[leaf].hi
-    return leaf_ttm_operator(
-        bounds, csf.values[lo:hi], csf.idx[leaf][lo:hi], csf.level_shape(leaf)
-    )
+    windows: Sequence[Sequence[LevelSlice]],
+    *,
+    stop_level: int,
+    basis: Optional[OperatorBasis] = None,
+) -> Dict[str, Any]:
+    """The sweep plan of one execution block: consecutive threads whose
+    owned position ranges at level ``r`` have the ancestor windows
+    ``windows`` (one :func:`ancestor_windows` list per thread, levels
+    ``0..r``).
+
+    The block's rows at each level are its threads' window rows laid end
+    to end, so its plan is their index work stacked:
+
+    * ``gather[i]`` (``i < r``, and ``i = r`` below the leaves) — the
+      factor rows that multiply the block's rows at level ``i``;
+    * ``counts[i]`` (``i < r``) — each row's children among the rows at
+      level ``i + 1``: the ``np.repeat`` counts of a downward sweep;
+    * ``ops[i]`` (``stop_level <= i < r``) — the upward sweep's sum of the
+      rows at ``i + 1`` into those at ``i``: the threads' segment
+      operators along the diagonal, which is one segment operator over
+      ``basis``; at level ``d-2`` of a sweep from the leaves, the leaf TTM
+      operator (:func:`repro.kernels.leaf_ttm_operator`) of the block's
+      leaves, whose ``data`` view their values;
+    * ``lo``/``hi`` — the block's positions at ``r``, which its threads'
+      ranges tile.
+
+    Row for row, each thread's rows come from the same operands in the
+    same order as its own sweep's, so they carry the same bits.
+    """
+    d, r = csf.ndim, len(windows[0]) - 1
+    gather = [
+        np.concatenate([csf.idx[i][w[i].lo : w[i].hi] for w in windows]).astype(
+            INDEX_DTYPE
+        )
+        for i in range(r if r == d - 1 else r + 1)
+    ]
+    counts = [
+        np.concatenate([child_counts(csf, i, w[i], w[i + 1]) for w in windows]).astype(
+            INDEX_DTYPE
+        )
+        for i in range(r)
+    ]
+    lo, hi = windows[0][r].lo, windows[-1][r].hi
+    ops: Dict[int, csr_array] = {}
+    for i in range(stop_level, r):
+        bounds = np.zeros(counts[i].shape[0] + 1, dtype=INDEX_DTYPE)
+        np.cumsum(counts[i], out=bounds[1:])
+        if i + 1 < d - 1:
+            ops[i] = segment_operator(bounds, basis)
+        else:
+            ops[i] = leaf_ttm_operator(
+                bounds, csf.values[lo:hi], csf.idx[r][lo:hi], csf.level_shape(r)
+            )
+    return {"lo": lo, "hi": hi, "gather": gather, "counts": counts, "ops": ops}
 
 
 def sweep_operators(
@@ -193,16 +225,14 @@ def sweep_operators(
     stop_level: int = 0,
     basis: Optional[OperatorBasis] = None,
 ) -> Dict[int, csr_array]:
-    """Reduction operators of one thread's upward sweep, ``level -> op``.
+    """Reduction operators of one range's upward sweep, ``level -> op``:
+    the ``ops`` of a one-range :func:`block_plan`.
 
     The sweep starts from positions ``[child_lo, child_hi)`` at
     ``start_level`` (default: the leaves).  ``op`` at ``level`` sums the
-    thread's rows at ``level + 1`` into the nodes of its window at
-    ``level``, each segment clipped to the rows the thread owns.  Above
-    the leaves ``op`` is an indicator over ``basis``; at level ``d-2`` of
-    a sweep from the leaves it is the leaf TTM operator
-    (:func:`repro.kernels.leaf_ttm_operator`): its ``data`` view the
-    thread's tensor values, its columns are the leaf indices, so
+    range's rows at ``level + 1`` into the nodes of its window at
+    ``level``, each segment clipped to the rows the range owns; at level
+    ``d-2`` of a sweep from the leaves it is the leaf TTM operator, so
     ``op @ A_leaf`` is the TTM.  An empty range needs no operators.
     """
     if start_level is None:
@@ -210,10 +240,7 @@ def sweep_operators(
     if child_hi <= child_lo:
         return {}
     w = ancestor_windows(csf, start_level, child_lo, child_hi)
-    return {
-        level: _sweep_operator(csf, level, w, basis)
-        for level in range(stop_level, start_level)
-    }
+    return block_plan(csf, [w], stop_level=stop_level, basis=basis)["ops"]
 
 
 def thread_upward_sweep(
@@ -321,90 +348,77 @@ def thread_upward_sweep(
     return out
 
 
-def expand_rows(
-    csf: CsfTensor,
-    rows: np.ndarray,
-    level: int,
-    window: LevelSlice,
-    child_window: LevelSlice,
-) -> np.ndarray:
-    """Repeat per-node ``rows`` at ``level`` once per owned child
-    (:func:`child_counts`), so boundary nodes only expand over the
-    children this thread owns."""
-    return repeat_rows(rows, child_counts(csf, level, window, child_window))
+def block_upward_sweep(
+    plan: Mapping[str, Any],
+    level_factors: Sequence[np.ndarray],
+    *,
+    start_level: int,
+    stop_level: int,
+    init: Optional[np.ndarray] = None,
+    keep: Container[int] = (),
+) -> Dict[int, np.ndarray]:
+    """An execution block's share of the TTM/mTTV chain, over its
+    :func:`block_plan`.
+
+    From the leaves (``init`` omitted) the leaf TTM operator gathers the
+    leaf factor's rows and weights them by the values; resuming from a
+    memoized ``P^(start_level)`` (the full array as ``init``), the
+    block's rows of it times the level's factor rows seed the sweep.
+    Each level's ``t`` is ``ops[level] @ rows``, every thread's partial
+    sums stacked, and times the level's factor rows it feeds the next
+    level up.  Returns ``t`` at the ``keep`` levels down to
+    ``stop_level``; the other levels' rows are freed as the sweep moves
+    up.
+    """
+    if init is None:
+        rows = level_factors[start_level]
+    else:
+        g = plan["gather"][start_level]
+        seed = init[plan["lo"] : plan["hi"]]
+        rows = gather_multiply_rows(seed, level_factors[start_level], g, 0, g.shape[0])
+    out: Dict[int, np.ndarray] = {}
+    for level in range(start_level - 1, stop_level - 1, -1):
+        t = segment_reduce_rows(rows, plan["ops"][level])
+        # Summed rows are spent: drop them before the level's own rows
+        # are multiplied, so at most two levels' rows are ever alive.
+        rows = None
+        if level in keep:
+            out[level] = t
+        if level > stop_level:
+            g = plan["gather"][level]
+            rows = gather_multiply_rows(t, level_factors[level], g, 0, g.shape[0])
+        t = None
+    return out
 
 
-def thread_downward_k(
-    csf: CsfTensor,
+def block_downward_k(
+    plan: Mapping[str, Any],
     level_factors: Sequence[np.ndarray],
     level: int,
-    lo: int,
-    hi: int,
     *,
     multiply_last: bool = False,
-    windows: Optional[List[LevelSlice]] = None,
 ) -> np.ndarray:
-    """One thread's ``k`` rows aligned with the half-open node range
-    ``[lo, hi)`` at ``level``.
+    """An execution block's ``k`` rows at ``level``, over its
+    :func:`block_plan`.
 
-    With the default ``multiply_last=False`` this is the ``k_{level-1}``
-    vector of Algorithm 5 *expanded to level-``level`` positions*: the
+    With the default ``multiply_last=False`` these are Algorithm 5's
+    ``k_{level-1}`` *expanded to the block's level-``level`` rows*: the
     row-wise KRP of the factor matrices of levels ``0..level-1`` along
-    each node's ancestor path — exactly the left operand of the mode-``u``
-    update ``Ā^(u)[idx] += k_{u-1} ⊙ t_u``.  Pass ``multiply_last=True``
-    to also fold in level ``level``'s own factor rows (full ``k_level``).
+    each node's ancestor path — the left operand of the mode-``u`` update
+    ``Ā^(u)[idx] += k_{u-1} ⊙ t_u``.  ``multiply_last=True`` also folds in
+    level ``level``'s own factor rows (full ``k_level``).
 
-    The sweep starts at the root window (the ancestors of the owned
-    range) and expands down: at each level the per-node ``k`` row is
-    repeated once per owned child (:func:`expand_rows`) and multiplied by
-    the child's factor row.  Returns ``(hi - lo, R)`` rows.
+    The sweep starts from the block's root rows and expands down: at each
+    level every row is repeated once per child it owns (the plan's
+    counts) and multiplied by the child's factor row.
     """
-    rank = np.asarray(level_factors[0]).shape[1]
-    if hi <= lo:
-        return np.zeros((0, rank))
-    if windows is None:
-        windows = ancestor_windows(csf, level, lo, hi)
-    w0 = windows[0]
-    k = take_factor_rows(np.asarray(level_factors[0]), csf.idx[0], w0.lo, w0.hi)
-    if level == 0:
-        return k if multiply_last else np.ones((hi - lo, rank))
+    gather, counts = plan["gather"], plan["counts"]
+    if level == 0 and not multiply_last:
+        return np.ones((gather[0].shape[0], level_factors[0].shape[1]))
+    k = take_factor_rows(level_factors[0], gather[0], 0, gather[0].shape[0])
     for i in range(level):
-        w, w_child = windows[i], windows[i + 1]
-        k = expand_rows(csf, k, i, w, w_child)
+        k = repeat_rows(k, counts[i])
         if i + 1 < level or multiply_last:
-            k = gather_multiply_rows(
-                k,
-                np.asarray(level_factors[i + 1]),
-                csf.idx[i + 1],
-                w_child.lo,
-                w_child.hi,
-            )
+            g = gather[i + 1]
+            k = gather_multiply_rows(k, level_factors[i + 1], g, 0, g.shape[0])
     return k
-
-
-def serial_upward_sweep(
-    csf: CsfTensor,
-    level_factors: Sequence[np.ndarray],
-    *,
-    stop_level: int = 0,
-    start_level: Optional[int] = None,
-    init: Optional[np.ndarray] = None,
-) -> Dict[int, np.ndarray]:
-    """Single-threaded full sweep: complete ``t`` arrays per level.
-
-    A thin wrapper over :func:`thread_upward_sweep` with one thread owning
-    everything — used by tests and by the serial reference path.
-    """
-    if start_level is None:
-        start_level = csf.ndim - 1
-    n_children = csf.fiber_counts[start_level]
-    parts = thread_upward_sweep(
-        csf,
-        level_factors,
-        0,
-        n_children,
-        start_level=start_level,
-        init=init,
-        stop_level=stop_level,
-    )
-    return {level: t for level, (lo, t) in parts.items()}

@@ -16,33 +16,44 @@ STeF over one CSF:
 * **level d-1** — the leaf-mode kernel: ``Ā[idx] += val · k_{d-2}``
   (the "series of Khatri-Rao products"; the paper notes this MTTV-style
   kernel is STeF's weak spot on nell-2, which STeF2 fixes with a second
-  CSF — :mod:`repro.core.stef2`).  Each task computes ``k_{d-2}`` over
-  its level-``d-2`` window only; the thread's leaf scatter operator,
-  whose ``data`` are the values, applies the rest in one product, so
-  nothing is expanded to one row per non-zero.
+  CSF — :mod:`repro.core.stef2`).  A block's ``k_{d-2}`` covers its
+  threads' level-``d-2`` windows only; its leaf scatter operator, whose
+  ``data`` are the values, applies the rest in one product, so nothing
+  is expanded to one row per non-zero.
 
-Every kernel is a module-level task function (:func:`mode0_task`,
-:func:`memo_direct_task`, :func:`recompute_task`, :func:`leaf_task`)
-run once per simulated thread through
+**Execution blocks.**  The ``T`` simulated threads run as ``B`` blocks of
+consecutive threads, one task each
+(:meth:`~repro.parallel.machine.MachineSpec.execution_blocks` picks ``B``
+from ``nnz``, ``R`` and the machine's per-core cache share; without a
+machine model ``B = T``).  A block's rows at each level are its threads'
+rows laid end to end, so it computes exactly the rows they would, with
+the same bits: 1 block and ``T`` blocks run the same code.  Every kernel
+is a module-level task function (:func:`mode0_task`,
+:func:`memo_direct_task`, :func:`recompute_task`, :func:`leaf_task`) run
+once per block through
 :meth:`~repro.parallel.executor.SimulatedPool.run_tasks` on all three
-execution backends.  The task body is the only implementation of the
-per-thread kernel: its context holds the engine's own arrays under
-``serial``/``threads`` and shared-memory tokens under ``processes``
+execution backends; its operands are the engine's own arrays under
+``serial``/``threads`` and shared-memory handles under ``processes``
 (:class:`~repro.core.proc_tasks.ProcessEngineContext`), so the backends
-run identical arithmetic by construction.  Tasks only *compute*
-(gathers, multiplies, segmented sums) and write slot-disjoint
-:class:`~repro.parallel.executor.ReplicatedArray` stripes; scatters into
-shared outputs happen on the coordinating thread in thread-id order, so
-every backend is bit-identical to ``serial``.
+run identical arithmetic by construction.  The summation order is the
+per-thread one:
 
-Both reductions are operators (:mod:`repro.kernels`) the engine builds
-once and owns: a segment operator per (sweep, thread, level), built
-with the engine, that the tasks receive through ``ctx["sweeps"]`` — at
-level ``d-2`` of the leaf sweep, the leaf TTM operator that multiplies
-in the tensor values — and a scatter operator per (level ``u``, thread)
-contribution, built when level ``u`` first runs, that the coordinator
-applies — for the leaf mode, the leaf scatter operator, again
-value-weighted.  :meth:`MemoizedMttkrp.close` releases them.
+* mode 0 — a block adds each thread's rows into that thread's
+  :class:`~repro.parallel.executor.ReplicatedArray` stripe, and the
+  coordinator records every thread's ranges in thread order, the order
+  ``merge()`` folds them in;
+* modes ``u > 0`` scatter in two stages.  In the task, the block-diagonal
+  of its threads' scatter matrices sums the rows into one partial sum
+  per (thread, target row); only those return.  On the coordinator one
+  indicator over every thread's targets, in thread order, adds them into
+  ``Ā^(u)``: ``0 + S_0 + S_1 + ...``, the bits of adding the threads'
+  sums one thread at a time.
+
+All index work is plan-time.  Each block's plan (:func:`~repro.core
+.csf_kernels.block_plan` — gather indices, ``np.repeat`` counts and the
+segment and leaf TTM operators of every sweep) is built with the engine;
+a level's scatter operators are built the first time it runs.
+:meth:`MemoizedMttkrp.close` releases them.
 
 Every kernel charges its semantic read/write volumes at the same
 granularity as the Section IV model, giving the measured channel the
@@ -51,23 +62,23 @@ charges each kernel once, inside its kernel span, from the CSF's level
 counts: the structure walk, the memo reads and the contraction
 arithmetic (:func:`charge_sweep`, :func:`charge_mode_u`), then the
 DM_factor cache-rule gathers, the output and memo writes and the
-conflicted scatter.  No charge depends on which thread did the work, so
+conflicted scatter.  No charge depends on the threads or the blocks, so
 every backend reports the same tallies.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engines.base import EngineBase, resolve_exec_backend
 from ..kernels import (
-    OperatorBasis,
     ScatterOperator,
     leaf_scatter_operator,
     operator_basis,
     scatter_operator,
+    segment_reduce_rows,
 )
 
 # No kernel calls it (the leaf scatter operator folds in the values);
@@ -76,16 +87,18 @@ from ..kernels import (
 from ..kernels import scale_rows_by_values as scale_rows_by_values
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.executor import ReplicatedArray, SimulatedPool
+from ..parallel.machine import MachineSpec
 from ..parallel.partition import ThreadPartition, nnz_partition, slice_partition
 from ..tensor.csf import CsfTensor
 from ..trace import NULL_TRACER, Tracer
 from .csf_kernels import (
+    LevelSlice,
     ancestor_windows,
+    block_downward_k,
+    block_plan,
+    block_upward_sweep,
     child_counts,
     scatter_add_rows,
-    sweep_operators,
-    thread_downward_k,
-    thread_upward_sweep,
 )
 from .memoization import SAVE_NONE, MemoPlan
 from .proc_tasks import (
@@ -93,8 +106,7 @@ from .proc_tasks import (
     ProcessEngineContext,
     emit_contrib,
     resolve,
-    resolve_csf,
-    resolve_operators,
+    resolve_plan,
 )
 
 __all__ = [
@@ -140,45 +152,46 @@ def charge_mode_u(
 # ----------------------------------------------------------------------
 # the task bodies (one per kernel shape, every backend)
 # ----------------------------------------------------------------------
-def _task_operands(ctx: Dict[str, Any]) -> Tuple[CsfTensor, List[np.ndarray]]:
-    """The CSF and the level-ordered factors."""
-    return resolve_csf(ctx["csf"]), [resolve(f) for f in ctx["factors"]]
+def _factors(ctx: Dict[str, Any]) -> List[np.ndarray]:
+    """The level-ordered factors."""
+    return [resolve(f) for f in ctx["factors"]]
 
 
-def _range(ctx: Dict[str, Any], th: int, level: int) -> Tuple[int, int]:
-    """Thread ``th``'s owned node range at ``level`` (leaves at d-1)."""
-    starts = ctx["starts"]
-    return int(starts[th, level]), int(starts[th + 1, level])
+def _stage1(payload: Dict[str, Any], rows: np.ndarray) -> Tuple[str, Any]:
+    """Scatter stage 1: the block-diagonal of the block's threads'
+    scatter matrices sums ``rows`` into one partial sum per (thread,
+    target row); only those go back to the coordinator."""
+    partial = segment_reduce_rows(rows, resolve(payload["scatter"]))
+    return emit_contrib(payload["scratch"], partial)
 
 
-def mode0_task(payload: Dict[str, Any]) -> Dict[int, Tuple[int, int]]:
-    """Mode-0 upward sweep for one thread: accumulates the kept partials
-    into this thread's ReplicatedArray stripes (``ctx["rep"]``) and
-    returns their node ranges."""
+def mode0_task(payload: Dict[str, Any]) -> None:
+    """Mode-0 upward sweep for one execution block: adds each of its
+    threads' rows at the kept levels into that thread's ReplicatedArray
+    stripe (``ctx["rep"]``); ``th`` are the block's simulated threads."""
     ctx, th = payload["ctx"], payload["th"]
-    csf, lf = _task_operands(ctx)
-    leaf = csf.ndim - 1
-    lo, hi = _range(ctx, th, leaf)
-    ops = resolve_operators(ctx["sweeps"][leaf], th)
-    res = thread_upward_sweep(csf, lf, lo, hi, stop_level=0, ops=ops)
-    ranges: Dict[int, Tuple[int, int]] = {}
-    for lvl, rep in ctx["rep"].items():
-        nlo, tp = res[lvl]
-        ranges[lvl] = (nlo, tp.shape[0])
-        if tp.shape[0]:
-            resolve(rep)[nlo + th : nlo + tp.shape[0] + th] += tp
-    return ranges
+    lf = _factors(ctx)
+    leaf = len(lf) - 1
+    plan = payload["block"][leaf]
+    kept = block_upward_sweep(
+        resolve_plan(plan), lf, start_level=leaf, stop_level=0, keep=ctx["rep"]
+    )
+    for lvl, rows in kept.items():
+        buf = resolve(ctx["rep"][lvl])
+        off = 0
+        for t, (lo, hi) in zip(th, plan["stripes"][lvl]):
+            buf[lo + t : hi + t] += rows[off : off + hi - lo]
+            off += hi - lo
 
 
 def memo_direct_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
-    """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over this thread's node ownership."""
-    ctx, th = payload["ctx"], payload["th"]
-    u = ctx["u"]
-    csf, lf = _task_operands(ctx)
-    a, b = _range(ctx, th, u)
-    k = thread_downward_k(csf, lf, u, a, b)
-    memo = resolve(ctx["memo"][u])
-    return emit_contrib(ctx["scratch"][th], k * memo[a:b])
+    """Fig. 1b: ``k_{u-1} ⊙ P^(u)`` over the block's owned nodes."""
+    ctx = payload["ctx"]
+    u, lf = ctx["u"], _factors(ctx)
+    plan = resolve_plan(payload["block"][u])
+    k = block_downward_k(plan, lf, u)
+    k *= resolve(ctx["memo"][u])[plan["lo"] : plan["hi"]]
+    return _stage1(payload, k)
 
 
 def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
@@ -188,45 +201,34 @@ def recompute_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
     Boundary nodes at level ``u`` are computed partially by adjacent
     threads; the partials carry identical ``k`` rows, so scattering each
     thread's ``k ⊙ t_partial`` sums to the exact result."""
-    ctx, th = payload["ctx"], payload["th"]
-    u, source = ctx["u"], ctx["source"]
-    csf, lf = _task_operands(ctx)
-    d = csf.ndim
-    lo, hi = _range(ctx, th, source)
-    ops = resolve_operators(ctx["sweeps"][source], th)
-    if source == d - 1:
-        res = thread_upward_sweep(csf, lf, lo, hi, stop_level=u, ops=ops)
-    else:
-        res = thread_upward_sweep(
-            csf,
-            lf,
-            lo,
-            hi,
-            start_level=source,
-            init=resolve(ctx["memo"][source]),
-            stop_level=u,
-            ops=ops,
-        )
-    nlo, tp = res[u]
-    k = thread_downward_k(csf, lf, u, nlo, nlo + tp.shape[0])
-    return emit_contrib(ctx["scratch"][th], k * tp)
+    ctx = payload["ctx"]
+    u, source, lf = ctx["u"], ctx["source"], _factors(ctx)
+    plan = resolve_plan(payload["block"][source])
+    init = None if source == len(lf) - 1 else resolve(ctx["memo"][source])
+    t = block_upward_sweep(
+        plan, lf, start_level=source, stop_level=u, init=init, keep=(u,)
+    )[u]
+    t *= block_downward_k(plan, lf, u)
+    return _stage1(payload, t)
 
 
 def leaf_task(payload: Dict[str, Any]) -> Tuple[str, Any]:
-    """Leaf-mode kernel: ``k_{d-2}`` over the thread's level-``d-2``
-    window (the parents of its leaves).  The coordinator's leaf scatter
-    operator adds each leaf's value times its parent's row into the
-    leaf's output row."""
-    ctx, th = payload["ctx"], payload["th"]
-    csf, lf = _task_operands(ctx)
-    d = csf.ndim
-    lo, hi = _range(ctx, th, d - 1)
-    windows = ancestor_windows(csf, d - 1, lo, hi)
-    w = windows[d - 2]
-    k = thread_downward_k(
-        csf, lf, d - 2, w.lo, w.hi, multiply_last=True, windows=windows
-    )
-    return emit_contrib(ctx["scratch"][th], k)
+    """Leaf-mode kernel: ``k_{d-2}`` over the block's level-``d-2`` rows
+    (the parents of its leaves).  Each thread's leaf scatter matrix adds
+    each leaf's value times its parent's row into the leaf's target."""
+    lf = _factors(payload["ctx"])
+    d = len(lf)
+    plan = resolve_plan(payload["block"][d - 1])
+    return _stage1(payload, block_downward_k(plan, lf, d - 2, multiply_last=True))
+
+
+class LevelScatter(NamedTuple):
+    """A level's two-stage scatter: each block's stage-1 operator (as
+    its task receives it) and the stage-2 indicator over every thread's
+    targets, in thread order."""
+
+    blocks: List[Any]
+    indicator: ScatterOperator
 
 
 class MemoizedMttkrp(EngineBase):
@@ -245,6 +247,10 @@ class MemoizedMttkrp(EngineBase):
     partition:
         ``"nnz"`` — Algorithm 3 (default); ``"slice"`` — prior-work
         root-slice distribution (the Fig. 6.1 ablation arm).
+    machine:
+        The machine model whose cache sets how many execution blocks the
+        threads run as (:meth:`~repro.parallel.machine.MachineSpec
+        .execution_blocks`); ``None`` runs one block per thread.
     exec_backend:
         ``"serial"`` (deterministic), ``"threads"`` (real thread pool),
         or ``"processes"`` (persistent multiprocessing workers over
@@ -256,6 +262,12 @@ class MemoizedMttkrp(EngineBase):
         Structured-tracing target (:mod:`repro.trace`); kernel spans
         carry this engine's exact counter deltas.  Defaults to the
         no-op tracer.
+
+    Attributes
+    ----------
+    blocks:
+        The execution blocks, each a ``range`` of consecutive simulated
+        threads; every kernel runs one task per block.
     """
 
     name = "memoized-mttkrp"
@@ -268,6 +280,7 @@ class MemoizedMttkrp(EngineBase):
         plan: MemoPlan = SAVE_NONE,
         num_threads: int = 1,
         partition: str = "nnz",
+        machine: Optional[MachineSpec] = None,
         exec_backend: Optional[str] = None,
         counter: TrafficCounter = NULL_COUNTER,
         tracer: Tracer = NULL_TRACER,
@@ -288,6 +301,15 @@ class MemoizedMttkrp(EngineBase):
             self.partition = slice_partition(csf, num_threads)
         else:
             raise ValueError(f"unknown partition strategy {partition!r}")
+        n_blocks = (
+            num_threads
+            if machine is None
+            else machine.execution_blocks(csf.nnz, rank, num_threads)
+        )
+        self.blocks: List[range] = [
+            range(b * num_threads // n_blocks, (b + 1) * num_threads // n_blocks)
+            for b in range(n_blocks)
+        ]
         #: Saved partial results, keyed by level; refreshed by mode0().
         self.memo: Dict[int, np.ndarray] = {}
         # Boundary-replicated accumulation buffers, allocated once per
@@ -295,22 +317,15 @@ class MemoizedMttkrp(EngineBase):
         # ALS iterations reuse them without double-merge corruption.
         self._reps: Dict[int, ReplicatedArray] = {}
         # Task operands (see repro.core.proc_tasks): the engine's own
-        # arrays under serial/threads; under processes the CSF is shared
-        # once here and factor/memo slots are refreshed before dispatch.
+        # arrays under serial/threads; under processes the plans are
+        # shared once, at build, and factor/memo slots are refreshed
+        # before dispatch.
         self._proc: Optional[ProcessEngineContext] = ProcessEngineContext(
             shared=backend == "processes"
         )
-        self._csf_spec = self._proc.share_csf(csf)
         self._rep_handles: Dict[int, Handle] = {}
         self._memo_handles: Dict[int, Handle] = {}
-        # Scratch rows bound any mode-u contribution, and the operator
-        # basis any operator's width: the widest per-thread node range at
-        # any level, +1 for the shared boundary node recompute sweeps may
-        # touch.
-        diffs = np.diff(self.partition.starts, axis=0)
-        width = int(diffs.max()) + 1 if diffs.size else 1
-        self._scratch = self._proc.scratch(self.pool.num_threads, width, rank)
-        self._build_operators(width)
+        self._build_plans()
 
     # ------------------------------------------------------------------
     @property
@@ -349,90 +364,130 @@ class MemoizedMttkrp(EngineBase):
         return self.partition.load_factor(source)
 
     # ------------------------------------------------------------------
-    # plan-time reduction operators
+    # plan-time index work
     # ------------------------------------------------------------------
-    def _build_operators(self, width: int) -> None:
-        """Build the segment operators every plan's sweep applies.
+    def _build_plans(self) -> None:
+        """Build every block's sweep plans, once.
 
-        ``self._sweep_ops``, keyed by the sweep's start level, holds per
-        thread and level the operators of the leaf sweep of mode 0
-        (which recompute-from-tensor kernels share) and of the sweep up
-        from each saved ``P^(s)`` that feeds a recompute; the leaf
-        sweep's level-``d-2`` operator carries the tensor values instead
-        of the basis.  They depend only on the CSF, the partition and the
-        plan, so they are built once, here, and view one basis ``width``
-        rows wide.  The scatter operators of a level are built the first
-        time it runs (:meth:`_scatter_operators`): an engine that holds
-        several trees runs only some levels on each.
-        """
-        csf, d = self.csf, self.csf.ndim
-        threads = range(self.num_threads)
-        starts = self.partition.starts
-        basis = self._basis = operator_basis(width)
-        # Each sweep runs from its start level up to the shallowest level
-        # it feeds: the root for the leaf sweep, the first recomputed
-        # level for a sweep up from a saved P^(s).
-        stops = {d - 1: 0}
-        for u in range(1, d - 1):
-            source = self.plan.source_level(u, d)
-            if source != u:
-                stops.setdefault(source, u)
-        proc = self._context()
-        self._sweep_ops = {
-            start: proc.share_operators(
-                [
-                    sweep_operators(
-                        csf,
-                        int(starts[th, start]),
-                        int(starts[th + 1, start]),
-                        start_level=start,
-                        stop_level=stop,
-                        basis=basis,
-                    )
-                    for th in threads
-                ],
-                basis,
-            )
-            for start, stop in stops.items()
-        }
-        self._scatter_ops: Dict[int, List[ScatterOperator]] = {}
-
-    def _scatter_operators(self, u: int) -> List[ScatterOperator]:
-        """Level ``u``'s scatter operators, one per thread, over the rows
-        its mode-``u`` task emits; built on the level's first run."""
-        ops = self._scatter_ops.get(u)
-        if ops is None:
-            ops = [
-                self._scatter_operator(u, th, self._basis)
-                for th in range(self.num_threads)
-            ]
-            self._scatter_ops[u] = ops
-        return ops
-
-    def _scatter_operator(
-        self, u: int, th: int, basis: OperatorBasis
-    ) -> ScatterOperator:
-        """The operator that scatters thread ``th``'s mode-``u`` rows.
-
-        Below the leaves the rows are one per node of level ``u``: the
-        thread's owned range at the source level when that is ``u``
-        itself (memo-direct), else the window at ``u`` of its sweep up
-        from the source.  The leaf task emits ``k_{d-2}`` over the
-        parents of its leaves, so the leaf operator's column for each
-        leaf is its parent's row and its ``data`` the leaf's value.
+        A kernel's rows are the ancestor windows of each thread's owned
+        range at its *source* level ``r``: the leaves for the mode-0
+        sweep, recompute-from-tensor and the leaf mode, a saved level for
+        its memo-direct kernel and the recomputes it feeds.  So for each
+        such ``r``, ``self._windows[r]`` holds every thread's windows and
+        each block's plan holds the :func:`~repro.core.csf_kernels
+        .block_plan` over its threads' windows, with the operators of the
+        sweep up from ``r`` to the shallowest level it feeds (the root
+        for the leaves).  The leaf plan also names each thread's mode-0
+        stripes.  Every operator views one basis as wide as the largest
+        block's rows; contribution scratch is sized per block.
         """
         csf, d, starts = self.csf, self.csf.ndim, self.partition.starts
-        source = self.plan.source_level(u, d) if u < d - 1 else d - 1
-        lo, hi = int(starts[th, source]), int(starts[th + 1, source])
-        windows = ancestor_windows(csf, source, lo, hi)
-        if u == d - 1:
-            parents = windows[d - 2]
-            counts = child_counts(csf, d - 2, parents, windows[d - 1])
-            cols = np.repeat(np.arange(parents.count), counts)
-            return leaf_scatter_operator(
-                csf.idx[u][lo:hi], csf.values[lo:hi], cols, parents.count
+        stops = {d - 1: 0}
+        for u in range(1, d - 1):
+            stops.setdefault(self.plan.source_level(u, d), u)
+        self._windows: Dict[int, List[List[LevelSlice]]] = {
+            r: [
+                ancestor_windows(csf, r, int(starts[th, r]), int(starts[th + 1, r]))
+                for th in range(self.num_threads)
+            ]
+            for r in stops
+        }
+        rows = [
+            max(
+                sum(self._windows[r][th][i].count for th in threads)
+                for r in stops
+                for i in range(r + 1)
             )
-        return scatter_operator(csf.idx[u][windows[u].lo : windows[u].hi], basis)
+            for threads in self.blocks
+        ]
+        # Every thread's rows at a level bound both a block's operators
+        # and the stage-2 indicator over all blocks' partial sums.
+        basis = self._basis = operator_basis(
+            max(
+                sum(w[i].count for w in self._windows[r])
+                for r in stops
+                for i in range(r + 1)
+            )
+        )
+        keep = sorted(set(self.plan.save_levels) | {0})
+        plans = []
+        for threads in self.blocks:
+            plan: Dict[int, Dict[str, Any]] = {
+                r: block_plan(
+                    csf,
+                    [self._windows[r][th] for th in threads],
+                    stop_level=stop,
+                    basis=basis,
+                )
+                for r, stop in stops.items()
+            }
+            plan[d - 1]["stripes"] = {
+                lvl: [
+                    (self._windows[d - 1][th][lvl].lo, self._windows[d - 1][th][lvl].hi)
+                    for th in threads
+                ]
+                for lvl in keep
+            }
+            plans.append(plan)
+        proc = self._context()
+        self._plans = proc.share_plans(plans, (*basis, csf.values))
+        self._scratch = proc.scratch(rows, self.rank)
+        self._scatter_ops: Dict[int, LevelScatter] = {}
+
+    def _scatter_operators(self, u: int) -> LevelScatter:
+        """Level ``u``'s two-stage scatter, built on the level's first
+        run: an engine that holds several trees runs only some levels on
+        each."""
+        ops = self._scatter_ops.get(u)
+        if ops is None:
+            ops = self._scatter_ops[u] = self._build_scatter(u)
+        return ops
+
+    def _build_scatter(self, u: int) -> LevelScatter:
+        """Level ``u``'s scatter: per block, one operator with a row per
+        (thread, target) pair, in that order (stage 1, in the task); here,
+        one indicator over every thread's targets in thread order (stage 2).
+
+        Below the leaves a thread's rows are one per node of its window
+        at ``u`` (its owned range when ``u`` is saved), and a block's are
+        its threads' laid end to end.  Keying each row by ``(thread,
+        target)`` makes the stable sort by key each thread's own stable
+        sort by target, so the stage-1 operator is its threads' scatter
+        matrices along the diagonal.  The leaf task emits ``k_{d-2}`` over
+        the parents of the block's leaves, so the leaf operator has each
+        leaf's parent row as its column and the leaf's value as its
+        ``data``.
+        """
+        d = self.csf.ndim
+        windows = self._windows[d - 1 if u == d - 1 else self.plan.source_level(u, d)]
+        ops = [self._block_scatter(u, [windows[th] for th in b]) for b in self.blocks]
+        indicator = scatter_operator(
+            np.concatenate([op.targets for op in ops]), self._basis
+        )
+        stage1 = self._context().share_plans([op.matrix for op in ops])
+        return LevelScatter(stage1, indicator)
+
+    def _block_scatter(
+        self, u: int, windows: Sequence[Sequence[LevelSlice]]
+    ) -> ScatterOperator:
+        """One block's stage-1 scatter at level ``u`` over its threads'
+        ``windows``; its ``targets`` are the output rows of its
+        (thread, target) rows."""
+        csf = self.csf
+        n = csf.level_shape(u)
+        key = np.concatenate(
+            [j * n + csf.idx[u][w[u].lo : w[u].hi] for j, w in enumerate(windows)]
+        )
+        if u < csf.ndim - 1:
+            op = scatter_operator(key, self._basis)
+        else:
+            counts = np.concatenate(
+                [child_counts(csf, u - 1, w[u - 1], w[u]) for w in windows]
+            )
+            cols = np.repeat(np.arange(counts.shape[0]), counts)
+            values = csf.values[windows[0][u].lo : windows[-1][u].hi]
+            op = leaf_scatter_operator(key, values, cols, counts.shape[0])
+        return ScatterOperator(op.targets % n, op.matrix)
 
     # ------------------------------------------------------------------
     # dispatch plumbing
@@ -442,19 +497,28 @@ class MemoizedMttkrp(EngineBase):
             raise RuntimeError("engine is closed")
         return self._proc
 
-    def _payloads(self, lf: List[np.ndarray], **extra: Any) -> List[Dict[str, Any]]:
-        """Per-thread task payloads over the current level factors."""
+    def _payloads(
+        self, lf: List[np.ndarray], scatter: Optional[LevelScatter] = None, **extra: Any
+    ) -> List[Dict[str, Any]]:
+        """One payload per block over the current level factors: the
+        shared ``ctx``, the block's threads (``th``), its plans, its
+        scratch and its stage-1 scatter operator."""
         proc = self._context()
-        return proc.payloads(
-            self.num_threads,
-            csf=self._csf_spec,
-            starts=self.partition.starts,
-            factors=proc.refresh_factors(lf),
-            memo=dict(self._memo_handles),
-            scratch=self._scratch,
-            sweeps=self._sweep_ops,
-            **extra,
+        ctx = dict(
+            factors=proc.refresh_factors(lf), memo=dict(self._memo_handles), **extra
         )
+        return [
+            {
+                "ctx": ctx,
+                "th": threads,
+                "block": plan,
+                "scratch": scratch,
+                "scatter": None if scatter is None else scatter.blocks[b],
+            }
+            for b, (threads, plan, scratch) in enumerate(
+                zip(self.blocks, self._plans, self._scratch)
+            )
+        ]
 
     def _charge_factor_reads(self, levels: Sequence[int]) -> None:
         m = self.csf.fiber_counts
@@ -484,14 +548,15 @@ class MemoizedMttkrp(EngineBase):
         keep_levels = sorted(set(self.plan.save_levels) | {0})
         reps = self._replicated_buffers(keep_levels)
         rep = {lvl: self._rep_handles[lvl] for lvl in keep_levels}
-        results = self.pool.run_tasks(mode0_task, self._payloads(lf, rep=rep))
-        # The tasks already accumulated into their slot-disjoint stripes;
-        # recording the ranges in thread-id order (lifecycle + sanitizer
-        # checks) fixes the order merge() folds them in.
-        for th, ranges in enumerate(results):
+        self.pool.run_tasks(mode0_task, self._payloads(lf, rep=rep))
+        # The blocks already accumulated into each thread's slot-disjoint
+        # stripes; recording every thread's ranges in thread-id order
+        # (lifecycle + sanitizer checks) fixes the order merge() folds
+        # them in.  A thread with no leaves wrote nothing.
+        for th, w in enumerate(self._windows[d - 1]):
             for lvl in keep_levels:
-                nlo, nrows = ranges[lvl]
-                reps[lvl].view(th, nlo, nlo + nrows)
+                if w[lvl].count:
+                    reps[lvl].view(th, w[lvl].lo, w[lvl].hi)
 
         proc = self._context()
         for lvl in self.plan.save_levels:
@@ -570,16 +635,20 @@ class MemoizedMttkrp(EngineBase):
     ) -> np.ndarray:
         csf, d, rank = self.csf, self.csf.ndim, self.rank
         out = np.zeros((csf.level_shape(u), rank))
-        payloads = self._payloads(lf, u=u, source=source)
+        proc = self._context()
+        scatter = self._scatter_operators(u)
+        payloads = self._payloads(lf, scatter, u=u, source=source)
         if u == d - 1:
             results = self.pool.run_tasks(leaf_task, payloads)
         elif source == u:
             results = self.pool.run_tasks(memo_direct_task, payloads)
         else:
             results = self.pool.run_tasks(recompute_task, payloads)
-        proc = self._context()
-        for th, (result, op) in enumerate(zip(results, self._scatter_operators(u))):
-            scatter_add_rows(out, op, proc.contribution(self._scratch[th], result))
+        # Stage 2: the blocks' partial sums, in thread order, through one
+        # indicator — each target adds its threads' sums one by one.
+        parts = [proc.contribution(s, r) for s, r in zip(self._scratch, results)]
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        scatter_add_rows(out, scatter.indicator, rows)
         self._charge_mode_u(u, source)
         return out
 
@@ -605,13 +674,13 @@ class MemoizedMttkrp(EngineBase):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the reduction operators and, under the processes
+        """Release the plans and operators and, under the processes
         backend, the shared-memory segments; later kernel calls raise.
         Shared segments are also released by garbage collection; calling
         it explicitly just makes the release deterministic."""
         proc = self._proc
         if proc is not None:
-            self._sweep_ops.clear()
+            self._plans = []
             self._scatter_ops.clear()
             self._reps.clear()
             self._rep_handles.clear()

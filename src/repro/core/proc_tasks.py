@@ -2,91 +2,122 @@
 
 Each parallel kernel is a module-level *task function* dispatched with
 :meth:`SimulatedPool.run_tasks` on all three execution backends — STeF's
-in :mod:`repro.core.mttkrp`, the baselines' beside their engines.  A task
-receives ``{"ctx": ctx, "th": th}`` and reads its operands from ``ctx``;
-this module supplies both ends of that contract:
+in :mod:`repro.core.mttkrp`, one per execution block, the baselines'
+beside their engines, one per simulated thread.  A task receives a
+payload ``{"ctx": ctx, ...}`` and reads its operands from it; this module
+supplies both ends of that contract:
 
 * :class:`ProcessEngineContext` is the coordinator side.  Under the
   ``processes`` backend it owns the engine's
   :class:`~repro.parallel.shm.SharedArena`: immutable operands (the CSF)
   are shared once, factor/memo slots are refreshed in place before each
-  dispatch, and task-written storage (ReplicatedArray buffers, per-thread
+  dispatch, and task-written storage (ReplicatedArray buffers, per-task
   scratch) lives in segments, so payloads carry only small picklable
   tokens.  Under ``serial``/``threads`` it hands out the engine's own
   arrays: no shared memory, no copy.
 * :func:`resolve` / :func:`resolve_csf` are the task side: the identity
-  on an in-process array, :func:`~repro.parallel.shm.attach` on a token.
-* An engine's plan-time segment operators reach its tasks the same way
-  (:meth:`ProcessEngineContext.share_operators`,
-  :func:`resolve_operators`): the operators themselves in-process; across
-  processes their row pointers, packed into one segment per level and
-  shared once, which the task wraps as operators again.  A leaf TTM
-  operator also packs its int32 columns per level; its ``data`` view the
-  CSF values segment the engine already shares.
+  on an in-process operand, :func:`~repro.parallel.shm.attach` on a
+  token.
+* An engine's plan-time *plans* — per task, nested dicts and lists of
+  index arrays and CSR operators — reach its tasks the same way
+  (:meth:`ProcessEngineContext.share_plans`, :func:`resolve_plan`): the
+  plans themselves in-process; across processes every array becomes a
+  :class:`Packed` slice, either of a segment already shared (the CSF
+  values a leaf operator's ``data`` view, the operator basis) or of one
+  segment per dtype that holds the rest of the call's arrays end to end.
+  The task wraps the slices as operators again: no index work, no copy.
 * A task only computes: it creates, charges and returns no traffic
   counter.  Its coordinator charges the whole kernel once, from the
   tensor's level counts.
-* :func:`emit_contrib` hands a per-thread contribution back: through the
-  thread's scratch segment across the process boundary, as the array
-  itself in-process.
+* :func:`emit_contrib` hands a task's rows back: through its slice of
+  the scratch segment across the process boundary, as the array itself
+  in-process.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from ..kernels import INDEX_DTYPE, OperatorBasis, leaf_ttm_operator, segment_operator
+from ..kernels import csr_operator
 from ..parallel.shm import SharedArena, ShmToken, attach
 from ..tensor.csf import CsfTensor
 
 __all__ = [
     "Handle",
-    "OperatorSpec",
+    "Packed",
+    "PackedOperator",
     "ProcessEngineContext",
     "resolve",
     "resolve_csf",
-    "resolve_operators",
+    "resolve_plan",
     "emit_contrib",
 ]
 
-#: A task operand: the array itself in-process, a token across processes.
-Handle = Union[np.ndarray, ShmToken]
-#: Per-task segment operators, ``level -> operator`` for each task.
-TaskOperators = Sequence[Dict[int, csr_array]]
-#: Their task-side spec: the operators in-process, tokens across processes.
-OperatorSpec = Union[TaskOperators, Dict[str, Any]]
 
-_NO_BOUNDS = np.zeros(0, dtype=INDEX_DTYPE)
+class Packed(NamedTuple):
+    """``attach(token)[lo:hi]``: an array that shares a segment with
+    others (a plan's arrays of one dtype, a task's rows of the scratch)
+    or is a slice of an array shared whole."""
+
+    token: ShmToken
+    lo: int
+    hi: int
 
 
-class PackedLevel(NamedTuple):
-    """One level's operators of every task, shared for process workers.
+class PackedOperator(NamedTuple):
+    """A plan's CSR operator across the process boundary: its three
+    arrays as :class:`Packed` slices and its column count."""
 
-    Task ``t``'s row pointers are ``indptr[offsets[t]:offsets[t+1]]``
-    (empty when the task has no operator at this level).  A leaf TTM
-    level also packs its columns (``cols`` at ``col_offsets``) and names
-    the shared CSF values its ``data`` view (``values``, task ``t``'s
-    from ``value_starts[t]``) and the leaf factor's row count.
-    """
+    indptr: Packed
+    indices: Packed
+    data: Packed
+    n_cols: int
 
-    indptr: ShmToken
-    offsets: List[int]
-    cols: Optional[ShmToken] = None
-    col_offsets: Optional[List[int]] = None
-    values: Optional[ShmToken] = None
-    value_starts: Optional[List[int]] = None
-    n_cols: int = 0
+
+class _Slot(NamedTuple):
+    """A plan array's place among the arrays of its dtype while
+    :meth:`ProcessEngineContext.share_plans` packs them."""
+
+    dtype: str
+    index: int
+
+
+#: A task operand: the array (or operator) itself in-process; across
+#: processes a token, a packed slice or a packed operator.
+Handle = Union[np.ndarray, csr_array, ShmToken, Packed, PackedOperator]
+
+
+def _walk(plan: Any, leaf: Callable[[Any], Any]) -> Any:
+    """``plan`` with ``leaf`` applied to everything below its dicts and
+    lists."""
+    if isinstance(plan, dict):
+        return {k: _walk(v, leaf) for k, v in plan.items()}
+    if isinstance(plan, list):
+        return [_walk(v, leaf) for v in plan]
+    return leaf(plan)
 
 
 # ----------------------------------------------------------------------
 # task side
 # ----------------------------------------------------------------------
-def resolve(handle: Handle) -> np.ndarray:
-    """The array behind an operand handle (attached when it is a token)."""
-    return attach(handle) if isinstance(handle, ShmToken) else handle
+def resolve(handle: Handle) -> Any:
+    """The array or operator behind an operand handle: attached when it
+    is a token, sliced when packed, wrapped when a packed operator."""
+    if isinstance(handle, ShmToken):
+        return attach(handle)
+    if isinstance(handle, Packed):
+        return attach(handle.token)[handle.lo : handle.hi]
+    if isinstance(handle, PackedOperator):
+        return csr_operator(
+            resolve(handle.data),
+            resolve(handle.indices),
+            resolve(handle.indptr),
+            handle.n_cols,
+        )
+    return handle
 
 
 def resolve_csf(spec: Union[CsfTensor, Dict[str, Any]]) -> CsfTensor:
@@ -104,41 +135,22 @@ def resolve_csf(spec: Union[CsfTensor, Dict[str, Any]]) -> CsfTensor:
     )
 
 
-def resolve_operators(spec: OperatorSpec, task: int) -> Dict[int, csr_array]:
-    """Task ``task``'s sweep operators, ``level -> operator``: the
-    engine's own in-process; in a process worker, wrapped around the
-    shared row pointers and basis — or, for a leaf TTM operator, its
-    packed columns and the shared CSF values (no index work, no copy)."""
-    if not isinstance(spec, dict):
-        return spec[task]
-    basis = OperatorBasis(*(attach(t) for t in spec["basis"]))
-    ops: Dict[int, csr_array] = {}
-    for level, pack in spec["levels"].items():
-        lo, hi = pack.offsets[task], pack.offsets[task + 1]
-        if hi == lo:
-            continue
-        bounds = attach(pack.indptr)[lo:hi]
-        if pack.cols is None:
-            ops[level] = segment_operator(bounds, basis)
-            continue
-        a, b = pack.col_offsets[task], pack.col_offsets[task + 1]
-        start = pack.value_starts[task]
-        ops[level] = leaf_ttm_operator(
-            bounds,
-            attach(pack.values)[start : start + b - a],
-            attach(pack.cols)[a:b],
-            pack.n_cols,
-        )
-    return ops
+def resolve_plan(plan: Any) -> Any:
+    """A task's plan with every handle in it resolved (:func:`resolve`):
+    the engine's own arrays and operators in-process; in a process
+    worker, views of the shared segments and operators wrapped around
+    them."""
+    return _walk(plan, resolve)
 
 
 def emit_contrib(scratch: Optional[Handle], contrib: np.ndarray) -> Tuple[str, Any]:
-    """Hand a per-thread contribution back to the coordinator.
+    """Hand a task's contribution back to the coordinator.
 
     In-process (no scratch) the array itself travels back.  Across the
-    process boundary the fast path writes into the thread's scratch
-    segment (zero-copy); a contribution whose dtype or size does not fit
-    falls back to pickling, so exactness is never traded for speed.
+    process boundary the fast path writes into the task's slice of the
+    scratch segment (zero-copy); a contribution whose dtype or size does
+    not fit falls back to pickling, so exactness is never traded for
+    speed.
     """
     if scratch is not None:
         buf = resolve(scratch)
@@ -154,9 +166,14 @@ def emit_contrib(scratch: Optional[Handle], contrib: np.ndarray) -> Tuple[str, A
 # ----------------------------------------------------------------------
 def _packed(arena: SharedArena, parts: Sequence[np.ndarray]) -> Tuple[ShmToken, List[int]]:
     """One shared segment holding ``parts`` end to end, and where each
-    part starts (with the total as the last entry)."""
+    part starts (with the total as the last entry).  The parts are
+    copied straight into the segment: no concatenated copy on the heap."""
     offsets = np.cumsum([0] + [p.shape[0] for p in parts]).tolist()
-    return arena.share(np.concatenate(parts)), offsets
+    token = arena.zeros((offsets[-1],), parts[0].dtype)
+    out = arena.array(token)
+    for part, lo, hi in zip(parts, offsets, offsets[1:]):
+        out[lo:hi] = part
+    return token, offsets
 
 
 class ProcessEngineContext:
@@ -172,10 +189,10 @@ class ProcessEngineContext:
         self.arena: Optional[SharedArena] = SharedArena() if shared else None
         self._factor_tokens: Optional[List[ShmToken]] = None
         self._memo_tokens: Dict[int, ShmToken] = {}
-        self._basis: Optional[OperatorBasis] = None
-        # Each shared CSF's values and their segment, so an operator whose
-        # data view them can name the segment instead of copying.
-        self._shared_values: List[Tuple[np.ndarray, ShmToken]] = []
+        # Arrays shared whole (CSF values, basis vectors) and their
+        # segments, so a plan's slice of one names the segment instead of
+        # copying it.
+        self._shared: List[Tuple[np.ndarray, ShmToken]] = []
 
     # ------------------------------------------------------------------
     def share_csf(self, csf: CsfTensor) -> Union[CsfTensor, Dict[str, Any]]:
@@ -184,7 +201,7 @@ class ProcessEngineContext:
         if arena is None:
             return csf
         values = arena.share(csf.values)
-        self._shared_values.append((csf.values, values))
+        self._shared.append((csf.values, values))
         return {
             "mode_order": csf.mode_order,
             "shape": csf.shape,
@@ -194,67 +211,86 @@ class ProcessEngineContext:
             "values": values,
         }
 
-    def share_operators(
-        self, per_task: TaskOperators, basis: OperatorBasis
-    ) -> OperatorSpec:
-        """Task-side spec of per-task sweep operators built over
-        ``basis`` (resolved by :func:`resolve_operators`).  When shared,
-        each level's row pointers are packed into one segment — never a
-        segment per (task, level), which would overrun the workers'
-        attach cache — and the basis is shared once per context.  A leaf
-        TTM level packs its columns the same way; its values are a CSF's
-        that :meth:`share_csf` already shared."""
+    def share_plans(
+        self, plans: Sequence[Any], wholes: Sequence[np.ndarray] = ()
+    ) -> List[Any]:
+        """Task-side specs of per-task plans (resolved by
+        :func:`resolve_plan`): nested dicts and lists of 1-D arrays, CSR
+        operators and small picklable values.  When shared, each of
+        ``wholes`` (the operator basis, the CSF values) is shared once per
+        context, and a plan array that is a slice of one names its
+        segment; the call packs every other array end to end into one
+        segment per dtype, never a segment per array, which would overrun
+        the workers' attach cache."""
         arena = self.arena
         if arena is None:
-            return list(per_task)
-        if self._basis is None:
-            self._basis = OperatorBasis(*(arena.share(v) for v in basis))
-        levels = sorted({level for ops in per_task for level in ops})
-        return {
-            "levels": {
-                level: self._pack_level(arena, [ops.get(level) for ops in per_task])
-                for level in levels
-            },
-            "basis": self._basis,
-        }
+            return list(plans)
+        for whole in wholes:
+            if not any(w is whole for w, _ in self._shared):
+                self._shared.append((whole, arena.share(whole)))
+        parts: Dict[str, List[np.ndarray]] = {}
 
-    def release_operators(self, spec: OperatorSpec) -> None:
-        """Release the segments :meth:`share_operators` packed for
-        ``spec`` (the shared basis and CSF values stay)."""
-        if self.arena is None or not isinstance(spec, dict):
+        # Neither helper calls itself: a self-referencing closure is a
+        # reference cycle, which would keep ``parts`` (every staged array)
+        # alive after the call until the cyclic collector runs.
+        def slot(x: np.ndarray) -> Any:
+            view = self._shared_view(x)
+            if view is not None:
+                return view
+            group = parts.setdefault(x.dtype.str, [])
+            group.append(x)
+            return _Slot(x.dtype.str, len(group) - 1)
+
+        def stage(x: Any) -> Any:
+            if isinstance(x, csr_array):
+                return PackedOperator(
+                    slot(x.indptr), slot(x.indices), slot(x.data), x.shape[1]
+                )
+            return slot(x) if isinstance(x, np.ndarray) else x
+
+        staged = [_walk(p, stage) for p in plans]
+        packed = {dt: _packed(arena, group) for dt, group in parts.items()}
+
+        def place(x: Any) -> Any:
+            if isinstance(x, _Slot):
+                token, offsets = packed[x.dtype]
+                return Packed(token, offsets[x.index], offsets[x.index + 1])
+            return x
+
+        def fill(x: Any) -> Any:
+            if isinstance(x, PackedOperator):
+                return PackedOperator(*(place(a) for a in x[:3]), x.n_cols)
+            return place(x)
+
+        return [_walk(p, fill) for p in staged]
+
+    def release_plans(self, specs: Sequence[Any]) -> None:
+        """Release the segments :meth:`share_plans` packed for ``specs``
+        (the shared basis and CSF values stay)."""
+        arena = self.arena
+        if arena is None:
             return
-        for pack in spec["levels"].values():
-            self.arena.release(pack.indptr)
-            if pack.cols is not None:
-                self.arena.release(pack.cols)
+        kept = {token.name for _, token in self._shared}
+        packed: Dict[str, ShmToken] = {}
 
-    def _pack_level(
-        self, arena: SharedArena, ops: Sequence[Optional[csr_array]]
-    ) -> PackedLevel:
-        """Pack one level's operators (``None`` where a task has none)."""
-        indptr, offsets = _packed(
-            arena, [_NO_BOUNDS if op is None else op.indptr for op in ops]
-        )
-        views = [None if op is None else self._values_view(op.data) for op in ops]
-        shared = [v for v in views if v is not None]
-        if not shared:
-            return PackedLevel(indptr, offsets)
-        cols, col_offsets = _packed(
-            arena, [_NO_BOUNDS if op is None else op.indices for op in ops]
-        )
-        n_cols = next(op.shape[1] for op in ops if op is not None)
-        starts = [0 if v is None else v[1] for v in views]
-        return PackedLevel(
-            indptr, offsets, cols, col_offsets, shared[0][0], starts, n_cols
-        )
+        def collect(x: Any) -> None:
+            for part in x[:3] if isinstance(x, PackedOperator) else (x,):
+                if isinstance(part, Packed) and part.token.name not in kept:
+                    packed[part.token.name] = part.token
 
-    def _values_view(self, data: np.ndarray) -> Optional[Tuple[ShmToken, int]]:
-        """The shared CSF values segment that ``data`` is a slice of and
-        where the slice starts, or ``None`` (an indicator's ones)."""
-        for values, token in self._shared_values:
-            if np.may_share_memory(data, values):
-                start = (data.ctypes.data - values.ctypes.data) // values.itemsize
-                return token, start
+        _walk(list(specs), collect)
+        for token in packed.values():
+            arena.release(token)
+
+    def _shared_view(self, array: np.ndarray) -> Optional[Packed]:
+        """``array`` as a slice of an array shared whole (the CSF values,
+        the basis vectors), or ``None``."""
+        if array.ndim != 1 or not array.flags.c_contiguous:
+            return None
+        for whole, token in self._shared:
+            if array.dtype == whole.dtype and np.may_share_memory(array, whole):
+                start = (array.ctypes.data - whole.ctypes.data) // whole.itemsize
+                return Packed(token, start, start + array.shape[0])
         return None
 
     def share(self, array: np.ndarray) -> Handle:
@@ -267,16 +303,21 @@ class ProcessEngineContext:
 
     def array(self, handle: Handle) -> np.ndarray:
         """Coordinator view of a handle this context returned."""
-        return handle if self.arena is None else self.arena.array(handle)
-
-    def scratch(
-        self, num_threads: int, n_rows: int, rank: int
-    ) -> List[Optional[Handle]]:
-        """Per-thread contribution scratch for :func:`emit_contrib`:
-        segments across processes, none in-process."""
         if self.arena is None:
-            return [None] * num_threads
-        return [self.zeros((n_rows, rank)) for _ in range(num_threads)]
+            return handle
+        if isinstance(handle, Packed):
+            return self.arena.array(handle.token)[handle.lo : handle.hi]
+        return self.arena.array(handle)
+
+    def scratch(self, rows: Sequence[int], rank: int) -> List[Optional[Handle]]:
+        """Contribution scratch for :func:`emit_contrib`, ``rows[t]``
+        rows for task ``t``: slices of one segment across processes, none
+        in-process."""
+        if self.arena is None:
+            return [None] * len(rows)
+        token = self.arena.zeros((sum(rows), rank))
+        ends = np.cumsum(rows).tolist()
+        return [Packed(token, end - n, end) for n, end in zip(rows, ends)]
 
     def contribution(
         self, scratch: Optional[Handle], result: Tuple[str, Any]
@@ -320,7 +361,8 @@ class ProcessEngineContext:
         return token
 
     def payloads(self, num_threads: int, **ctx: Any) -> List[Dict[str, Any]]:
-        """One ``{"ctx", "th"}`` payload per thread, all sharing ``ctx``."""
+        """One ``{"ctx", "th"}`` payload per simulated thread, all sharing
+        ``ctx``."""
         return [{"ctx": ctx, "th": th} for th in range(num_threads)]
 
     def close(self) -> None:

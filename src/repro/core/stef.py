@@ -57,7 +57,8 @@ class CsfEngine(EngineBase):
     trees:
         ``(CsfTensor, MemoPlan)`` pairs, one per CSF copy.
     machine, num_threads:
-        Thread count source (:func:`~repro.engines.base.resolve_num_threads`).
+        Thread count source (:func:`~repro.engines.base.resolve_num_threads`);
+        the machine also sets each tree's execution blocks.
     partition:
         ``"nnz"`` (Algorithm 3) or ``"slice"`` (prior work), for every tree.
     exec_backend, counter, tracer:
@@ -99,6 +100,7 @@ class CsfEngine(EngineBase):
                 plan=plan,
                 num_threads=threads,
                 partition=partition,
+                machine=machine,
                 exec_backend=self.exec_backend,
                 counter=counter,
                 tracer=tracer,

@@ -17,7 +17,9 @@ partition, so engines build them once at plan time and every call is a
 single sparse-dense product: no per-call segment search, no per-call
 sort.  A CSR row adds ``data[p] * rows[col[p]]`` to a running sum from
 zero, left to right, so each segment and each scatter target
-accumulates in position order on every execution backend.
+accumulates in position order on every execution backend — and since no
+row depends on another, operators laid along a diagonal compute each
+part's rows with the same bits.
 
 The callers charge traffic in their own wrappers, never in here, so the
 counted model describes the paper's kernels whatever implements these
@@ -35,6 +37,7 @@ __all__ = [
     "OperatorBasis",
     "ScatterOperator",
     "operator_basis",
+    "csr_operator",
     "segment_operator",
     "scatter_operator",
     "leaf_ttm_operator",
@@ -71,7 +74,7 @@ def operator_basis(capacity: int) -> OperatorBasis:
     return OperatorBasis(np.ones(capacity), np.arange(capacity, dtype=INDEX_DTYPE))
 
 
-def _csr(
+def csr_operator(
     data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, n_cols: int
 ) -> csr_array:
     """A CSR array that keeps all three arrays as given.  The SciPy
@@ -102,7 +105,7 @@ def segment_operator(
     n = int(bounds[-1])
     if basis is None or basis.ones.shape[0] < n:
         basis = operator_basis(n)
-    return _csr(basis.ones[:n], basis.cols[:n], bounds, n)
+    return csr_operator(basis.ones[:n], basis.cols[:n], bounds, n)
 
 
 def leaf_ttm_operator(
@@ -113,7 +116,7 @@ def leaf_ttm_operator(
     matrix, so its product with the leaf factor is the TTM.  Wraps
     ``bounds`` and ``values`` without copying; ``cols`` is copied only
     when it is not already int32."""
-    return _csr(values, np.asarray(cols, dtype=INDEX_DTYPE), bounds, n_cols)
+    return csr_operator(values, np.asarray(cols, dtype=INDEX_DTYPE), bounds, n_cols)
 
 
 def _by_target(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,7 +138,7 @@ def scatter_operator(
     if basis is None or basis.ones.shape[0] < n:
         basis = operator_basis(n)
     order, targets, bounds = _by_target(idx)
-    matrix = _csr(basis.ones[:n], order.astype(INDEX_DTYPE), bounds, n)
+    matrix = csr_operator(basis.ones[:n], order.astype(INDEX_DTYPE), bounds, n)
     return ScatterOperator(targets, matrix)
 
 
@@ -148,7 +151,7 @@ def leaf_scatter_operator(
     expanded to one row per leaf.  Owns the values and columns in stable
     target order."""
     order, targets, bounds = _by_target(idx)
-    matrix = _csr(values[order], cols[order].astype(INDEX_DTYPE), bounds, n_cols)
+    matrix = csr_operator(values[order], cols[order].astype(INDEX_DTYPE), bounds, n_cols)
     return ScatterOperator(targets, matrix)
 
 
@@ -178,8 +181,12 @@ def gather_multiply_rows(
     rows: np.ndarray, factor: np.ndarray, idx: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
     """``rows * factor[idx[lo:hi]]`` — the per-level gather-multiply of
-    the upward/downward sweeps (``rows`` is already ``(hi-lo, R)``)."""
-    return rows * factor[idx[lo:hi]]
+    the upward/downward sweeps (``rows`` is already ``(hi-lo, R)``).  The
+    product is taken in place in the gathered rows, so it allocates one
+    array, not two."""
+    out = np.take(factor, idx[lo:hi], axis=0)
+    out *= rows
+    return out
 
 
 def value_gather_rows(
@@ -203,8 +210,9 @@ def scale_rows_by_values(
 def take_factor_rows(
     factor: np.ndarray, idx: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
-    """``factor[idx[lo:hi]]`` — a plain factor-row gather."""
-    return factor[idx[lo:hi]]
+    """``factor[idx[lo:hi]]`` — a plain factor-row gather (``np.take``,
+    about twice as fast as fancy indexing on row gathers)."""
+    return np.take(factor, idx[lo:hi], axis=0)
 
 
 def repeat_rows(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -2,23 +2,27 @@
 
 The paper's kernels run as OpenMP parallel loops.  Here every kernel is a
 *module-level task function* that :meth:`SimulatedPool.run_tasks` calls
-once per simulated thread with that thread's payload, on one of three
-backends: ``serial`` runs the tasks in order (deterministic, default —
-per-thread *work* is what the study measures, not Python's GIL
-behaviour), ``threads`` on a real ``ThreadPoolExecutor`` (NumPy releases
-the GIL inside kernels, so this exercises genuine concurrency on
-multicore hosts), and ``processes`` on a persistent ``multiprocessing``
-worker pool — the backend where wall-clock genuinely scales with cores,
-because workers never contend for one GIL.
+once per payload — once per *execution block* of consecutive simulated
+threads for the CSF engines (:mod:`repro.core.mttkrp`), once per thread
+for the baselines — on one of three backends: ``serial`` runs the tasks
+in order (deterministic, default — per-thread *work* is what the study
+measures, not Python's GIL behaviour), ``threads`` on a real
+``ThreadPoolExecutor`` (NumPy releases the GIL inside kernels, so this
+exercises genuine concurrency on multicore hosts), and ``processes`` on a
+persistent ``multiprocessing`` worker pool — the backend where
+wall-clock genuinely scales with cores, because workers never contend
+for one GIL.  The pool is sized by the thread count whatever the number
+of tasks, so no block count forks a pool of its own.
 
 The same task body serves all three.  In-process its payload holds the
 engine's own arrays; across the process boundary it holds
 ``multiprocessing.shared_memory`` tokens (:mod:`repro.parallel.shm`,
 :mod:`repro.core.proc_tasks`), and the task is pickled by reference.
-Tasks write through slot-disjoint :class:`ReplicatedArray` stripes or
-return their rows.  Worker pools are shared per thread-count across the
-whole process and shut down atexit, so constructing many engines does
-not fork new interpreters each time.
+Tasks write through slot-disjoint :class:`ReplicatedArray` stripes — a
+block writes each of its threads' stripes — or return their rows.
+Worker pools are shared per thread-count across the whole process and
+shut down atexit, so constructing many engines does not fork new
+interpreters each time.
 
 :class:`ReplicatedArray` implements the paper's conflict-avoidance scheme
 (Sections II-D and III-A): output rows live in a buffer of ``N + T`` rows
@@ -124,7 +128,8 @@ def _timed_task(task_payload: Tuple[Callable[[Any], T], Any]) -> Tuple[float, fl
 
 
 class SimulatedPool:
-    """Runs a task once per simulated thread and collects the results.
+    """Runs a task once per payload (an execution block or a simulated
+    thread) and collects the results.
 
     Parameters
     ----------
@@ -150,8 +155,8 @@ class SimulatedPool:
         self.num_threads = num_threads
         self.backend = backend
         #: Observability hook: when enabled, run_tasks() records one span
-        #: per invocation plus a per-thread ``executor.task`` span on each
-        #: simulated thread's lane (all three backends).
+        #: per invocation plus an ``executor.task`` span per task, on lane
+        #: ``i`` for the ``i``-th payload (all three backends).
         self.tracer = tracer
 
     def run_tasks(
@@ -180,8 +185,8 @@ class SimulatedPool:
             task=getattr(task, "__name__", str(task)),
         ):
             timed = self._dispatch(_timed_task, [(task, p) for p in payloads])
-            for th, (t0, t1, _) in enumerate(timed):
-                tracer.record_span("executor.task", t0, t1, lane=th, thread=th)
+            for i, (t0, t1, _) in enumerate(timed):
+                tracer.record_span("executor.task", t0, t1, lane=i)
         return [res for _, _, res in timed]
 
     def _dispatch(self, fn: Callable[[Any], Any], args: Sequence[Any]) -> List[Any]:

@@ -106,6 +106,15 @@ class JobQueue:
                     return job
                 await self._cond.wait()
 
+    def withdraw(self, job: Job) -> None:
+        """Take back a job admitted by :meth:`push` that never became
+        visible (its admission journal write failed): out of the
+        backlog and the lifetime count, its client's slot freed."""
+        self._heap = [entry for entry in self._heap if entry[2] is not job]
+        heapq.heapify(self._heap)
+        self.submitted -= 1
+        self.release(job)
+
     def release(self, job: Job) -> None:
         """Return a finished (or cancelled) job's per-client slot."""
         client = job.spec.client

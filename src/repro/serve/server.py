@@ -26,7 +26,11 @@ Lifecycle guarantees:
 * a journal write that fails (a full disk, say) fails the job with the
   reason ``journal-failed`` and still frees its slot and wakes its
   waiters; the journal keeps its last state, so the next start re-queues
-  the job, as after a killed daemon.
+  the job, as after a killed daemon.  When the failed write is the
+  admission's, the job was never admitted: it leaves nothing queued,
+  listed or journaled, and the submit is answered ``journal-failed``;
+* :meth:`stop` lets in-flight jobs finish, then ends the handlers of
+  connections a client still holds open, so the loop exits quietly.
 
 Protocol ops (one JSON object per line, one response line each):
 ``ping``, ``submit`` (optionally ``"wait": true``), ``wait``,
@@ -43,7 +47,7 @@ import time
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Set, Union
 
 from .cache import EngineCache
 from .jobs import CANCELLED, DONE, FAILED, QUEUED, RUNNING, Job, Spool
@@ -88,6 +92,8 @@ class DecompositionServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._stopping: Optional[asyncio.Event] = None
+        # The handlers of the open connections.
+        self._connections: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -133,6 +139,12 @@ class DecompositionServer:
         self.cache.close()
         if os.path.exists(self.socket_path):
             os.remove(self.socket_path)
+        # A connection its client holds open would leave its handler
+        # parked in readline() for the loop's teardown to cancel; end
+        # each one here instead.
+        for task in list(self._connections):
+            task.cancel()
+        await asyncio.gather(*self._connections, return_exceptions=True)
 
     def request_stop(self) -> None:
         if self._stopping is not None:
@@ -218,6 +230,9 @@ class DecompositionServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._connections.add(task)
         try:
             while True:
                 line = await reader.readline()
@@ -235,7 +250,13 @@ class DecompositionServer:
                 writer.write(response if isinstance(response, bytes)
                              else encode(response))
                 await writer.drain()
+        except asyncio.CancelledError:
+            # stop() ends the connections still open.  The handler ends
+            # normally: asyncio's stream callback (Python 3.11) reports a
+            # cancelled handler as an unhandled error.
+            pass
         finally:
+            self._connections.discard(task)
             try:
                 writer.close()
             except RuntimeError:
@@ -278,8 +299,13 @@ class DecompositionServer:
         except ClientLimitExceeded as exc:
             return {"ok": False, "error": str(exc), "reason": "client-limit",
                     "retry": True}
+        try:
+            self.spool.write_journal(job)
+        except Exception as exc:  # a full disk, say: admit nothing
+            self.queue.withdraw(job)
+            return {"ok": False, "reason": "journal-failed",
+                    "error": f"journal write failed: {type(exc).__name__}: {exc}"}
         self.jobs[job_id] = job
-        self.spool.write_journal(job)
         if message.get("wait"):
             return await self._terminal_response(job)
         return {"ok": True, "job_id": job_id, "state": job.state}

@@ -3,7 +3,7 @@
 Opt-in observability: pass a :class:`Tracer` to
 :func:`~repro.engines.create_engine` / :func:`~repro.cpd.als.cp_als`
 (or ``repro decompose --trace out.jsonl`` on the CLI) and every ALS
-iteration, MTTKRP kernel, and per-thread task records a span with wall
+iteration, MTTKRP kernel, and dispatched task records a span with wall
 time, attributes, and exact :class:`TrafficCounter` category deltas.
 Export as JSONL run records or Chrome trace-event files.
 

@@ -9,7 +9,8 @@ Two consumers, two formats:
 * :func:`write_chrome_trace` — the Chrome trace-event format
   (``chrome://tracing`` / Perfetto loadable): complete events (``ph:X``)
   in microseconds, one ``tid`` row per lane — the coordinator on its own
-  row, one row per simulated/real thread.
+  row, one row per task (an execution block of a CSF engine, a thread of
+  a baseline).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def read_jsonl(path: str) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 def _lane_tid(lane: int) -> int:
     """Chrome tids must be non-negative; the coordinator gets row 0 and
-    simulated thread ``th`` gets row ``th + 1``."""
+    task lane ``i`` gets row ``i + 1``."""
     return 0 if lane == MAIN_LANE else lane + 1
 
 
@@ -103,7 +104,7 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     events: List[Dict[str, Any]] = []
     lanes = sorted({rec.lane for rec in tracer.records})
     for lane in lanes:
-        name = "coordinator" if lane == MAIN_LANE else f"thread {lane}"
+        name = "coordinator" if lane == MAIN_LANE else f"task {lane}"
         events.append({
             "ph": "M", "pid": 0, "tid": _lane_tid(lane),
             "name": "thread_name", "args": {"name": name},

@@ -6,12 +6,13 @@ only observability into a run was the aggregate
 :class:`~repro.parallel.counters.TrafficCounter` totals and the
 after-the-fact ``profile_method`` table.  This module supplies the
 measurement substrate: a :class:`Tracer` records a tree of **spans**
-(``als.iteration`` → ``mttkrp.mode0`` → per-thread ``executor.task``
+(``als.iteration`` → ``mttkrp.mode0`` → per-task ``executor.task``
 lanes), each carrying
 
 * wall time (``perf_counter`` pairs, relative to the tracer's epoch),
-* a **lane** — ``MAIN_LANE`` for coordinator work, ``th`` for simulated
-  thread ``th``'s task spans (one Chrome-trace row per lane),
+* a **lane** — ``MAIN_LANE`` for coordinator work, ``i`` for the spans
+  of a dispatch's ``i``-th task: execution block ``i`` of a CSF engine,
+  simulated thread ``i`` of a baseline (one Chrome-trace row per lane),
 * free-form numeric/string attributes (``level``, ``mode``, ``nnz``), and
 * optionally the **category deltas** of a :class:`TrafficCounter`
   snapshotted at entry and exit.
@@ -22,7 +23,7 @@ Only *kernel* spans (``mttkrp.mode0`` / ``mttkrp.mode_level``) pass a
 ``counter=``; they never overlap each other, so summing every span's
 deltas reproduces the counter's totals **exactly** — the invariant
 ``tests/test_trace.py`` asserts on all three execution backends.
-Enclosing spans (``als.iteration``) and per-thread task spans carry no
+Enclosing spans (``als.iteration``) and per-task spans carry no
 counter, so nothing is double-counted.
 
 Tracing is **off by default**: the hot path holds a :data:`NULL_TRACER`
@@ -46,8 +47,8 @@ __all__ = [
     "ScopedTracer",
 ]
 
-#: Lane id of coordinator-side (main thread) spans; simulated thread
-#: ``th`` uses lane ``th`` (Chrome export maps lanes to tid rows).
+#: Lane id of coordinator-side (main thread) spans; a dispatch's task
+#: ``i`` uses lane ``i`` (Chrome export maps lanes to tid rows).
 MAIN_LANE = -1
 
 Attr = Union[int, float, str, bool, None]

@@ -5,10 +5,10 @@ import pytest
 
 from repro.core import (
     ancestor_windows,
+    block_downward_k,
+    block_plan,
+    block_upward_sweep,
     scatter_add_rows,
-    serial_upward_sweep,
-    thread_downward_k,
-    thread_level_ranges,
     thread_upward_sweep,
 )
 from repro.core.csf_kernels import child_counts, sweep_operators
@@ -21,6 +21,22 @@ from tests.test_kernels import add_at_weighted, left_to_right_weighted
 
 def level_factors(csf, factors):
     return [factors[m] for m in csf.mode_order]
+
+
+def full_sweep(csf, lf, *, start_level=None, init=None):
+    """Complete ``t`` arrays per level: one range owning every position."""
+    start = csf.ndim - 1 if start_level is None else start_level
+    parts = thread_upward_sweep(
+        csf, lf, 0, csf.fiber_counts[start], start_level=start, init=init
+    )
+    return {level: t for level, (_lo, t) in parts.items()}
+
+
+def downward_k(csf, lf, level, lo, hi, multiply_last=False):
+    """``k`` rows of the node range ``[lo, hi)`` at ``level``, through a
+    one-range block plan."""
+    plan = block_plan(csf, [ancestor_windows(csf, level, lo, hi)], stop_level=level)
+    return block_downward_k(plan, lf, level, multiply_last=multiply_last)
 
 
 def mid_fiber_range(csf):
@@ -67,20 +83,20 @@ class TestScatterAddRows:
 
 class TestWindows:
     def test_leaf_windows_cover_ancestors(self, csf4):
-        windows = thread_level_ranges(csf4, 5, 40)
+        windows = ancestor_windows(csf4, csf4.ndim - 1, 5, 40)
         assert windows[-1].lo == 5 and windows[-1].hi == 40
         for lvl in range(csf4.ndim - 1):
             w = windows[lvl]
             assert 0 <= w.lo < w.hi <= csf4.fiber_counts[lvl]
 
     def test_empty_range(self, csf4):
-        windows = thread_level_ranges(csf4, 7, 7)
+        windows = ancestor_windows(csf4, csf4.ndim - 1, 7, 7)
         assert all(w.count == 0 for w in windows)
 
     def test_ancestor_windows_compose(self, csf4):
         # Ancestors computed from an intermediate level agree with those
         # computed from the leaves.
-        from_leaves = thread_level_ranges(csf4, 10, 60)
+        from_leaves = ancestor_windows(csf4, csf4.ndim - 1, 10, 60)
         lvl = 2
         w = from_leaves[lvl]
         from_mid = ancestor_windows(csf4, lvl, w.lo, w.hi)
@@ -91,7 +107,7 @@ class TestWindows:
 class TestUpwardSweep:
     def test_serial_t0_is_mode0_mttkrp(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
-        ts = serial_upward_sweep(csf, level_factors(csf, factors4))
+        ts = full_sweep(csf, level_factors(csf, factors4))
         out = np.zeros((coo4.shape[0], 4))
         out[csf.idx[0]] = ts[0]
         assert np.allclose(out, mttkrp_dense(coo4.to_dense(), factors4, 0))
@@ -100,7 +116,7 @@ class TestUpwardSweep:
         from repro.ops import partial_mttkrp_dense
 
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
-        ts = serial_upward_sweep(csf, level_factors(csf, factors4))
+        ts = full_sweep(csf, level_factors(csf, factors4))
         dense = coo4.to_dense()
         for lvl in (1, 2):
             ref = partial_mttkrp_dense(dense, factors4, lvl)
@@ -115,7 +131,7 @@ class TestUpwardSweep:
     def test_threaded_partials_merge_to_serial(self, coo4, factors4, threads):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         lf = level_factors(csf, factors4)
-        serial = serial_upward_sweep(csf, lf)
+        serial = full_sweep(csf, lf)
         part = nnz_partition(csf, threads)
         reps = {
             lvl: ReplicatedArray(csf.fiber_counts[lvl], 4, threads)
@@ -132,8 +148,8 @@ class TestUpwardSweep:
     def test_resume_from_memo_matches_full(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         lf = level_factors(csf, factors4)
-        full = serial_upward_sweep(csf, lf)
-        resumed = serial_upward_sweep(csf, lf, start_level=2, init=full[2])
+        full = full_sweep(csf, lf)
+        resumed = full_sweep(csf, lf, start_level=2, init=full[2])
         assert np.allclose(resumed[0], full[0])
         assert np.allclose(resumed[1], full[1])
 
@@ -163,7 +179,7 @@ class TestDownwardK:
     def test_k_rows_match_explicit_krp(self, coo4, factors4, level):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         lf = level_factors(csf, factors4)
-        k = thread_downward_k(csf, lf, level, 0, csf.fiber_counts[level])
+        k = downward_k(csf, lf, level, 0, csf.fiber_counts[level])
         paths = [csf.expand_to_level(i, level, csf.idx[i]) for i in range(level)]
         ref = krp_rows(lf[:level], paths)
         assert np.allclose(k, ref)
@@ -172,8 +188,8 @@ class TestDownwardK:
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         lf = level_factors(csf, factors4)
         level = 2
-        k_excl = thread_downward_k(csf, lf, level, 0, csf.fiber_counts[level])
-        k_incl = thread_downward_k(
+        k_excl = downward_k(csf, lf, level, 0, csf.fiber_counts[level])
+        k_incl = downward_k(
             csf, lf, level, 0, csf.fiber_counts[level], multiply_last=True
         )
         own = np.asarray(lf[level])[csf.idx[level]]
@@ -182,7 +198,7 @@ class TestDownwardK:
     def test_level0_without_last_is_ones(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         lf = level_factors(csf, factors4)
-        k = thread_downward_k(csf, lf, 0, 0, csf.fiber_counts[0])
+        k = downward_k(csf, lf, 0, 0, csf.fiber_counts[0])
         assert np.allclose(k, 1.0)
 
     def test_partial_ranges_concatenate(self, coo4, factors4):
@@ -190,15 +206,15 @@ class TestDownwardK:
         lf = level_factors(csf, factors4)
         level = 2
         n = csf.fiber_counts[level]
-        whole = thread_downward_k(csf, lf, level, 0, n)
+        whole = downward_k(csf, lf, level, 0, n)
         mid = n // 2
-        a = thread_downward_k(csf, lf, level, 0, mid)
-        b = thread_downward_k(csf, lf, level, mid, n)
+        a = downward_k(csf, lf, level, 0, mid)
+        b = downward_k(csf, lf, level, mid, n)
         assert np.allclose(np.vstack([a, b]), whole)
 
     def test_empty_range(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
-        k = thread_downward_k(csf, level_factors(csf, factors4), 2, 4, 4)
+        k = downward_k(csf, level_factors(csf, factors4), 2, 4, 4)
         assert k.shape == (0, 4)
 
 
@@ -263,12 +279,62 @@ class TestLeafOperatorsOnCsf:
         d = csf4.ndim
         lo, hi = mid_fiber_range(csf4)
         parents, window = parents_in_window(csf4, lo, hi)
-        k = thread_downward_k(
-            csf4, lf, d - 2, window.lo, window.hi, multiply_last=True
-        )
+        k = downward_k(csf4, lf, d - 2, window.lo, window.hi, multiply_last=True)
         idx, values = csf4.idx[d - 1][lo:hi], csf4.values[lo:hi]
         op = leaf_scatter_operator(idx, values, parents, window.count)
         n = csf4.level_shape(d - 1)
         out = np.zeros((n, k.shape[1]))
         scatter_add_rows(out, op, k)
         assert np.array_equal(out, add_at_weighted(n, idx, values, parents, k))
+
+
+class TestBlockPlan:
+    """An execution block computes its threads' rows laid end to end,
+    bit for bit, whatever the block's threads and wherever they cut."""
+
+    @staticmethod
+    def thread_windows(csf, level, threads):
+        part = nnz_partition(csf, threads)
+        return [
+            ancestor_windows(
+                csf, level, int(part.starts[th, level]), int(part.starts[th + 1, level])
+            )
+            for th in range(threads)
+        ]
+
+    @pytest.mark.parametrize("threads", [3, 11])
+    def test_upward_rows_are_the_threads_rows_stacked(self, csf4, factors4, threads):
+        lf = level_factors(csf4, factors4)
+        d = csf4.ndim
+        windows = self.thread_windows(csf4, d - 1, threads)
+        for first, stop in ((0, threads), (1, threads - 1), (2, 3)):
+            plan = block_plan(csf4, windows[first:stop], stop_level=0)
+            got = block_upward_sweep(
+                plan, lf, start_level=d - 1, stop_level=0, keep=range(d - 1)
+            )
+            for level in range(d - 1):
+                want = [
+                    thread_upward_sweep(csf4, lf, w[d - 1].lo, w[d - 1].hi)[level][1]
+                    for w in windows[first:stop]
+                ]
+                assert np.array_equal(got[level], np.concatenate(want)), level
+
+    def test_resumed_rows_and_k_are_the_threads_stacked(self, csf4, factors4):
+        lf = level_factors(csf4, factors4)
+        init = full_sweep(csf4, lf)[2]
+        windows = self.thread_windows(csf4, 2, 5)
+        plan = block_plan(csf4, windows[1:4], stop_level=1)
+        got = block_upward_sweep(
+            plan, lf, start_level=2, stop_level=1, init=init, keep=(1,)
+        )[1]
+        want = [
+            thread_upward_sweep(
+                csf4, lf, w[2].lo, w[2].hi, start_level=2, init=init, stop_level=1
+            )[1]
+            for w in windows[1:4]
+        ]
+        assert np.array_equal(got, np.concatenate([t for _, t in want]))
+        k = block_downward_k(plan, lf, 1)
+        assert np.array_equal(
+            k, np.concatenate([downward_k(csf4, lf, 1, lo, lo + t.shape[0]) for lo, t in want])
+        )

@@ -39,3 +39,23 @@ class TestBehaviour:
     def test_frozen(self):
         with pytest.raises(Exception):
             INTEL_CLX_18.num_threads = 2
+
+
+class TestExecutionBlocks:
+    def test_rule_on_uber_sizes(self):
+        # Rank 16 on intel-clx-18: a block's rows x R fit one eighth of
+        # a core's cache share (171,875 bytes).
+        blocks = [INTEL_CLX_18.execution_blocks(n, 16, 18) for n in (2_000, 20_000, 200_000)]
+        assert blocks == [2, 15, 18]
+
+    def test_at_least_one_at_most_one_per_thread(self):
+        assert INTEL_CLX_18.execution_blocks(0, 16, 18) == 1
+        assert INTEL_CLX_18.execution_blocks(10**9, 16, 18) == 18
+        assert INTEL_CLX_18.execution_blocks(10**9, 16, 5) == 5
+        tiny = INTEL_CLX_18.with_cache_scale(1e-9)
+        assert tiny.execution_blocks(100, 4, 7) == 7
+
+    def test_more_cache_fewer_blocks(self):
+        small = INTEL_CLX_18.execution_blocks(200_000, 16, 64)
+        large = AMD_TR_64.execution_blocks(200_000, 16, 64)
+        assert large < small

@@ -169,7 +169,7 @@ class TestPlanTimeOperators:
         from repro.core import csf_kernels, mttkrp
         from repro.engines import create_engine
 
-        calls = {"sweep": 0, "scatter": 0, "leaf_ttm": 0, "leaf_scatter": 0}
+        calls = {"plan": 0, "scatter": 0, "leaf_ttm": 0, "leaf_scatter": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -178,16 +178,12 @@ class TestPlanTimeOperators:
 
             return wrapper
 
-        # The engine's builder, and the one a sweep falls back on when it
-        # is called without operators.
-        for module in (mttkrp, csf_kernels):
-            monkeypatch.setattr(
-                module, "sweep_operators", counted("sweep", module.sweep_operators)
-            )
+        # The engine's plan builder (gathers, counts, sweep operators).
+        monkeypatch.setattr(mttkrp, "block_plan", counted("plan", mttkrp.block_plan))
         monkeypatch.setattr(
             mttkrp, "scatter_operator", counted("scatter", mttkrp.scatter_operator)
         )
-        # The value-weighted leaf operators: W inside every leaf sweep's
+        # The value-weighted leaf operators: W inside every leaf plan's
         # build, M beside the scatter operators.
         monkeypatch.setattr(
             csf_kernels, "leaf_ttm_operator",
@@ -207,7 +203,8 @@ class TestPlanTimeOperators:
             first = engine.iteration_results(factors)
             built = dict(calls)
             assert all(n > 0 for n in built.values()), built
-            # One W and one M per thread.
+            # One W and one M per block: without a machine model each of
+            # the 3 threads is its own block.
             assert built["leaf_ttm"] == built["leaf_scatter"] == 3
             for _ in range(3):
                 again = engine.iteration_results(factors)
@@ -216,12 +213,13 @@ class TestPlanTimeOperators:
                 assert mode_a == mode_b and np.array_equal(a, b)
 
     def test_process_tasks_wrap_the_shared_operator_arrays(self, coo4):
-        """Under processes a task's operators are the engine's row
-        pointers and basis, re-wrapped: views of the shared segments,
-        equal to the in-process operators, with no index work.  The leaf
-        TTM operator W (level d-2 of the leaf sweep) views the shared CSF
-        values and its packed columns instead of the basis."""
-        from repro.core.proc_tasks import resolve_operators
+        """Under processes a task's plan is the engine's, re-wrapped: its
+        gathers and counts are views of one shared segment per dtype, its
+        operators wrap the shared row pointers and basis, equal to the
+        in-process ones, with no index work.  The leaf TTM operator W
+        (level d-2 of the leaf plan) views the shared CSF values and its
+        packed columns instead of the basis."""
+        from repro.core.proc_tasks import Packed, resolve_plan
         from repro.parallel.shm import attach
 
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
@@ -229,41 +227,51 @@ class TestPlanTimeOperators:
         local = MemoizedMttkrp(csf, 4, **kwargs)
         leaf = csf.ndim - 1
         with MemoizedMttkrp(csf, 4, exec_backend="processes", **kwargs) as shared:
-            values = attach(shared._csf_spec["values"])
-            assert shared._sweep_ops.keys() == local._sweep_ops.keys()
+            assert len(shared._plans) == len(local._plans) == 3
             wrapped_w = 0
-            for start, spec in shared._sweep_ops.items():
-                assert isinstance(spec, dict)
-                ones, cols = (attach(t) for t in spec["basis"])
-                wrapped = 0
-                for th in range(3):
-                    ops = resolve_operators(spec, th)
-                    expected = local._sweep_ops[start][th]
-                    assert ops.keys() == expected.keys()
-                    for level, op in ops.items():
-                        pack = spec["levels"][level]
-                        assert np.shares_memory(op.indptr, attach(pack.indptr))
-                        if start == leaf and level == leaf - 1:
+            basis, segments = set(), set()
+            for spec, expected in zip(shared._plans, local._plans):
+                assert spec.keys() == expected.keys()
+                for r, family in spec.items():
+                    got = resolve_plan(family)
+                    for key in ("gather", "counts"):
+                        for packed, a, b in zip(family[key], got[key], expected[r][key]):
+                            assert isinstance(packed, Packed)
+                            assert np.shares_memory(a, attach(packed.token))
+                            assert np.array_equal(a, b)
+                            segments.add(packed.token.name)
+                    assert got["ops"].keys() == expected[r]["ops"].keys()
+                    for level, op in got["ops"].items():
+                        packed = family["ops"][level]
+                        assert np.shares_memory(op.indptr, attach(packed.indptr.token))
+                        if r == leaf and level == leaf - 1:
+                            values = attach(packed.data.token)
+                            assert np.array_equal(values, csf.values)
                             assert np.shares_memory(op.data, values)
-                            assert np.shares_memory(op.indices, attach(pack.cols))
-                            assert not np.shares_memory(op.indices, cols)
+                            assert np.shares_memory(
+                                op.indices, attach(packed.indices.token)
+                            )
                             wrapped_w += 1
                         else:
-                            assert pack.cols is None
-                            assert np.shares_memory(op.data, ones)
-                            assert np.shares_memory(op.indices, cols)
-                        assert np.array_equal(op.indptr, expected[level].indptr)
-                        assert np.array_equal(op.indices, expected[level].indices)
-                        assert np.array_equal(op.data, expected[level].data)
-                        assert op.shape == expected[level].shape
-                        wrapped += 1
-                assert wrapped > 0
+                            assert np.shares_memory(op.data, attach(packed.data.token))
+                            basis.add((packed.data.token, packed.indices.token))
+                        want = expected[r]["ops"][level]
+                        assert np.array_equal(op.indptr, want.indptr)
+                        assert np.array_equal(op.indices, want.indices)
+                        assert np.array_equal(op.data, want.data)
+                        assert op.shape == want.shape
             assert wrapped_w == 3
+            # Every indicator views one basis; the int64 gathers and
+            # counts of every block share one segment.
+            assert len(basis) == 1
+            assert len(segments) == 1
 
     def test_leaf_scatter_weights_each_leaf_into_its_parents_row(self, coo4):
-        """Thread ``th``'s leaf scatter operator M applied to ``k_{d-2}``
+        """Thread ``th``'s leaf scatter matrix M applied to ``k_{d-2}``
         over its level-(d-2) window adds ``v_p · k[parent(p)]`` into row
-        ``idx[p]`` for every leaf it owns, ranges cut mid-fiber included."""
+        ``idx[p]`` for every leaf it owns, ranges cut mid-fiber included.
+        Without a machine model each thread is its own block, so its
+        block's stage-1 operator is M itself."""
         from tests.test_kernels import add_at_weighted
 
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
@@ -271,6 +279,7 @@ class TestPlanTimeOperators:
         # 11 threads: two of the nnz partition's cuts fall mid-fiber.
         threads = 11
         engine = MemoizedMttkrp(csf, 4, num_threads=threads)
+        assert len(engine.blocks) == threads
         rng = np.random.default_rng(7)
         n = csf.level_shape(d - 1)
         ptr = csf.ptr[d - 2]
@@ -280,11 +289,12 @@ class TestPlanTimeOperators:
             first = np.searchsorted(ptr, lo, side="right") - 1
             parents = np.searchsorted(ptr, np.arange(lo, hi), side="right") - 1 - first
             cut += ptr[first] < lo
-            op = engine._scatter_operators(d - 1)[th]
+            op = engine._scatter_operators(d - 1).blocks[th]
+            targets = np.unique(csf.idx[d - 1][lo:hi])
             x = rng.standard_normal((int(parents[-1]) + 1, 4))
-            assert op.matrix.shape == (op.targets.size, x.shape[0])
+            assert op.shape == (targets.size, x.shape[0])
             got = np.zeros((n, 4))
-            got[op.targets] += op.matrix @ x
+            got[targets] += op @ x
             idx, values = csf.idx[d - 1][lo:hi], csf.values[lo:hi]
             assert np.array_equal(got, add_at_weighted(n, idx, values, parents, x))
         assert cut > 0
@@ -298,16 +308,16 @@ class TestPlanTimeOperators:
             plan=MemoPlan((2,)), num_threads=3,
         )
         engine.iteration_results(make_factors(coo4.shape, 4, seed=3))
-        # M (the leaf scatter operator), W (the leaf sweep's level-2
+        # M (the leaf scatter operator), W (the leaf plan's level-2
         # operator) and the indicators beside them.
-        leaf_scatter = engine._scatter_ops[3][0].matrix
-        leaf_ttm = engine._sweep_ops[3][0][2]
+        leaf_scatter = engine._scatter_ops[3].blocks[0]
+        leaf_ttm = engine._plans[0][3]["ops"][2]
         assert np.shares_memory(leaf_ttm.data, engine.csf.values)
         assert not np.array_equal(leaf_scatter.data, np.ones(leaf_scatter.nnz))
-        refs = [weakref.ref(leaf_scatter), weakref.ref(engine._scatter_ops[2][0].matrix)] + [
+        refs = [weakref.ref(leaf_scatter), weakref.ref(engine._scatter_ops[2].blocks[0])] + [
             weakref.ref(op)
-            for per_thread in engine._sweep_ops.values()
-            for op in per_thread[0].values()
+            for family in engine._plans[0].values()
+            for op in family["ops"].values()
         ]
         del leaf_scatter, leaf_ttm
         assert len(refs) > 3
@@ -316,3 +326,103 @@ class TestPlanTimeOperators:
         assert all(ref() is None for ref in refs)
         with pytest.raises(RuntimeError, match="engine is closed"):
             engine.mode0(make_factors(coo4.shape, 4, seed=3))
+
+    def test_shared_plans_are_freed_without_the_cycle_collector(self, coo4):
+        """Packing plans for process workers leaves no reference cycle:
+        an engine that shared them, ran a set and closed is freed as soon
+        as its last reference goes, heap copies included, not at the
+        collector's next pass."""
+        import gc
+
+        csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
+        factors = make_factors(coo4.shape, 4, seed=3)
+        gc.collect()
+        with MemoizedMttkrp(
+            csf, 4, plan=MemoPlan((2,)), num_threads=3, exec_backend="processes"
+        ) as engine:
+            engine.iteration_results(factors)
+        del engine
+        assert gc.collect() == 0
+
+
+class TestExecutionBlocks:
+    """Whatever the machine model makes of the block count — one block,
+    a few, one per thread — every output has the machine-less engine's
+    bits (one block per thread), on every backend."""
+
+    THREADS = 4
+    RANK = 3
+
+    @classmethod
+    def machine_for(cls, blocks, nnz):
+        """intel-clx-18 with its cache scaled so a kernel over ``nnz``
+        non-zeros runs as ``blocks`` execution blocks."""
+        from repro.parallel import INTEL_CLX_18
+        from repro.parallel.machine import BLOCK_CACHE_DIVISOR
+
+        per_block = nnz * cls.RANK * INTEL_CLX_18.element_bytes / (blocks - 0.5)
+        cache = per_block * INTEL_CLX_18.num_threads * BLOCK_CACHE_DIVISOR
+        return INTEL_CLX_18.with_cache_scale(cache / INTEL_CLX_18.cache_bytes)
+
+    @pytest.mark.parametrize("exec_backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("save", ["none", "one", "all"])
+    @pytest.mark.parametrize("partition", ["nnz", "slice"])
+    @pytest.mark.parametrize("shape", [(30, 20, 14), (12, 10, 9, 7)], ids=["3d", "4d"])
+    def test_every_block_count_gives_the_machine_less_bits(
+        self, monkeypatch, exec_backend, save, partition, shape
+    ):
+        from repro.core import csf_kernels, mttkrp
+        from repro.engines import create_engine
+        from repro.tensor import random_tensor
+        from repro.trace import Tracer
+
+        builds = {"n": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                builds["n"] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (mttkrp, "block_plan"),
+            (mttkrp, "scatter_operator"),
+            (mttkrp, "leaf_scatter_operator"),
+            (csf_kernels, "segment_operator"),
+            (csf_kernels, "leaf_ttm_operator"),
+        ):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        tensor = random_tensor(shape, nnz=500, seed=5)
+        d = tensor.ndim
+        levels = {"none": (), "one": (1,), "all": tuple(range(1, d - 1))}[save]
+        factors = make_factors(shape, self.RANK, seed=6)
+        opts = dict(
+            plan=MemoPlan(levels), swap_last_two=False, partition=partition,
+            num_threads=self.THREADS, exec_backend=exec_backend,
+        )
+        with create_engine("stef", tensor, self.RANK, **opts) as reference:
+            assert len(reference.trees[0].blocks) == self.THREADS
+            want = reference.iteration_results(factors)
+        for blocks in (1, 2, self.THREADS):
+            tracer = Tracer()
+            machine = self.machine_for(blocks, tensor.nnz)
+            with create_engine(
+                "stef", tensor, self.RANK, machine=machine, tracer=tracer, **opts
+            ) as engine:
+                assert len(engine.trees[0].blocks) == blocks
+                first = engine.iteration_results(factors)
+                built = builds["n"]
+                again = engine.iteration_results(factors)
+                assert builds["n"] == built, "built after the first set"
+            for got in (first, again):
+                for (mode_a, a), (mode_b, b) in zip(got, want):
+                    assert mode_a == mode_b and np.array_equal(a, b), (blocks, mode_a)
+            dispatches = tracer.spans("executor.run_tasks")
+            assert len(dispatches) == 2 * d
+            for dispatch in dispatches:
+                tasks = [
+                    r for r in tracer.spans("executor.task")
+                    if r.parent_id == dispatch.span_id
+                ]
+                assert len(tasks) == blocks

@@ -24,7 +24,10 @@ server:
   count intact;
 * **journal faults** — a terminal journal write that fails (a full disk)
   fails the job with the reason instead of hanging its waiters or
-  holding its client's slot, and the next start re-queues it.
+  holding its client's slot, and the next start re-queues it; an
+  admission write that fails admits nothing;
+* **quiet shutdown** — a ``shutdown`` sent on a connection its client
+  holds open ends the daemon with exit code 0 and no traceback.
 """
 
 import errno
@@ -612,6 +615,71 @@ class TestJournalFailure:
         finally:
             handle.stop()
         assert (job["state"], job["attempts"]) == ("done", 2), job["error"]
+
+    def test_failed_admission_write_admits_nothing(self, tmp_path, monkeypatch):
+        """The ``queued`` journal write raises ENOSPC: the submit is
+        answered ``journal-failed``, and the job is not queued, listed,
+        journaled or run, nor does it hold its client's slot."""
+        write_journal = Spool.write_journal
+
+        def full_disk_at_admission(spool, job):
+            if job.state == "queued":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write_journal(spool, job)
+
+        monkeypatch.setattr(Spool, "write_journal", full_disk_at_admission)
+        sock = str(tmp_path / "s.sock")
+        spool_dir = tmp_path / "spool"
+        tensor = random_tensor((8, 7, 6), nnz=80, seed=14)
+        handle = start_in_thread(sock, str(spool_dir), workers=1)
+        wait_for_socket(sock)
+        try:
+            with ServeClient(sock, timeout=30.0) as client:
+                with pytest.raises(ServeError) as excinfo:
+                    client.submit(make_spec(tensor, client="c"))
+                assert excinfo.value.reason == "journal-failed"
+                assert os.strerror(errno.ENOSPC) in str(excinfo.value)
+                time.sleep(0.5)  # a queued job would have run by now
+                assert client.jobs() == []
+                stats = client.stats()
+                assert (stats["queue.depth"], stats["queue.submitted"]) == (0, 0)
+                assert (stats["jobs.total"], stats["jobs.completed"]) == (0, 0)
+                assert handle.server.queue.in_flight("c") == 0
+                assert os.listdir(spool_dir / "jobs") == []
+                # The next admission that can be journaled runs.
+                monkeypatch.setattr(Spool, "write_journal", write_journal)
+                job = client.submit(make_spec(tensor, client="c"), wait=True)
+                assert job["state"] == "done", job["error"]
+        finally:
+            handle.stop()
+
+
+class TestShutdown:
+    def test_shutdown_on_a_held_connection_exits_quietly(self, tmp_path):
+        """``shutdown`` sent on a connection the client keeps open: the
+        daemon exits 0 and prints no traceback."""
+        sock = str(tmp_path / "s.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock,
+             "--spool", str(tmp_path / "spool"), "--workers", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            wait_for_socket(sock)
+            with socket.socket(socket.AF_UNIX) as conn:
+                conn.connect(sock)
+                conn.sendall(b'{"op":"shutdown"}\n')
+                assert json.loads(conn.makefile("rb").readline())["ok"]
+                time.sleep(1.5)  # held open while the daemon stops
+                _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert proc.returncode == 0
+        assert b"Traceback" not in stderr, stderr.decode()
 
 
 class TestCrashRecovery:

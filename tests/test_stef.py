@@ -334,21 +334,21 @@ class TestCsfEngineRouting:
     def test_trees_build_the_scatter_operators_of_their_routed_levels(
         self, name, workload3, monkeypatch
     ):
-        """A tree builds level ``u``'s scatter operators, one per thread,
-        when ``u > 0`` is routed to it, and no others (splatt-all used to
+        """A tree builds level ``u``'s scatter operators, once, when
+        ``u > 0`` is routed to it, and no others (splatt-all used to
         build them for every level of every tree and run none); a closed
         engine builds nothing."""
         from repro.core import mttkrp
 
         t, factors = workload3
         built = {}
-        build = mttkrp.MemoizedMttkrp._scatter_operator
+        build = mttkrp.MemoizedMttkrp._build_scatter
 
-        def counted(tree, u, th, basis):
+        def counted(tree, u):
             built[id(tree), u] = built.get((id(tree), u), 0) + 1
-            return build(tree, u, th, basis)
+            return build(tree, u)
 
-        monkeypatch.setattr(mttkrp.MemoizedMttkrp, "_scatter_operator", counted)
+        monkeypatch.setattr(mttkrp.MemoizedMttkrp, "_build_scatter", counted)
         closed = create_engine(name, t, 4, num_threads=3)
         closed.close()
         for level in range(t.ndim):
@@ -358,6 +358,7 @@ class TestCsfEngineRouting:
         with create_engine(name, t, 4, num_threads=3) as engine:
             engine.iteration_results(factors)
             routed = [engine.route(level) for level in range(t.ndim)]
+            engine.iteration_results(factors)
             assert built == {
-                (id(tree), depth): 3 for tree, depth in routed if depth > 0
+                (id(tree), depth): 1 for tree, depth in routed if depth > 0
             }

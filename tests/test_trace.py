@@ -38,13 +38,13 @@ BACKENDS = ("serial", "threads", "processes")
 MACHINE = MACHINES["intel-clx-18"]
 
 
-def traced_run(exec_backend, method="stef", iters=2, threads=2):
+def traced_run(exec_backend, method="stef", iters=2, threads=2, machine=MACHINE):
     """One traced cp_als run; returns (tracer, counter)."""
     tensor = random_tensor((10, 8, 6), nnz=120, seed=3)
     tracer = Tracer(tensor="unit", method=method, exec_backend=exec_backend)
     counter = TrafficCounter(cache_elements=MACHINE.cache_elements)
     with create_engine(
-        method, tensor, 4, machine=MACHINE, num_threads=threads,
+        method, tensor, 4, machine=machine, num_threads=threads,
         exec_backend=exec_backend, counter=counter, tracer=tracer,
     ) as engine:
         cp_als(
@@ -161,7 +161,8 @@ class TestExports:
         assert kinds.count("span") == len(tracer.records)
 
     def test_chrome_trace_structure(self, tmp_path):
-        tracer, _ = traced_run("threads", threads=2)
+        # Without a machine model each thread is its own execution block.
+        tracer, _ = traced_run("threads", threads=2, machine=None)
         path = str(tmp_path / "run.chrome.json")
         write_chrome_trace(tracer, path)
         with open(path) as fh:
@@ -170,11 +171,11 @@ class TestExports:
         complete = [e for e in events if e["ph"] == "X"]
         meta = [e for e in events if e["ph"] == "M"]
         assert len(complete) == len(tracer.records)
-        # coordinator row + one row per simulated thread, all labeled
+        # coordinator row + one row per task, all labeled
         tids = {e["tid"] for e in complete}
         assert 0 in tids and len(tids) >= 3
         assert {e["args"]["name"] for e in meta} >= {
-            "coordinator", "thread 0", "thread 1",
+            "coordinator", "task 0", "task 1",
         }
         for event in complete:
             assert event["ts"] >= 0.0
