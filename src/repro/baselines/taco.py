@@ -16,10 +16,10 @@ The reimplementation mirrors that characterization:
 
 The chunk granularity controls how many root slices each simulated-thread
 task covers: small chunks approximate dynamic scheduling (better balance,
-more scheduling overhead), large chunks the static slice deal.  The
-segment operators of every chunk's sweep are built per (mode, chunk
-size) before that chunk size runs, so neither a probe nor a tuned
-sweep pays for index work.
+more scheduling overhead), large chunks the static slice deal.  Each
+chunk's sweep is a one-range :func:`~repro.core.csf_kernels.block_plan`,
+built per (mode, chunk size) before that chunk size runs, so neither a
+probe nor a tuned sweep pays for index work.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.csf_kernels import sweep_operators, thread_upward_sweep
+from ..core.csf_kernels import ancestor_windows, block_plan, block_upward_sweep
 from ..core.mttkrp import charge_sweep
 from ..core.proc_tasks import (
     ProcessEngineContext,
@@ -38,7 +38,7 @@ from ..core.proc_tasks import (
     resolve_plan,
 )
 from ..engines.base import EngineBase, resolve_exec_backend, resolve_num_threads
-from ..kernels import operator_basis
+from ..kernels import OperatorBasis, operator_basis
 from ..parallel.counters import NULL_COUNTER, TrafficCounter
 from ..parallel.executor import SimulatedPool
 from ..parallel.machine import MachineSpec
@@ -60,22 +60,28 @@ def _chunk_leaves(csf: CsfTensor, s_lo: int, s_hi: int) -> Tuple[int, int]:
     return csf.leaf_span(0, s_lo)[0], csf.leaf_span(0, s_hi - 1)[1]
 
 
-def _taco_sweep_task(payload: Dict[str, Any]) -> List[Tuple[int, np.ndarray]]:
-    """One thread's round-robin chunk deal: the chunk partials in deal
-    order (the coordinator accumulates them in thread-id order).  Dealing
-    chunks round-robin is the dynamic-ish schedule that buys TACO its
-    balance edge over a static deal."""
+def _chunk_plan(csf: CsfTensor, s_lo: int, s_hi: int, basis: OperatorBasis) -> Dict[str, Any]:
+    """The sweep plan of the root slices ``[s_lo, s_hi)``: one range of
+    leaves, whose window at level 0 is those slices."""
+    windows = ancestor_windows(csf, csf.ndim - 1, *_chunk_leaves(csf, s_lo, s_hi))
+    return block_plan(csf, [windows], stop_level=0, basis=basis)
+
+
+def _taco_sweep_task(payload: Dict[str, Any]) -> List[np.ndarray]:
+    """One thread's round-robin chunk deal: each chunk's root rows, in
+    deal order (the coordinator accumulates them in thread-id order).
+    Dealing chunks round-robin is the dynamic-ish schedule that buys TACO
+    its balance edge over a static deal."""
     ctx, th = payload["ctx"], payload["th"]
     csf = resolve_csf(ctx["csf"])
     lf = [resolve(ctx["factors"][m]) for m in csf.mode_order]
-    tasks, pool_t = ctx["tasks"], ctx["pool_t"]
-    results: List[Tuple[int, np.ndarray]] = []
-    for ti in range(th, len(tasks), pool_t):
-        leaf_lo, leaf_hi = _chunk_leaves(csf, *tasks[ti])
-        ops = resolve_plan(ctx["ops"][ti])
-        res = thread_upward_sweep(csf, lf, leaf_lo, leaf_hi, stop_level=0, ops=ops)
-        results.append(res[0])
-    return results
+    plans, pool_t, d = ctx["plans"], ctx["pool_t"], csf.ndim
+    return [
+        block_upward_sweep(
+            resolve_plan(plans[ti]), lf, start_level=d - 1, stop_level=0, keep=(0,)
+        )[0]
+        for ti in range(th, len(plans), pool_t)
+    ]
 
 
 class TacoBackend(EngineBase):
@@ -114,13 +120,13 @@ class TacoBackend(EngineBase):
         # refreshed before every dispatch; otherwise the engine's arrays.
         self._ctx = ProcessEngineContext(shared=self.pool.backend == "processes")
         self._csf_specs = [self._ctx.share_csf(c) for c in self.csfs]
-        #: Chunk sweeps' segment operators, keyed by (mode, chunk size).
-        self._ops: Optional[Dict[Tuple[int, int], List[Any]]] = {}
+        #: Chunk sweeps' plans, keyed by (mode, chunk size).
+        self._plans: Optional[Dict[Tuple[int, int], List[Any]]] = {}
         self._basis = operator_basis(tensor.nnz)
         if autotune:
             self.autotune()
         for mode in range(d):
-            self._operators(mode)
+            self._chunk_plans(mode)
 
     # ------------------------------------------------------------------
     def autotune(self) -> int:
@@ -138,7 +144,7 @@ class TacoBackend(EngineBase):
         )
         for chunk in CHUNK_GRID:
             self.chunk_slices = chunk
-            self._operators(0)  # index work stays out of the probe's time
+            self._chunk_plans(0)  # index work stays out of the probe's time
             t1 = time.perf_counter()
             self._sweep_mode(0, probe)
             dt = time.perf_counter() - t1
@@ -147,9 +153,9 @@ class TacoBackend(EngineBase):
             if score < best[0]:
                 best = (score, chunk)
         self.chunk_slices = best[1]
-        ops = self._ops or {}
-        for key in [k for k in ops if k[1] != self.chunk_slices]:
-            self._ctx.release_plans(ops.pop(key))
+        plans = self._plans or {}
+        for key in [k for k in plans if k[1] != self.chunk_slices]:
+            self._ctx.release_plans(plans.pop(key))
         self.tuning_seconds = time.perf_counter() - t0
         return self.chunk_slices
 
@@ -160,28 +166,25 @@ class TacoBackend(EngineBase):
         edges = list(range(0, n_slices, self.chunk_slices)) + [n_slices]
         return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
 
-    def _operators(self, mode: int) -> List[Any]:
-        """The segment operators of ``mode``'s chunk sweeps at the current
-        chunk size, built on first use and kept by the engine."""
-        if self._ops is None:
+    def _chunk_plans(self, mode: int) -> List[Any]:
+        """The plans of ``mode``'s chunk sweeps at the current chunk size,
+        built on first use and kept by the engine."""
+        if self._plans is None:
             raise RuntimeError("engine is closed")
         key = (mode, self.chunk_slices)
-        spec = self._ops.get(key)
+        spec = self._plans.get(key)
         if spec is None:
             csf = self.csfs[mode]
             spec = self._ctx.share_plans(
-                [
-                    sweep_operators(csf, *_chunk_leaves(csf, *task), basis=self._basis)
-                    for task in self._task_bounds(csf)
-                ],
+                [_chunk_plan(csf, *task, self._basis) for task in self._task_bounds(csf)],
                 self._basis,
             )
-            self._ops[key] = spec
+            self._plans[key] = spec
         return spec
 
     def _sweep_mode(self, mode: int, factors: Sequence[np.ndarray]) -> np.ndarray:
         """Mode ``mode``'s root sweep over its tuned chunks, uncharged."""
-        ops = self._operators(mode)
+        plans = self._chunk_plans(mode)
         csf = self.csfs[mode]
         out = np.zeros((csf.level_shape(0), self.rank))
         tasks = self._task_bounds(csf)
@@ -192,13 +195,13 @@ class TacoBackend(EngineBase):
             pool_t,
             csf=self._csf_specs[mode],
             factors=self._ctx.refresh_factors(factors),
-            tasks=tasks,
-            ops=ops,
+            plans=plans,
             pool_t=pool_t,
         )
-        for chunk_results in self.pool.run_tasks(_taco_sweep_task, payloads):
-            for nlo, tp in chunk_results:
-                out[csf.idx[0][nlo : nlo + tp.shape[0]]] += tp
+        results = self.pool.run_tasks(_taco_sweep_task, payloads)
+        for th, chunk_rows in enumerate(results):
+            for (s_lo, s_hi), t in zip(tasks[th::pool_t], chunk_rows):
+                out[csf.idx[0][s_lo:s_hi]] += t
         return out
 
     def _charge(self, csf: CsfTensor) -> None:
@@ -212,9 +215,9 @@ class TacoBackend(EngineBase):
         self.counter.write(csf.level_shape(0) * rank, "output")
 
     def close(self) -> None:
-        """Release the segment operators and the processes backend's
-        shared segments; later kernel calls raise."""
-        self._ops = None
+        """Release the chunk plans and the processes backend's shared
+        segments; later kernel calls raise."""
+        self._plans = None
         self._ctx.close()
 
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@ from .csf_kernels import (
     block_plan,
     block_upward_sweep,
     scatter_add_rows,
-    thread_upward_sweep,
 )
 from .memoization import SAVE_ALL, SAVE_NONE, MemoPlan, enumerate_plans
 from .model import DataMovementModel, ModelBreakdown, TensorStats
@@ -29,7 +28,6 @@ __all__ = [
     "block_plan",
     "block_upward_sweep",
     "scatter_add_rows",
-    "thread_upward_sweep",
     "MemoPlan",
     "enumerate_plans",
     "SAVE_ALL",

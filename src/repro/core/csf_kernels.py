@@ -30,7 +30,8 @@ contributions merge correctly at any level (this is exactly the property
 STeF's boundary-replication scheme exploits).  An *execution block* runs
 consecutive threads as one task: its rows at each level are its threads'
 window rows laid end to end, and its operators are theirs along the
-diagonal, so every thread's rows carry the bits its own sweep would.
+diagonal, so every thread's rows carry the bits of a one-range plan of
+its own.
 
 The index work of a block's sweeps — gather indices, ``np.repeat``
 counts and the reduction operators — depends only on the CSF and the
@@ -44,7 +45,7 @@ counts.
 
 from __future__ import annotations
 
-from typing import Any, Container, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Container, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -76,8 +77,6 @@ __all__ = [
     "block_plan",
     "block_upward_sweep",
     "block_downward_k",
-    "sweep_operators",
-    "thread_upward_sweep",
 ]
 
 
@@ -216,138 +215,6 @@ def block_plan(
     return {"lo": lo, "hi": hi, "gather": gather, "counts": counts, "ops": ops}
 
 
-def sweep_operators(
-    csf: CsfTensor,
-    child_lo: int,
-    child_hi: int,
-    *,
-    start_level: Optional[int] = None,
-    stop_level: int = 0,
-    basis: Optional[OperatorBasis] = None,
-) -> Dict[int, csr_array]:
-    """Reduction operators of one range's upward sweep, ``level -> op``:
-    the ``ops`` of a one-range :func:`block_plan`.
-
-    The sweep starts from positions ``[child_lo, child_hi)`` at
-    ``start_level`` (default: the leaves).  ``op`` at ``level`` sums the
-    range's rows at ``level + 1`` into the nodes of its window at
-    ``level``, each segment clipped to the rows the range owns; at level
-    ``d-2`` of a sweep from the leaves it is the leaf TTM operator, so
-    ``op @ A_leaf`` is the TTM.  An empty range needs no operators.
-    """
-    if start_level is None:
-        start_level = csf.ndim - 1
-    if child_hi <= child_lo:
-        return {}
-    w = ancestor_windows(csf, start_level, child_lo, child_hi)
-    return block_plan(csf, [w], stop_level=stop_level, basis=basis)["ops"]
-
-
-def thread_upward_sweep(
-    csf: CsfTensor,
-    level_factors: Sequence[np.ndarray],
-    child_lo: int,
-    child_hi: int,
-    *,
-    start_level: Optional[int] = None,
-    init: Optional[np.ndarray] = None,
-    stop_level: int = 0,
-    ops: Optional[Mapping[int, csr_array]] = None,
-) -> Dict[int, Tuple[int, np.ndarray]]:
-    """One thread's share of the TTM/mTTV contraction chain.
-
-    Parameters
-    ----------
-    csf:
-        The tensor.
-    level_factors:
-        ``level_factors[i]`` is the factor matrix of the mode stored at
-        CSF level ``i`` (callers translate from original mode numbering).
-    child_lo, child_hi:
-        Half-open range of positions this thread owns at ``start_level``
-        (leaf positions when starting from the tensor values, node
-        positions when starting from a memoized partial result).
-    start_level:
-        Level whose values seed the sweep.  Default ``d-1`` seeds from the
-        tensor values; pass ``i`` with ``init`` to resume from a complete
-        memoized ``P^(i)``.
-    init:
-        Full ``(m_start, R)`` array of memoized values when resuming.
-    stop_level:
-        Deepest level whose partial ``t`` should be *returned* — the sweep
-        contracts down to (and including) ``stop_level``.
-    ops:
-        This range's :func:`sweep_operators` (covering at least
-        ``stop_level``; from the leaves, level ``d-2``'s is the leaf TTM
-        operator); engines build them once and pass them to every call.
-        Built here when omitted.
-
-    Returns
-    -------
-    dict
-        ``level -> (node_lo, t_partial)`` for ``stop_level <= level <
-        start_level``; ``t_partial[j]`` is this thread's (possibly
-        partial, for boundary nodes) contribution to node
-        ``node_lo + j``.  Empty ranges produce zero-row arrays.
-    """
-    d = csf.ndim
-    if start_level is None:
-        start_level = d - 1
-    if not stop_level <= start_level:
-        raise ValueError(f"stop_level {stop_level} > start_level {start_level}")
-    rank = np.asarray(level_factors[-1]).shape[1]
-    out: Dict[int, Tuple[int, np.ndarray]] = {}
-
-    if child_hi <= child_lo:
-        for level in range(stop_level, start_level):
-            out[level] = (0, np.zeros((0, rank)))
-        return out
-    if ops is None:
-        ops = sweep_operators(
-            csf,
-            child_lo,
-            child_hi,
-            start_level=start_level,
-            stop_level=stop_level,
-        )
-
-    # The rows the first operator reduces.  From the leaves that is the
-    # leaf factor itself: the leaf TTM operator gathers its rows and
-    # multiplies in the tensor values.  From a memoized P^(i), the
-    # thread's rows already multiplied by level i's factor rows.
-    if start_level == d - 1:
-        contrib = np.asarray(level_factors[d - 1])
-    else:
-        if init is None:
-            raise ValueError("resuming from a memoized level requires init")
-        contrib = gather_multiply_rows(
-            init[child_lo:child_hi],
-            np.asarray(level_factors[start_level]),
-            csf.idx[start_level],
-            child_lo,
-            child_hi,
-        )
-
-    lo, hi = child_lo, child_hi
-    for level in range(start_level - 1, stop_level - 1, -1):
-        window = LevelSlice(
-            parent_of(csf.ptr[level], lo),
-            parent_of(csf.ptr[level], hi - 1) + 1,
-        )
-        t_partial = segment_reduce_rows(contrib, ops[level])
-        out[level] = (window.lo, t_partial)
-        if level > stop_level:
-            contrib = gather_multiply_rows(
-                t_partial,
-                np.asarray(level_factors[level]),
-                csf.idx[level],
-                window.lo,
-                window.hi,
-            )
-            lo, hi = window.lo, window.hi
-    return out
-
-
 def block_upward_sweep(
     plan: Mapping[str, Any],
     level_factors: Sequence[np.ndarray],
@@ -368,9 +235,12 @@ def block_upward_sweep(
     sums stacked, and times the level's factor rows it feeds the next
     level up.  Returns ``t`` at the ``keep`` levels down to
     ``stop_level``; the other levels' rows are freed as the sweep moves
-    up.
+    up.  ``t`` at a level has one row per node of the plan's windows
+    there: a one-range plan's is the range's ancestor window.
     """
     if init is None:
+        if start_level != len(level_factors) - 1:
+            raise ValueError("resuming from a memoized level requires init")
         rows = level_factors[start_level]
     else:
         g = plan["gather"][start_level]

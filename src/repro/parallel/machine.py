@@ -15,8 +15,8 @@ bandwidth figure used to convert modeled element traffic into a simulated
 execution time.  The paper's observation that "the cache sizes and cache
 structures are different [so] this phenomenon happens with different
 tensors on different machines" falls out of the two presets' different
-``cache_bytes``.  The cache also sets how many *execution blocks* — runs
-of consecutive simulated threads dispatched as one task — an MTTKRP
+``cache_bytes``.  The cache also scales how many *execution blocks* —
+runs of consecutive simulated threads dispatched as one task — an MTTKRP
 kernel runs as (:meth:`MachineSpec.execution_blocks`).
 """
 
@@ -28,12 +28,16 @@ from typing import Optional
 __all__ = ["MachineSpec", "INTEL_CLX_18", "AMD_TR_64", "MACHINES", "BLOCK_CACHE_DIVISOR"]
 
 #: An execution block's ``nnz / B × R`` elements may fill one
-#: ``BLOCK_CACHE_DIVISOR``-th of a core's share of the cache.  Calibrated
-#: with uber at rank 16 on intel-clx-18's 18 simulated threads (serial
-#: backend, 2-core host): one eighth gives 2 blocks at 2k non-zeros, the
-#: fastest count there (1 or 18 blocks took about twice as long); 18 at
-#: 200k, where every count from 2 up ran within noise of the best and one
-#: block 50 % slower; and 15 at 20k, about 20 % slower than 2-7 blocks.
+#: ``BLOCK_CACHE_DIVISOR``-th of a core's share of the modelled cache.
+#: The figure is fitted to measured set times, not derived from cache
+#: fit: small blocks pay one dispatch each, so few blocks win on small
+#: tensors.  Measured with uber at rank 16 on intel-clx-18's 18 simulated
+#: threads (serial backend, 2-core host): one eighth gives 2 blocks at 2k
+#: non-zeros, the fastest count there (1 or 18 blocks took about twice as
+#: long), and 18 at 200k, where every count from 2 up ran within noise of
+#: the best and one block 50 % slower.  At 20k it gives 15 blocks, ~7.3 ms
+#: a set against ~4.3 ms for 3-7 blocks: between 2k and 200k the rule is
+#: unverified.
 BLOCK_CACHE_DIVISOR = 8
 
 
@@ -119,9 +123,9 @@ class MachineSpec:
     def execution_blocks(self, nnz: int, rank: int, num_threads: int) -> int:
         """How many execution blocks ``num_threads`` simulated threads run
         a kernel over ``nnz`` non-zeros at rank ``rank`` as: enough that
-        each block's ``nnz / B × R`` elements fit its budget
-        (:data:`BLOCK_CACHE_DIVISOR`), at least one and at most one per
-        thread."""
+        each block's ``nnz / B × R`` elements stay within a budget scaled
+        from the cache (:data:`BLOCK_CACHE_DIVISOR`, fitted to measured
+        dispatch overhead), at least one and at most one per thread."""
         budget = max(1, self.cache_bytes // (self.num_threads * BLOCK_CACHE_DIVISOR))
         need = nnz * rank * self.element_bytes
         return min(num_threads, max(1, -(-need // budget)))

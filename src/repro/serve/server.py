@@ -129,8 +129,6 @@ class DecompositionServer:
             self._dispatcher = None
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         # Let in-flight jobs finish so their journals reach a terminal
         # state; queued jobs stay journaled for the next start().
         await asyncio.get_running_loop().run_in_executor(
@@ -140,11 +138,15 @@ class DecompositionServer:
         if os.path.exists(self.socket_path):
             os.remove(self.socket_path)
         # A connection its client holds open would leave its handler
-        # parked in readline() for the loop's teardown to cancel; end
-        # each one here instead.
+        # parked in readline() for the loop's teardown to cancel, and
+        # (Python 3.12.1+) wait_closed() waiting on it; end each one
+        # before waiting for the server.
         for task in list(self._connections):
             task.cancel()
         await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     def request_stop(self) -> None:
         if self._stopping is not None:

@@ -9,9 +9,8 @@ from repro.core import (
     block_plan,
     block_upward_sweep,
     scatter_add_rows,
-    thread_upward_sweep,
 )
-from repro.core.csf_kernels import child_counts, sweep_operators
+from repro.core.csf_kernels import child_counts
 from repro.kernels import leaf_scatter_operator, scatter_operator
 from repro.ops import krp_rows, mttkrp_dense
 from repro.parallel import ReplicatedArray, nnz_partition
@@ -23,10 +22,25 @@ def level_factors(csf, factors):
     return [factors[m] for m in csf.mode_order]
 
 
+def range_sweep(csf, lf, lo, hi, *, start_level=None, init=None, stop_level=0):
+    """``level -> (node_lo, t)`` of the upward sweep of the position range
+    ``[lo, hi)`` at ``start_level`` (default: the leaves), through a
+    one-range block plan; ``node_lo`` is the range's first node at
+    ``level``."""
+    start = csf.ndim - 1 if start_level is None else start_level
+    windows = ancestor_windows(csf, start, lo, hi)
+    plan = block_plan(csf, [windows], stop_level=stop_level)
+    levels = range(stop_level, start)
+    got = block_upward_sweep(
+        plan, lf, start_level=start, stop_level=stop_level, init=init, keep=levels
+    )
+    return {level: (windows[level].lo, got[level]) for level in levels}
+
+
 def full_sweep(csf, lf, *, start_level=None, init=None):
     """Complete ``t`` arrays per level: one range owning every position."""
     start = csf.ndim - 1 if start_level is None else start_level
-    parts = thread_upward_sweep(
+    parts = range_sweep(
         csf, lf, 0, csf.fiber_counts[start], start_level=start, init=init
     )
     return {level: t for level, (_lo, t) in parts.items()}
@@ -139,7 +153,7 @@ class TestUpwardSweep:
         }
         for th in range(threads):
             lo, hi = part.leaf_range(th)
-            res = thread_upward_sweep(csf, lf, lo, hi)
+            res = range_sweep(csf, lf, lo, hi)
             for lvl, (nlo, tp) in res.items():
                 reps[lvl].view(th, nlo, nlo + tp.shape[0])[:] += tp
         for lvl in range(csf.ndim - 1):
@@ -156,21 +170,18 @@ class TestUpwardSweep:
     def test_resume_requires_init(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
         with pytest.raises(ValueError, match="init"):
-            thread_upward_sweep(
-                csf, level_factors(csf, factors4), 0, 10, start_level=2
-            )
+            range_sweep(csf, level_factors(csf, factors4), 0, 10, start_level=2)
 
     def test_empty_thread_range(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
-        res = thread_upward_sweep(csf, level_factors(csf, factors4), 5, 5)
+        res = range_sweep(csf, level_factors(csf, factors4), 5, 5)
+        assert set(res) == set(range(csf.ndim - 1))
         for lvl, (_nlo, tp) in res.items():
             assert tp.shape == (0, 4)
 
     def test_stop_level_limits_output(self, coo4, factors4):
         csf = CsfTensor.from_coo(coo4, (0, 1, 2, 3))
-        res = thread_upward_sweep(
-            csf, level_factors(csf, factors4), 0, csf.nnz, stop_level=2
-        )
+        res = range_sweep(csf, level_factors(csf, factors4), 0, csf.nnz, stop_level=2)
         assert set(res) == {2}
 
 
@@ -263,7 +274,8 @@ class TestLeafOperatorsOnCsf:
         d = csf4.ndim
         lo, hi = mid_fiber_range(csf4)
         parents, window = parents_in_window(csf4, lo, hi)
-        op = sweep_operators(csf4, lo, hi)[d - 2]
+        windows = ancestor_windows(csf4, d - 1, lo, hi)
+        op = block_plan(csf4, [windows], stop_level=d - 2)["ops"][d - 2]
         assert np.shares_memory(op.data, csf4.values)
         bounds = np.searchsorted(parents, np.arange(window.count + 1))
         want = left_to_right_weighted(
@@ -271,7 +283,7 @@ class TestLeafOperatorsOnCsf:
         )
         assert np.array_equal(op @ lf[d - 1], want)
         # The sweep starts from it.
-        nlo, t = thread_upward_sweep(csf4, lf, lo, hi, stop_level=d - 2)[d - 2]
+        nlo, t = range_sweep(csf4, lf, lo, hi, stop_level=d - 2)[d - 2]
         assert nlo == window.lo and np.array_equal(t, want)
 
     def test_leaf_scatter_operator(self, csf4, factors4):
@@ -314,7 +326,7 @@ class TestBlockPlan:
             )
             for level in range(d - 1):
                 want = [
-                    thread_upward_sweep(csf4, lf, w[d - 1].lo, w[d - 1].hi)[level][1]
+                    range_sweep(csf4, lf, w[d - 1].lo, w[d - 1].hi)[level][1]
                     for w in windows[first:stop]
                 ]
                 assert np.array_equal(got[level], np.concatenate(want)), level
@@ -328,7 +340,7 @@ class TestBlockPlan:
             plan, lf, start_level=2, stop_level=1, init=init, keep=(1,)
         )[1]
         want = [
-            thread_upward_sweep(
+            range_sweep(
                 csf4, lf, w[2].lo, w[2].hi, start_level=2, init=init, stop_level=1
             )[1]
             for w in windows[1:4]

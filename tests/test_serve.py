@@ -30,6 +30,7 @@ server:
   holds open ends the daemon with exit code 0 and no traceback.
 """
 
+import asyncio
 import errno
 import json
 import os
@@ -48,6 +49,7 @@ from repro.engines import create_engine
 from repro.parallel import MACHINES
 from repro.parallel.counters import TrafficCounter
 from repro.serve import (
+    DecompositionServer,
     Job,
     JobSpec,
     ServeClient,
@@ -680,6 +682,34 @@ class TestShutdown:
                 proc.wait(timeout=30)
         assert proc.returncode == 0
         assert b"Traceback" not in stderr, stderr.decode()
+
+    def test_stop_ends_held_connections_before_waiting_on_the_server(
+        self, tmp_path
+    ):
+        """From Python 3.12.1, ``Server.wait_closed()`` waits for every
+        connection to drop, so ``stop()`` must end the connections a
+        client holds open before it waits, whatever the interpreter."""
+        sock = str(tmp_path / "s.sock")
+
+        async def scenario():
+            server = DecompositionServer(sock, str(tmp_path / "spool"), workers=1)
+            await server.start()
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(b'{"op":"ping"}\n')
+            assert json.loads(await reader.readline())["ok"]
+            open_at_wait = []
+            wait_closed = server._server.wait_closed
+
+            async def spy():
+                open_at_wait.append(len(server._connections))
+                await wait_closed()
+
+            server._server.wait_closed = spy
+            await asyncio.wait_for(server.stop(), 30)
+            writer.close()
+            return open_at_wait
+
+        assert asyncio.run(scenario()) == [0]
 
 
 class TestCrashRecovery:
